@@ -5,10 +5,10 @@ restriction, partitional composition, recursive definitions), a parking-like
 operator parameterized by a non-decreasing slot map, the tree-like operator
 T = A(X*T), the bijection between the two (identity slot map), and exact
 generating-series evaluation with Lagrange inversion.  Everything is pure
-Python over exact integers and rationals.
+Python over exact integers.
 """
 
-from .chi import ChiMap, chi_shift
+from .chi import ChiMap
 from .dsl import parse_chi_text, parse_species
 from .errors import (
     BlockLengthMismatchError,
@@ -41,7 +41,7 @@ from .expr import (
     ary,
     expr_to_text,
 )
-from .generate import Generator, count_by_generation, generate
+from .generate import Generator, generate
 from .parking import (
     ParkingFunction,
     ParkingLike,
@@ -121,8 +121,6 @@ __all__ = [
     "Zero",
     "ary",
     "blocks_to_pf",
-    "chi_shift",
-    "count_by_generation",
     "deserialize",
     "egf_of_species",
     "expr_to_text",

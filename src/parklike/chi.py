@@ -6,7 +6,8 @@ a structure on u labels is a sequence of chi(u+1) entries.  Three kinds
 are supported:
 
 * ``identity``   -- chi(m) = m, the classical parking case;
-* ``affine(a,b)``-- chi(m) = a*m + b with a >= 0 and a + b >= 0;
+* ``affine(a,b)``-- chi(m) = a*m + b with a >= 0 and a + b >= 0
+  (``affine(1,0)`` is stored as the identity);
 * ``table(...)`` -- explicit finite values; evaluating past the last
   entry raises ChiTableExhaustedError.
 
@@ -45,6 +46,10 @@ class ChiMap:
                 raise SpeciesError(
                     f"affine chi needs chi(1) = a + b >= 0, got {self.a + self.b}"
                 )
+            if (self.a, self.b) == (1, 0):
+                # One form per map: affine(1,0) is the identity.
+                object.__setattr__(self, "kind", "id")
+                object.__setattr__(self, "a", 0)
         elif self.kind == "table":
             values = self.table
             if not values:
@@ -103,7 +108,7 @@ class ChiMap:
     def is_identity(self) -> bool:
         # Tables never count: their horizon is finite even if the visible
         # entries match the identity.
-        return self.kind == "id" or (self.kind == "affine" and (self.a, self.b) == (1, 0))
+        return self.kind == "id"
 
     def key(self) -> str:
         """Canonical string form, used in JSON and as a cache key."""
@@ -115,6 +120,8 @@ class ChiMap:
 
     @staticmethod
     def from_string(text: str) -> "ChiMap":
+        if not isinstance(text, str):
+            raise SpeciesError(f"not a chi map: {text!r}")
         text = text.strip()
         if not _CHI_STRING.match(text):
             raise SpeciesError(f"not a chi map: {text!r}")
@@ -124,8 +131,3 @@ class ChiMap:
             a, b = (int(v) for v in text[len("affine(") : -1].split(","))
             return ChiMap.affine(a, b)
         return ChiMap.from_table(int(v) for v in text[len("table(") : -1].split(","))
-
-
-def chi_shift(chi: ChiMap, n: int) -> ChiMap:
-    """Shift a chi map past n consumed labels (see ChiMap.shift)."""
-    return chi.shift(n)

@@ -32,7 +32,7 @@ from .expr import SpeciesEnv, expr_to_text
 from .generate import Generator
 from .parking import ParkingLike, validate_parking
 from .series import egf_of_species
-from .structures import from_jsonable, serialize, to_jsonable, underlying
+from .structures import canonical_labels, from_jsonable, serialize, to_jsonable, underlying
 from .treelike import TreeLike, validate_tree
 
 
@@ -123,7 +123,7 @@ def cmd_enumerate(args, env) -> int:
     if getattr(args, "count_only", False):
         print(gen.count(expr, args.n))
         return 0
-    structures = gen.generate(expr, range(1, args.n + 1))
+    structures = gen.generate(expr, canonical_labels(args.n))
     if args.format == "json":
         print(json.dumps([to_jsonable(s) for s in structures], sort_keys=True))
     else:
@@ -140,11 +140,19 @@ def cmd_count(args, env) -> int:
 
 
 def _read_documents(source: str):
-    text = sys.stdin.read() if source == "-" else open(source).read()
+    """One JSON document, or one per non-blank line (JSON Lines)."""
     try:
-        return [json.loads(text)]
-    except json.JSONDecodeError:
-        return [json.loads(line) for line in text.splitlines() if line.strip()]
+        if source == "-":
+            text = sys.stdin.read()
+        else:
+            with open(source) as f:
+                text = f.read()
+        try:
+            return [json.loads(text)]
+        except json.JSONDecodeError:
+            return [json.loads(line) for line in text.splitlines() if line.strip()]
+    except (OSError, RecursionError, json.JSONDecodeError) as exc:
+        raise SpeciesError(f"cannot read JSON input: {exc}") from exc
 
 
 def cmd_biject(args, env) -> int:

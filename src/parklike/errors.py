@@ -46,7 +46,7 @@ class InvalidStructureError(SpeciesError):
 
 
 class NonIntegralSeriesError(SpeciesError):
-    """Exact-rational series arithmetic produced a non-integer structure count."""
+    """An exact division in series arithmetic left a remainder."""
 
 
 class BudgetExceededError(SpeciesError):

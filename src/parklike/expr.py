@@ -222,7 +222,7 @@ def _render(expr) -> tuple[str, int]:
     if isinstance(expr, Restrict):
         return f"restrict({expr_to_text(expr.base)}, {expr.card})", _LVL_ATOM
     if isinstance(expr, Park):
-        if expr.chi.is_identity and expr.chi.kind == "id":
+        if expr.chi.is_identity:
             return f"park({expr_to_text(expr.base)})", _LVL_ATOM
         return f"park({expr_to_text(expr.base)}, {expr.chi.key()})", _LVL_ATOM
     if isinstance(expr, Tree):

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from itertools import combinations, product
 
-from .errors import DivergentRecursionError, InadmissibleCompositionError
+from .errors import InadmissibleCompositionError
 from .expr import (
     E,
     EPlus,
@@ -36,6 +36,7 @@ from .expr import (
     X,
     Zero,
 )
+from .memo import Memo
 from .structures import (
     UNIT,
     AtomVal,
@@ -94,13 +95,8 @@ class Generator:
 
     def __init__(self, env: SpeciesEnv | None = None, *, memoize: bool = True):
         self.env = env if env is not None else SpeciesEnv.standard()
-        self.memoize = memoize
-        self._cache: dict = {}
-        # Fixed-point state: current approximations per (name, n), plus a
-        # read log so results that consumed an approximation are not cached.
-        self._approx: dict = {}
-        self._approx_reads = 0
-        self._driver_reads: list = []
+        self._memo = Memo(memoize)
+        self._cache = self._memo.cache
 
     # -- public API ----------------------------------------------------------
 
@@ -126,16 +122,14 @@ class Generator:
         cached = self._cache.get(key)
         if cached is not None:
             return cached
-        reads_before = self._approx_reads
+        reads_before = self._memo.reads
         canon = canonical_labels(len(labels))
         if labels == canon:
             result = self._compute(expr, labels)
         else:
             iso = order_isomorphism(canon, labels)
             result = [s.relabel(iso) for s in self._gen(expr, canon)]
-        if self.memoize and self._approx_reads == reads_before:
-            self._cache[key] = result
-        return result
+        return self._memo.store(key, result, reads_before)
 
     def _compute(self, expr, labels: frozenset) -> list:
         n = len(labels)
@@ -164,7 +158,16 @@ class Generator:
         if isinstance(expr, Compose):
             return self._compute_compose(expr, labels)
         if isinstance(expr, Ref):
-            return self._compute_ref(expr, labels)
+            # Only reached with canonical labels, so (expr, labels) names (name, n).
+            body = self.env.lookup(expr.name)
+            return self._memo.solve(
+                (expr, labels),
+                [],
+                n + 2,
+                lambda: self._gen(body, labels),
+                f"recursion for {expr.name!r} did not stabilize on "
+                f"{n} labels after {n + 2} rounds",
+            )
         if isinstance(expr, Park):
             from .parking import generate_parking_raw
 
@@ -204,48 +207,7 @@ class Generator:
                     out.append(ComposeVal(outer, tuple(zip(blocks, choice))))
         return out
 
-    # -- recursive references --------------------------------------------
-
-    def _note_approx_read(self, akey) -> None:
-        self._approx_reads += 1
-        for reads in self._driver_reads:
-            reads.add(akey)
-
-    def _compute_ref(self, expr: Ref, labels: frozenset) -> list:
-        n = len(labels)
-        akey = (expr.name, n)
-        if akey in self._approx:
-            self._note_approx_read(akey)
-            return self._approx[akey]
-        body = self.env.lookup(expr.name)
-        self._approx[akey] = []
-        reads: set = set()
-        self._driver_reads.append(reads)
-        try:
-            result = None
-            for _ in range(n + 2):
-                result = self._gen(body, labels)
-                if result == self._approx[akey]:
-                    break
-                self._approx[akey] = result
-            else:
-                raise DivergentRecursionError(
-                    f"recursion for {expr.name!r} did not stabilize on "
-                    f"{n} labels after {n + 2} rounds"
-                )
-        finally:
-            del self._approx[akey]
-            self._driver_reads.pop()
-        # Safe to memoize only if no *other* recursion was mid-iteration.
-        if self.memoize and not (reads - {akey}):
-            self._cache[(expr, labels)] = result
-        return result
-
 
 def generate(expr, env=None, labels=()) -> list:
     """One-shot generation (sorted); for repeated calls hold a Generator."""
     return Generator(env).generate(expr, labels)
-
-
-def count_by_generation(expr, env=None, n: int = 0) -> int:
-    return Generator(env).count(expr, n)

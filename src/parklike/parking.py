@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 
-from .chi import ChiMap, chi_shift
+from .chi import ChiMap
 from .errors import BlockLengthMismatchError, InvalidStructureError
 from .expr import Park, Power, SpeciesExpr
 from .structures import (
@@ -92,7 +92,7 @@ def generate_parking_raw(gen, base: SpeciesExpr, chi: ChiMap, labels: frozenset)
         return out
     items = sorted(labels)
     for n in range(1, u + 1):
-        rho = chi_shift(chi, n)
+        rho = chi.shift(n)
         tail_expr = Park(base, rho)
         for combo in combinations(items, n):
             first = frozenset(combo)

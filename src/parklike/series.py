@@ -1,30 +1,26 @@
 """Exact exponential generating series, truncated to a finite order.
 
-Internally a series is a list of Fraction coefficients c_0..c_N with
-c_n = a_n / n!; the public EgfSeries carries the structure counts a_n as
-exact integers.  Everything is computed over rationals — no floats — and a
-final integrality check guards against invalid inputs.
+A series is the vector of structure counts a_0..a_N, kept as exact Python
+integers; no floats, no fractions.  The EGF operations become integer
+ones: a product is the binomial convolution sum_k C(n,k) a_k b_(n-k), a
+composition is sum_k f_k (g^k)_n / k!, and Lagrange inversion for
+T = A(X*T) gives T_n = (A^(n+1))_n / (n+1).  Every division goes through
+one exact-division check, which raises NonIntegralSeriesError on a
+remainder.
 
 Recursive definitions iterate from the zero series to a fixed point (same
 contract as structure generation: error after N+2 non-stabilizing rounds).
-Tree-like series go through Lagrange inversion on T(t) = A(t*T(t)); the
-parking-like series follows the slot-peeling recursion, which is the route
-that stays valid for non-identity chi.
+Tree-like series go through Lagrange inversion; the parking-like series
+follows the slot-peeling recursion, which is the route that stays valid for
+non-identity chi.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
-from math import factorial
 
-from .chi import ChiMap, chi_shift
-from .errors import (
-    DivergentRecursionError,
-    InadmissibleCompositionError,
-    NonIntegralSeriesError,
-    SpeciesError,
-)
+from .chi import ChiMap
+from .errors import InadmissibleCompositionError, NonIntegralSeriesError, SpeciesError
 from .expr import (
     E,
     EPlus,
@@ -41,6 +37,7 @@ from .expr import (
     X,
     Zero,
 )
+from .memo import Memo
 
 
 @dataclass(frozen=True)
@@ -59,10 +56,6 @@ class EgfSeries:
     def count(self, n: int) -> int:
         return self.counts[n]
 
-    def coefficients(self) -> list:
-        """The EGF coefficients a_n / n! as exact fractions."""
-        return [Fraction(a, factorial(n)) for n, a in enumerate(self.counts)]
-
 
 def series_equal_prefix(a: EgfSeries, b: EgfSeries, upto: int) -> bool:
     if a.order < upto or b.order < upto:
@@ -70,217 +63,181 @@ def series_equal_prefix(a: EgfSeries, b: EgfSeries, upto: int) -> bool:
     return a.counts[: upto + 1] == b.counts[: upto + 1]
 
 
-# -- coefficient-vector arithmetic (Fractions, truncated) ---------------------
+# -- count-vector arithmetic (integers, truncated) ----------------------------
 
 
-def _zero(order: int) -> list:
-    return [Fraction(0)] * (order + 1)
-
-
-def _add(a: list, b: list) -> list:
-    return [x + y for x, y in zip(a, b)]
+def _exact(num: int, den: int, n: int) -> int:
+    quotient, remainder = divmod(num, den)
+    if remainder:
+        raise NonIntegralSeriesError(
+            f"coefficient {n} gives non-integral count {num}/{den}"
+        )
+    return quotient
 
 
 def _mul(a: list, b: list) -> list:
-    out = _zero(len(a) - 1)
+    """Counts of the product species: the binomial convolution of a and b.
+
+    C(i+j, i) is carried along each row rather than read from a Pascal
+    table, whose size grows as order^3 bits.
+    """
+    out = [0] * len(a)
     for i, x in enumerate(a):
         if not x:
             continue
+        c = 1  # C(i + j, i)
         for j in range(len(a) - i):
             if b[j]:
-                out[i + j] += x * b[j]
+                out[i + j] += c * x * b[j]
+            c = c * (i + j + 1) // (j + 1)
     return out
 
 
-def _substitute(f: list, g: list) -> list:
-    """f(g(t)) truncated; requires g[0] == 0."""
-    order = len(f) - 1
-    out = _zero(order)
-    power = _zero(order)
-    power[0] = Fraction(1)
-    for k in range(order + 1):
-        if f[k]:
-            for i in range(order + 1):
-                out[i] += f[k] * power[i]
-        if k < order:
-            power = _mul(power, g)
-    return out
-
-
-def _counts(coeffs: list) -> tuple:
-    out = []
-    for n, c in enumerate(coeffs):
-        a = c * factorial(n)
-        if a.denominator != 1:
-            raise NonIntegralSeriesError(
-                f"coefficient {n} gives non-integral count {a}"
-            )
-        out.append(int(a))
-    return tuple(out)
-
-
-def _lagrange(a: list, order: int) -> list:
-    """Solve T(t) = A(t*T(t)) from A's coefficient vector.
-
-    With W = t*T we have W = t*A(W), so the n-th coefficient of T is
-    [w^n] A(w)^{n+1} / (n+1) — plain truncated polynomial powers.
-    """
-    a = a[: order + 1] + [Fraction(0)] * max(0, order + 1 - len(a))
-    out = _zero(order)
-    power = a[:]
-    for n in range(order + 1):
-        out[n] = power[n] / (n + 1)
-        if n < order:
-            power = _mul(power, a)
+def _lagrange(a: list) -> list:
+    """Counts of T = A(X*T) from A's counts: T_n = (A^(n+1))_n / (n+1)."""
+    out, power = [], a
+    for n in range(len(a)):
+        out.append(_exact(power[n], n + 1, n))
+        power = _mul(power, a)
     return out
 
 
 def lagrange_solve(base: EgfSeries, order: int) -> EgfSeries:
     """The tree-like series over a base series, by Lagrange inversion."""
-    coeffs = base.coefficients()
-    if len(coeffs) < order + 1:
+    if base.order < order:
         raise SpeciesError(
             f"base series order {base.order} too short for requested order {order}"
         )
-    return EgfSeries(order, _counts(_lagrange(coeffs, order)))
+    return EgfSeries(order, _lagrange(list(base.counts[: order + 1])))
 
 
 # -- species evaluation --------------------------------------------------------
 
 
 class _Evaluator:
-    """Species-to-coefficient-vector evaluation at a fixed truncation order."""
+    """Species-to-count-vector evaluation at a fixed truncation order."""
 
     def __init__(self, env: SpeciesEnv, order: int):
         self.env = env
         self.order = order
-        self._memo: dict = {}
-        self._approx: dict = {}
-        self._approx_reads = 0
-        self._driver_reads: list = []
+        self._memo = Memo()
 
     def eval(self, expr) -> list:
-        cached = self._memo.get(expr)
+        cached = self._memo.cache.get(expr)
         if cached is not None:
             return cached
-        reads_before = self._approx_reads
-        result = self._compute(expr)
-        if self._approx_reads == reads_before:
-            self._memo[expr] = result
-        return result
+        reads_before = self._memo.reads
+        return self._memo.store(expr, self._compute(expr), reads_before)
 
     def _compute(self, expr) -> list:
         N = self.order
         if isinstance(expr, Zero):
-            return _zero(N)
+            return [0] * (N + 1)
         if isinstance(expr, One):
-            out = _zero(N)
-            out[0] = Fraction(1)
-            return out
+            return [1] + [0] * N
         if isinstance(expr, X):
-            out = _zero(N)
-            if N >= 1:
-                out[1] = Fraction(1)
-            return out
+            return ([0, 1] + [0] * N)[: N + 1]
         if isinstance(expr, E):
-            return [Fraction(1, factorial(n)) for n in range(N + 1)]
+            return [1] * (N + 1)
         if isinstance(expr, EPlus):
-            out = [Fraction(1, factorial(n)) for n in range(N + 1)]
-            out[0] = Fraction(0)
-            return out
+            return [0] + [1] * N
         if isinstance(expr, Sum):
-            return _add(self.eval(expr.left), self.eval(expr.right))
+            return [x + y for x, y in zip(self.eval(expr.left), self.eval(expr.right))]
         if isinstance(expr, Prod):
             return _mul(self.eval(expr.left), self.eval(expr.right))
         if isinstance(expr, Power):
-            out = _zero(N)
-            out[0] = Fraction(1)
-            base = self.eval(expr.base)
-            for _ in range(expr.exponent):
-                out = _mul(out, base)
-            return out
+            return self._power(expr)
         if isinstance(expr, Restrict):
-            out = _zero(N)
+            out = [0] * (N + 1)
             if expr.card <= N:
                 out[expr.card] = self.eval(expr.base)[expr.card]
             return out
         if isinstance(expr, Compose):
-            inner = self.eval(expr.inner)
-            if inner[0]:
-                raise InadmissibleCompositionError(
-                    "series composition requires a zero constant term inside"
-                )
-            return _substitute(self.eval(expr.outer), inner)
+            return self._compose(expr)
         if isinstance(expr, Ref):
-            return self._fixed_point(expr)
+            body = self.env.lookup(expr.name)
+            return self._memo.solve(
+                expr,
+                [0] * (N + 1),
+                N + 2,
+                lambda: self.eval(body),
+                f"series for {expr.name!r} did not stabilize at order "
+                f"{N} after {N + 2} rounds",
+            )
         if isinstance(expr, Park):
             return self._park(expr.base, expr.chi, N)
         if isinstance(expr, Tree):
-            return _lagrange(self.eval(expr.base), N)
+            return _lagrange(self.eval(expr.base))
         raise TypeError(f"not a species expression: {expr!r}")
 
-    def _note_approx_read(self, akey) -> None:
-        self._approx_reads += 1
-        for reads in self._driver_reads:
-            reads.add(akey)
+    def _power(self, expr: Power) -> list:
+        """b^k as b * b^(k-1), built upward so each b^j is memoized and reused.
 
-    def _fixed_point(self, expr: Ref) -> list:
-        akey = expr.name
-        if akey in self._approx:
-            self._note_approx_read(akey)
-            return self._approx[akey]
-        body = self.env.lookup(expr.name)
-        self._approx[akey] = _zero(self.order)
-        reads: set = set()
-        self._driver_reads.append(reads)
-        try:
-            result = None
-            for _ in range(self.order + 2):
-                result = self.eval(body)
-                if result == self._approx[akey]:
-                    break
-                self._approx[akey] = result
-            else:
-                raise DivergentRecursionError(
-                    f"series for {expr.name!r} did not stabilize at order "
-                    f"{self.order} after {self.order + 2} rounds"
-                )
-        finally:
-            del self._approx[akey]
-            self._driver_reads.pop()
-        if not (reads - {akey}):
-            self._memo[expr] = result
-        return result
+        A loop, not recursion: exponents in the thousands must not hit the
+        interpreter's recursion limit.
+        """
+        reads_before = self._memo.reads
+        base = self.eval(expr.base)
+        out = [1] + [0] * self.order
+        for j in range(1, expr.exponent + 1):
+            step = Power(expr.base, j)
+            cached = self._memo.cache.get(step)
+            if cached is None:
+                cached = self._memo.store(step, _mul(base, out), reads_before)
+            out = cached
+        return out
+
+    def _compose(self, expr: Compose) -> list:
+        """sum_k f_k (g^k)_n / k!: k-sets of inner structures, outer on the k blocks."""
+        inner = self.eval(expr.inner)
+        if inner[0]:
+            raise InadmissibleCompositionError(
+                "series composition requires a zero constant term inside"
+            )
+        outer = self.eval(expr.outer)
+        out = [0] * (self.order + 1)
+        power = [1] + [0] * self.order  # inner^k
+        k_factorial = 1
+        for k, f in enumerate(outer):
+            if k:
+                power = _mul(power, inner)
+                k_factorial *= k
+            if f:
+                for n in range(k, self.order + 1):
+                    out[n] += f * _exact(power[n], k_factorial, n)
+        return out
 
     def _park(self, base, chi: ChiMap, order: int) -> list:
-        """Slot-peeling recursion on truncated series.
+        """Slot-peeling recursion on truncated count vectors.
 
         The first chi(1) slots form a power structure on n of the labels;
-        the rest is the shifted parking-like series at order - n.
+        the rest is the shifted parking-like series at order - n, and the
+        labels split between the two in C(n+j, n) ways.
         """
-        key = ("park", base, chi.key(), order)
-        cached = self._memo.get(key)
+        key = ("park", base, chi, order)
+        cached = self._memo.cache.get(key)
         if cached is not None:
             return cached
-        reads_before = self._approx_reads
+        reads_before = self._memo.reads
         power = self.eval(Power(base, chi(1)))
-        out = [Fraction(0)] * (order + 1)
+        out = [0] * (order + 1)
         out[0] = power[0]
         for n in range(1, order + 1):
             if not power[n]:
                 continue
-            tail = self._park(base, chi_shift(chi, n), order - n)
-            for j in range(order - n + 1):
-                if tail[j]:
-                    out[n + j] += power[n] * tail[j]
-        if self._approx_reads == reads_before:
-            self._memo[key] = out
-        return out
+            tail = self._park(base, chi.shift(n), order - n)
+            c = 1  # C(n + j, n): ways to split the labels
+            for j, t in enumerate(tail):
+                if t:
+                    out[n + j] += c * power[n] * t
+                c = c * (n + j + 1) // (j + 1)
+        return self._memo.store(key, out, reads_before)
 
 
 def egf_of_species(expr, env: SpeciesEnv | None = None, order: int = 8) -> EgfSeries:
     """Structure counts a_0..a_order of a species, by series evaluation."""
+    if order < 0:
+        raise SpeciesError(f"series order must be >= 0, got {order}")
     if env is None:
         env = SpeciesEnv.standard()
-    coeffs = _Evaluator(env, order).eval(expr)
-    return EgfSeries(order, _counts(coeffs))
+    return EgfSeries(order, _Evaluator(env, order).eval(expr))

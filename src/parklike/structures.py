@@ -30,7 +30,7 @@ import json
 from dataclasses import dataclass
 from typing import Callable, Union
 
-from .errors import InvalidStructureError
+from .errors import InvalidStructureError, SpeciesError
 
 _EMPTY = frozenset()
 
@@ -220,13 +220,13 @@ def from_jsonable(data) -> "Structure":
                 for b in data["blocks"]
             )
             return ComposeVal(from_jsonable(data["outer"]), blocks)
+        if kind is None:
+            if "chi" in data and "seq" in data and "parking" in _JSON_READERS:
+                return _JSON_READERS["parking"](data)
+            if "root" in data and "children" in data and "treelike" in _JSON_READERS:
+                return _JSON_READERS["treelike"](data)
     except (KeyError, TypeError) as exc:
         raise InvalidStructureError(f"malformed structure JSON: {exc}") from exc
-    if kind is None:
-        if "chi" in data and "seq" in data and "parking" in _JSON_READERS:
-            return _JSON_READERS["parking"](data)
-        if "root" in data and "children" in data and "treelike" in _JSON_READERS:
-            return _JSON_READERS["treelike"](data)
     raise InvalidStructureError(f"unrecognized structure JSON: {data!r}")
 
 
@@ -249,6 +249,8 @@ def deserialize(text: str) -> "Structure":
 
 def canonical_labels(n: int) -> frozenset:
     """The canonical label set [n] = {1, ..., n}."""
+    if n < 0:
+        raise SpeciesError(f"label count must be >= 0, got {n}")
     return frozenset(range(1, n + 1))
 
 

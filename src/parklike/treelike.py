@@ -23,6 +23,7 @@ from .structures import (
     AtomVal,
     ComposeVal,
     ProdVal,
+    _label,
     from_jsonable,
     register_json_reader,
     relabel,
@@ -89,7 +90,7 @@ class TreeLike:
 def _treelike_from_jsonable(data) -> TreeLike:
     root = from_jsonable(data["root"])
     children = tuple(
-        (child["label"], _treelike_from_jsonable(child["subtree"]))
+        (_label(child["label"]), _treelike_from_jsonable(child["subtree"]))
         for child in data["children"]
     )
     return TreeLike(root, children)

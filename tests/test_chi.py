@@ -1,7 +1,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from parklike import ChiMap, chi_shift
+from parklike import ChiMap
 from parklike.errors import ChiTableExhaustedError, SpeciesError
 
 
@@ -17,6 +17,13 @@ def test_affine_values():
     assert [chi(m) for m in range(1, 5)] == [5, 7, 9, 11]
     assert not chi.is_identity
     assert ChiMap.affine(1, 0).is_identity
+
+
+def test_affine_one_zero_is_the_identity():
+    assert ChiMap.affine(1, 0) == ChiMap.identity()
+    assert ChiMap.from_string("affine(1,0)").key() == "id"
+    assert hash(ChiMap.affine(1, 0)) == hash(ChiMap.identity())
+    assert ChiMap.affine(1, 1).shift(1) == ChiMap.identity()
 
 
 def test_affine_negative_offset_allowed_when_nonnegative_at_one():
@@ -82,12 +89,7 @@ def test_shift_rejects_nonpositive():
     with pytest.raises(SpeciesError):
         ChiMap.identity().shift(0)
     with pytest.raises(SpeciesError):
-        chi_shift(ChiMap.affine(1, 1), -2)
-
-
-def test_chi_shift_helper_matches_method():
-    chi = ChiMap.affine(2, 0)
-    assert chi_shift(chi, 3) == chi.shift(3)
+        ChiMap.affine(1, 1).shift(-2)
 
 
 # -- string form --------------------------------------------------------------

@@ -7,6 +7,7 @@ from importlib import resources
 import pytest
 
 from parklike.cli import main
+from parklike.structures import from_jsonable, serialize
 
 EXAMPLE_PARKING = json.dumps(
     {
@@ -139,6 +140,53 @@ def test_error_exit_codes(capsys, argv, rc):
     assert got == rc
 
 
+LEAF = {"root": {"k": "set", "labels": []}, "children": []}
+
+
+@pytest.mark.parametrize(
+    "argv, stdin",
+    [
+        (["count", "--expr", "park(E)", "--n", "-3"], None),
+        (["enumerate", "--expr", "E", "--n", "-2"], None),
+        (["enumerate", "--expr", "E", "--n", "-2", "--count-only"], None),
+        (["series", "--expr", "park(E)", "--order", "-1"], None),
+        (["series", "--expr", "L", "--order", "-1"], None),
+        (["series", "--expr", "tree(E)", "--order", "-1"], None),
+        (["biject", "--expr", "E", "--direction", "p2t"], "not json"),
+        (["biject", "--expr", "E", "--direction", "p2t"], "[" * 100_000),
+        (["biject", "--expr", "E", "--direction", "p2t"], EXAMPLE_PARKING + "\n{\n"),
+        (["biject", "--expr", "E", "--direction", "t2p", "--input", "no/such/file.json"], None),
+        (
+            ["biject", "--expr", "E", "--direction", "t2p"],
+            json.dumps({"root": {"k": "set", "labels": [1]}, "children": [{"label": 1}]}),
+        ),
+        (
+            ["biject", "--expr", "E", "--direction", "t2p"],
+            json.dumps(
+                {
+                    "root": {"k": "set", "labels": [1]},
+                    "children": [{"label": True, "subtree": LEAF}],
+                }
+            ),
+        ),
+        (
+            ["biject", "--expr", "E", "--direction", "t2p"],
+            json.dumps({"root": {"k": "set", "labels": [1]}, "children": [5]}),
+        ),
+        (["biject", "--expr", "E", "--direction", "p2t"], json.dumps({"chi": 5, "seq": []})),
+        (["biject", "--expr", "E", "--direction", "p2t"], json.dumps({"chi": "id", "seq": 5})),
+    ],
+)
+def test_bad_input_is_one_error_line(capsys, monkeypatch, argv, stdin):
+    if stdin is not None:
+        monkeypatch.setattr(sys, "stdin", io.StringIO(stdin))
+    rc = main(argv)
+    captured = capsys.readouterr()
+    assert rc == 1 and captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+
+
 # -- series --------------------------------------------------------------------------
 
 
@@ -186,6 +234,16 @@ def test_biject_round_trip_via_files(capsys, monkeypatch, tmp_path):
     )
     assert rc == 0
     assert json.loads(back) == json.loads(EXAMPLE_PARKING)
+
+
+def test_biject_round_trip_canonicalizes_affine_identity(capsys, monkeypatch):
+    doc = EXAMPLE_PARKING.replace('"chi": "id"', '"chi": "affine(1,0)"')
+    argv = ["biject", "--expr", "E", "--direction"]
+    rc, tree_text = run(capsys, argv + ["p2t"], stdin=doc, monkeypatch=monkeypatch)
+    assert rc == 0
+    rc, back = run(capsys, argv + ["t2p"], stdin=tree_text, monkeypatch=monkeypatch)
+    assert rc == 0
+    assert back == serialize(from_jsonable(json.loads(doc))) + "\n"
 
 
 def test_biject_rejects_non_identity_chi(capsys, monkeypatch):

@@ -5,7 +5,6 @@ import pytest
 from parklike import (
     Generator,
     SpeciesEnv,
-    count_by_generation,
     generate,
     parse_species,
     serialize,
@@ -66,7 +65,7 @@ def test_generate_returns_sorted_structures(gen):
 
 def test_module_level_generate_and_count(env):
     assert len(generate(parse_species("L", env), env, {4, 7})) == 2
-    assert count_by_generation(parse_species("E@E+", env), env, 4) == 15
+    assert Generator(env).count(parse_species("E@E+", env), 4) == 15
 
 
 # -- combinator laws ----------------------------------------------------------

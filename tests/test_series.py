@@ -1,3 +1,5 @@
+from math import factorial
+
 import pytest
 
 from parklike import (
@@ -18,6 +20,11 @@ from parklike.expr import Compose, E, Ref, SpeciesEnv
 
 def egf(text, env, order=6):
     return egf_of_species(parse_species(text, env), env, order)
+
+
+def cayley(n):
+    """(n+1)^(n-1), which is 1 at n = 0."""
+    return (n + 1) ** (n - 1) if n else 1
 
 
 # -- species-to-series translation ---------------------------------------------
@@ -42,6 +49,16 @@ def test_primitives(env):
         ("X^2", (0, 0, 2, 0)),
         ("X + E", (1, 2, 1, 1)),
         ("restrict(L, 2)", (0, 0, 2, 0)),
+        # Bench-scale orders, against closed forms.
+        ("tree(Sub)", tuple(2**n * cayley(n) for n in range(35))),
+        (
+            "park(E, affine(2,0))",
+            tuple(2 * (2 * n + 2) ** (n - 1) if n else 1 for n in range(17)),
+        ),
+        ("Forest", tuple(cayley(n) for n in range(25))),
+        ("Ary(2)", tuple(factorial(2 * n) // factorial(n + 1) for n in range(35))),
+        # An exponent far past the recursion limit.
+        ("E^3000", (1, 3000, 3000**2, 3000**3)),
     ],
 )
 def test_known_series(env, text, expected):
@@ -52,7 +69,6 @@ def test_counts_accessors(env):
     s = egf("L", env, 4)
     assert s.order == 4
     assert s.count(3) == 6
-    assert [c * 1 for c in s.coefficients()] == [1, 1, 1, 1, 1]
 
 
 def test_compose_admissibility(env):
