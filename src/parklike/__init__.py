@@ -41,12 +41,11 @@ from .expr import (
     ary,
     expr_to_text,
 )
-from .generate import Generator, generate
+from .generate import Generator
 from .parking import (
     ParkingFunction,
     ParkingLike,
     blocks_to_pf,
-    generate_parking,
     is_parking_blocks,
     pf_to_blocks,
     validate_parking,
@@ -64,14 +63,10 @@ from .structures import (
     UnitVal,
     deserialize,
     from_jsonable,
-    relabel,
     serialize,
-    to_jsonable,
-    underlying,
 )
 from .treelike import (
     TreeLike,
-    generate_trees,
     tree_from_core,
     tree_to_core,
     validate_tree,
@@ -125,9 +120,6 @@ __all__ = [
     "egf_of_species",
     "expr_to_text",
     "from_jsonable",
-    "generate",
-    "generate_parking",
-    "generate_trees",
     "is_parking_blocks",
     "lagrange_solve",
     "park_to_tree",
@@ -135,15 +127,12 @@ __all__ = [
     "parse_species",
     "pf_to_blocks",
     "q_order",
-    "relabel",
     "run_suite",
     "serialize",
     "series_equal_prefix",
-    "to_jsonable",
     "tree_from_core",
     "tree_to_core",
     "tree_to_park",
-    "underlying",
     "validate_parking",
     "validate_parking_function",
     "validate_tree",

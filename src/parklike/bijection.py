@@ -15,7 +15,6 @@ from collections import deque
 from .chi import ChiMap
 from .errors import ChiNotIdentityError, InvalidStructureError
 from .parking import ParkingLike, validate_parking
-from .structures import underlying
 from .treelike import TreeLike
 
 
@@ -25,7 +24,7 @@ def q_order(p: ParkingLike) -> list:
         raise ChiNotIdentityError("q-order is defined for the identity chi")
     order = []
     for s in p.sequence:
-        order.extend(sorted(underlying(s)))
+        order.extend(sorted(s.underlying()))
     return order
 
 
@@ -42,11 +41,11 @@ def park_to_tree(p: ParkingLike) -> TreeLike:
     def build(label) -> TreeLike:
         root = node_struct[label]
         return TreeLike(
-            root, tuple((v, build(v)) for v in sorted(underlying(root)))
+            root, tuple((v, build(v)) for v in sorted(root.underlying()))
         )
 
     top = p.sequence[0]
-    return TreeLike(top, tuple((v, build(v)) for v in sorted(underlying(top))))
+    return TreeLike(top, tuple((v, build(v)) for v in sorted(top.underlying())))
 
 
 def tree_to_park(t: TreeLike) -> ParkingLike:

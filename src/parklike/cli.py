@@ -21,6 +21,7 @@ import argparse
 import json
 import sys
 
+from .bijection import park_to_tree, tree_to_park
 from .dsl import parse_species
 from .errors import (
     BudgetExceededError,
@@ -32,8 +33,9 @@ from .expr import SpeciesEnv, expr_to_text
 from .generate import Generator
 from .parking import ParkingLike, validate_parking
 from .series import egf_of_species
-from .structures import canonical_labels, from_jsonable, serialize, to_jsonable, underlying
+from .structures import canonical_labels, from_jsonable, serialize
 from .treelike import TreeLike, validate_tree
+from .verify import run_suite
 
 
 def _add_shared_flags(parser) -> None:
@@ -123,12 +125,14 @@ def cmd_enumerate(args, env) -> int:
     if getattr(args, "count_only", False):
         print(gen.count(expr, args.n))
         return 0
-    structures = gen.generate(expr, canonical_labels(args.n))
+    labels = canonical_labels(args.n)
     if args.format == "json":
-        print(json.dumps([to_jsonable(s) for s in structures], sort_keys=True))
+        structures = gen.generate(expr, labels)
+        print(json.dumps([s.to_jsonable() for s in structures], sort_keys=True))
     else:
-        for s in structures:
-            print(serialize(s))
+        # One serialization per structure, both to sort and to print.
+        for text in sorted(map(serialize, gen.raw(expr, labels))):
+            print(text)
     return 0
 
 
@@ -156,13 +160,11 @@ def _read_documents(source: str):
 
 
 def cmd_biject(args, env) -> int:
-    from .bijection import park_to_tree, tree_to_park
-
     base = parse_species(args.expr, env)
     gen = Generator(env)
     for data in _read_documents(args.input):
         value = from_jsonable(data)
-        _check_budget(len(underlying(value)), args.budget)
+        _check_budget(len(value.underlying()), args.budget)
         if args.direction == "p2t":
             if not isinstance(value, ParkingLike):
                 raise SpeciesError("p2t input must be a parking-like structure")
@@ -179,21 +181,21 @@ def cmd_biject(args, env) -> int:
 def cmd_series(args, env) -> int:
     expr = parse_species(args.expr, env)
     series = egf_of_species(expr, env, args.order)
-    print(
-        json.dumps(
-            {
-                "expr": args.expr,
-                "order": series.order,
-                "counts": [str(a) for a in series.counts],
-            }
-        )
-    )
+    # Exact digits past the interpreter's int-to-str limit, which builds
+    # before 3.10.7 do not have.
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if limit:
+        sys.set_int_max_str_digits(0)
+    try:
+        counts = [str(a) for a in series.counts]
+    finally:
+        if limit:
+            sys.set_int_max_str_digits(limit)
+    print(json.dumps({"expr": args.expr, "order": series.order, "counts": counts}))
     return 0
 
 
 def cmd_verify(args, env) -> int:
-    from .verify import run_suite
-
     report = run_suite(args.suite, max_n=args.max_n, golden_dir=args.golden_dir, env=env)
     print(json.dumps(report, indent=2, sort_keys=True))
     return 0 if report["ok"] else 1

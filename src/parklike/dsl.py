@@ -24,6 +24,7 @@ from __future__ import annotations
 from .chi import ChiMap
 from .errors import ParseError
 from .expr import (
+    Compose,
     E,
     EPlus,
     One,
@@ -135,7 +136,7 @@ class _Parser:
         node = self.parse_power()
         while self.peek().kind == "@":
             self.next()
-            node = _compose(node, self.parse_power())
+            node = Compose(node, self.parse_power())
         return node
 
     # power := atom [ "^" INT ]
@@ -240,12 +241,6 @@ class _Parser:
         if tok.kind != "end":
             raise ParseError(f"trailing input at {tok.value!r}", tok.pos)
         return node
-
-
-def _compose(outer: SpeciesExpr, inner: SpeciesExpr) -> SpeciesExpr:
-    from .expr import Compose
-
-    return Compose(outer, inner)
 
 
 def parse_species(text: str, env, extra_names=()) -> SpeciesExpr:

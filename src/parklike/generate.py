@@ -37,6 +37,7 @@ from .expr import (
     Zero,
 )
 from .memo import Memo
+from .parking import generate_parking_raw
 from .structures import (
     UNIT,
     AtomVal,
@@ -48,6 +49,7 @@ from .structures import (
     order_isomorphism,
     serialize,
 )
+from .treelike import generate_trees_raw
 
 
 def iter_subsets(labels):
@@ -115,6 +117,21 @@ class Generator:
     def count(self, expr, n: int) -> int:
         return len(self._gen(expr, canonical_labels(n)))
 
+    def contains(self, expr, s) -> bool:
+        """Whether s is one of expr's structures on s's own label set.
+
+        s is moved onto {1..k} along the order isomorphism and compared by
+        value with the canonical list.  The list on s's own labels is that
+        list relabeled the other way, so both tests give the same verdict.
+        """
+        labels = s.underlying()
+        canon = canonical_labels(len(labels))
+        try:
+            s = s.relabel(order_isomorphism(labels, canon))
+        except KeyError:  # e.g. an outer structure off its blocks' minima
+            return False
+        return s in self._gen(expr, canon)
+
     # -- dispatch ------------------------------------------------------------
 
     def _gen(self, expr, labels: frozenset) -> list:
@@ -150,9 +167,7 @@ class Generator:
         if isinstance(expr, Prod):
             return self._compute_prod(expr.left, expr.right, labels)
         if isinstance(expr, Power):
-            if expr.exponent == 0:
-                return [UNIT] if n == 0 else []
-            return self._compute_prod(expr.base, Power(expr.base, expr.exponent - 1), labels)
+            return self._compute_power(expr.base, expr.exponent, labels)
         if isinstance(expr, Restrict):
             return self._gen(expr.base, labels) if n == expr.card else []
         if isinstance(expr, Compose):
@@ -169,12 +184,8 @@ class Generator:
                 f"{n} labels after {n + 2} rounds",
             )
         if isinstance(expr, Park):
-            from .parking import generate_parking_raw
-
             return generate_parking_raw(self, expr.base, expr.chi, labels)
         if isinstance(expr, Tree):
-            from .treelike import generate_trees_raw
-
             return generate_trees_raw(self, expr.base, labels)
         raise TypeError(f"not a species expression: {expr!r}")
 
@@ -189,6 +200,24 @@ class Generator:
                 ProdVal(l, r) for l in lefts for r in rights
             )
         return out
+
+    def _compute_power(self, base, k: int, labels: frozenset) -> list:
+        """b^k as b * b^(k-1), with every b^j (j < k) built upward beforehand.
+
+        A loop, not recursion: exponents in the thousands must not hit the
+        interpreter's recursion limit.  Round j stores b^j on {1..m} for every
+        m up to len(labels), so round j + 1 finds its right factors cached.
+        """
+        if k == 0:
+            return [UNIT] if not labels else []
+        for j in range(1, k):
+            for m in range(len(labels) + 1):
+                key = (Power(base, j), canonical_labels(m))
+                if key not in self._cache:
+                    reads_before = self._memo.reads
+                    result = self._compute_prod(base, Power(base, j - 1), key[1])
+                    self._memo.store(key, result, reads_before)
+        return self._compute_prod(base, Power(base, k - 1), labels)
 
     def _compute_compose(self, expr: Compose, labels: frozenset) -> list:
         if self._gen(expr.inner, frozenset()):
@@ -206,8 +235,3 @@ class Generator:
                 for choice in product(*inner_lists):
                     out.append(ComposeVal(outer, tuple(zip(blocks, choice))))
         return out
-
-
-def generate(expr, env=None, labels=()) -> list:
-    """One-shot generation (sorted); for repeated calls hold a Generator."""
-    return Generator(env).generate(expr, labels)

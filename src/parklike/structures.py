@@ -15,9 +15,8 @@ The representative of a block is its minimum label; ComposeVal keeps blocks
 sorted by representative so every structure has exactly one form.  Every
 value — including the parking-like and tree-like values defined elsewhere —
 implements the same small protocol: underlying(), relabel(mapping) and
-to_jsonable().  The module-level functions of the same names just defer to
-the methods; generation relabels millions of nodes, so the methods are kept
-deliberately lean.
+to_jsonable().  Generation relabels millions of nodes, so the methods are
+kept deliberately lean.
 
 Serialization is canonical JSON (sorted keys, no spaces), so structures are
 equal iff their serializations are byte-equal; enumeration order everywhere
@@ -167,21 +166,6 @@ class ComposeVal:
 Structure = Union[UnitVal, SetVal, AtomVal, SumVal, ProdVal, ComposeVal]
 
 UNIT = UnitVal()
-
-
-def underlying(s) -> frozenset:
-    """The set of labels a structure lives on."""
-    return s.underlying()
-
-
-def relabel(s, mapping):
-    """Transport a structure along a label mapping (total on its labels)."""
-    return s.relabel(mapping)
-
-
-def to_jsonable(s):
-    """A JSON-ready dict for a structure (plain ints, sorted label lists)."""
-    return s.to_jsonable()
 
 
 def serialize(s) -> str:

@@ -26,9 +26,7 @@ from .structures import (
     _label,
     from_jsonable,
     register_json_reader,
-    relabel,
-    serialize,
-    underlying,
+    serialize,  # unused here: bench/tracing.py patches this name
 )
 
 
@@ -131,13 +129,6 @@ def generate_trees_raw(gen, base: SpeciesExpr, labels: frozenset) -> list:
     return out
 
 
-def generate_trees(base: SpeciesExpr, labels, env=None) -> list:
-    """All T_base-structures on labels, canonical order."""
-    from .generate import Generator
-
-    return Generator(env).generate(Tree(base), labels)
-
-
 def validate_tree(t: TreeLike, base: SpeciesExpr | None = None, gen=None) -> bool:
     """Check the node invariants; raises InvalidStructureError if broken."""
     if base is not None and gen is None:
@@ -146,18 +137,16 @@ def validate_tree(t: TreeLike, base: SpeciesExpr | None = None, gen=None) -> boo
         gen = Generator()
 
     def rec(node) -> frozenset:
-        heads = underlying(node.root)
+        heads = node.root.underlying()
         child_heads = frozenset(head for head, _sub in node.children)
         if heads != child_heads:
             raise InvalidStructureError(
                 f"children keys {sorted(child_heads)} != root labels {sorted(heads)}"
             )
-        if base is not None:
-            options = {serialize(s) for s in gen.raw(base, heads)}
-            if serialize(node.root) not in options:
-                raise InvalidStructureError(
-                    f"root on {sorted(heads)} is not a base-species structure"
-                )
+        if base is not None and not gen.contains(base, node.root):
+            raise InvalidStructureError(
+                f"root on {sorted(heads)} is not a base-species structure"
+            )
         seen = heads
         for head, sub in node.children:
             below = rec(sub)
@@ -176,10 +165,10 @@ def tree_to_core(t: TreeLike):
     head_to_rep = {}
     for head, sub in t.children:
         inner = ProdVal(AtomVal(head), tree_to_core(sub))
-        block = underlying(inner)
+        block = inner.underlying()
         head_to_rep[head] = min(block)
         blocks.append((block, inner))
-    return ComposeVal(relabel(t.root, head_to_rep), tuple(blocks))
+    return ComposeVal(t.root.relabel(head_to_rep), tuple(blocks))
 
 
 def tree_from_core(s) -> TreeLike:
@@ -194,4 +183,4 @@ def tree_from_core(s) -> TreeLike:
         head = inner.left.label
         rep_to_head[min(block)] = head
         children.append((head, tree_from_core(inner.right)))
-    return TreeLike(relabel(s.outer, rep_to_head), tuple(children))
+    return TreeLike(s.outer.relabel(rep_to_head), tuple(children))

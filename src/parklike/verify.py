@@ -23,11 +23,11 @@ from pathlib import Path
 from .bijection import park_to_tree, tree_to_park
 from .chi import ChiMap
 from .errors import SpeciesError
-from .expr import Compose, E, Park, Prod, Ref, Restrict, SpeciesEnv, Tree, X
+from .expr import Compose, E, Park, Power, Prod, Ref, Restrict, SpeciesEnv, Tree, X
 from .generate import Generator
 from .parking import ParkingLike, is_parking_blocks, validate_parking
 from .series import egf_of_species, lagrange_solve, series_equal_prefix
-from .structures import SetVal, relabel, serialize
+from .structures import SetVal, from_jsonable, serialize
 
 BASES = (
     ("E", E()),
@@ -87,8 +87,6 @@ def check_golden_listings(max_n=None, golden_dir=None, env=None):
 
 def check_worked_bijection(max_n=None, golden_dir=None, env=None):
     """The worked six-label example maps to its forest and back."""
-    from .structures import from_jsonable
-
     parking = from_jsonable(json.loads(_read_golden(golden_dir, "six_label_parking.json")))
     forest = from_jsonable(json.loads(_read_golden(golden_dir, "six_label_forest.json")))
     validate_parking(parking, E(), Generator(_env(env)))
@@ -282,14 +280,14 @@ def check_prop_functoriality(max_n=None, golden_dir=None, env=None):
             reference = {serialize(s) for s in structures}
             for perm in (tuple(reversed(labels)), tuple(labels[1:] + labels[:1])):
                 mapping = dict(zip(labels, perm))
-                moved = {serialize(relabel(s, mapping)) for s in structures}
+                moved = {serialize(s.relabel(mapping)) for s in structures}
                 if moved != reference:
                     return False, f"{expr!r} not closed under relabeling at n={n}"
             # Off-canonical label sets carry order-isomorphic copies.
             shifted = [l + 10 for l in labels]
             iso = dict(zip(labels, shifted))
             direct = [serialize(s) for s in gen.generate(expr, shifted)]
-            via_iso = sorted(serialize(relabel(s, iso)) for s in structures)
+            via_iso = sorted(serialize(s.relabel(iso)) for s in structures)
             if direct != via_iso:
                 return False, f"{expr!r} disagrees on shifted labels at n={n}"
             checked += len(structures)
@@ -366,8 +364,6 @@ def check_prop_power_restrict(max_n=None, golden_dir=None, env=None):
     """Power of E counts k^n; restriction masks exactly one cardinality."""
     hi = _cap(5, max_n)
     gen = Generator(_env(env))
-    from .expr import Power
-
     for k in range(4):
         for n in range(hi + 1):
             got = gen.count(Power(E(), k), n)

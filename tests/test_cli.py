@@ -1,7 +1,9 @@
 import io
 import json
+import math
 import shutil
 import sys
+from decimal import Decimal
 from importlib import resources
 
 import pytest
@@ -48,6 +50,13 @@ def test_count_only(capsys, expr, n, expected):
 def test_count_command(capsys):
     rc, out = run(capsys, ["count", "--expr", "E@E+", "--n", "4"])
     assert rc == 0 and out.strip() == "15"
+
+
+@pytest.mark.parametrize("expr, n, expected", [("E^3000", 0, "1"), ("E^600", 1, "600")])
+def test_count_deep_powers(capsys, expr, n, expected):
+    # One interpreter frame per exponent step would pass the recursion limit.
+    rc, out = run(capsys, ["count", "--expr", expr, "--n", str(n)])
+    assert rc == 0 and out.strip() == expected
 
 
 def test_enumerate_jsonl_lines_are_sorted_json(capsys):
@@ -175,6 +184,24 @@ LEAF = {"root": {"k": "set", "labels": []}, "children": []}
         ),
         (["biject", "--expr", "E", "--direction", "p2t"], json.dumps({"chi": 5, "seq": []})),
         (["biject", "--expr", "E", "--direction", "p2t"], json.dumps({"chi": "id", "seq": 5})),
+        (
+            # Par slot whose outer structure sits on 2, not on its block's minimum 1.
+            ["biject", "--expr", "Par", "--direction", "p2t"],
+            json.dumps(
+                {
+                    "chi": "id",
+                    "seq": [
+                        {
+                            "k": "comp",
+                            "outer": {"k": "set", "labels": [2]},
+                            "blocks": [{"labels": [1, 2], "in": {"k": "set", "labels": [1, 2]}}],
+                        },
+                        {"k": "comp", "outer": {"k": "set", "labels": []}, "blocks": []},
+                        {"k": "comp", "outer": {"k": "set", "labels": []}, "blocks": []},
+                    ],
+                }
+            ),
+        ),
     ],
 )
 def test_bad_input_is_one_error_line(capsys, monkeypatch, argv, stdin):
@@ -196,6 +223,15 @@ def test_series_json_with_string_counts(capsys):
     data = json.loads(out)
     assert data["order"] == 5
     assert data["counts"] == ["1", "1", "4", "29", "311", "4447"]
+
+
+def test_series_prints_counts_past_the_digit_limit(capsys):
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    rc, out = run(capsys, ["series", "--expr", "L", "--order", "1700"])
+    assert rc == 0
+    # 1700! has 4,756 digits; Decimal parses them without the int limit.
+    assert Decimal(json.loads(out)["counts"][1700]) == math.factorial(1700)
+    assert getattr(sys, "get_int_max_str_digits", lambda: 0)() == limit
 
 
 def test_series_zero(capsys):

@@ -5,7 +5,6 @@ import pytest
 from parklike import (
     Generator,
     SpeciesEnv,
-    generate,
     parse_species,
     serialize,
 )
@@ -16,7 +15,8 @@ from parklike.errors import (
 )
 from parklike.expr import Compose, E, EPlus, One, Power, Prod, Ref, Restrict, X, Zero
 from parklike.generate import iter_set_partitions, iter_subsets
-from parklike.structures import canonical_labels, relabel
+from parklike.structures import canonical_labels
+from parklike.verify import BASES
 
 
 def counts(gen, expr, upto):
@@ -64,7 +64,7 @@ def test_generate_returns_sorted_structures(gen):
 
 
 def test_module_level_generate_and_count(env):
-    assert len(generate(parse_species("L", env), env, {4, 7})) == 2
+    assert len(Generator(env).generate(parse_species("L", env), {4, 7})) == 2
     assert Generator(env).count(parse_species("E@E+", env), 4) == 15
 
 
@@ -162,9 +162,21 @@ def test_relabeling_consistency_without_memoizer(env):
 
 def test_relabel_transports_generated_structures(gen):
     base = gen.generate(Ref("Comp"), {1, 2, 3})
-    moved = [relabel(s, {1: 4, 2: 5, 3: 6}) for s in base]
+    moved = [s.relabel({1: 4, 2: 5, 3: 6}) for s in base]
     expected = gen.generate(Ref("Comp"), {4, 5, 6})
     assert {serialize(s) for s in moved} == {serialize(s) for s in expected}
+
+
+def test_contains_matches_the_serialized_lookup(gen):
+    # Reference: membership of serialize(s) among the serialized structures
+    # of the base on s's own (here shifted, gapped) label set.
+    for n in range(5):
+        labels = frozenset(range(7, 7 + 2 * n, 2))
+        candidates = [s for _name, base in BASES for s in gen.raw(base, labels)]
+        for _name, base in BASES:
+            members = {serialize(t) for t in gen.raw(base, labels)}
+            for s in candidates:
+                assert gen.contains(base, s) == (serialize(s) in members)
 
 
 # -- iteration helpers --------------------------------------------------------

@@ -10,16 +10,14 @@ from parklike import (
     ParkingLike,
     SetVal,
     blocks_to_pf,
-    generate_parking,
     is_parking_blocks,
     pf_to_blocks,
     serialize,
-    underlying,
     validate_parking,
     validate_parking_function,
 )
 from parklike.errors import BlockLengthMismatchError, InvalidStructureError
-from parklike.expr import E, Ref
+from parklike.expr import E, Park, Ref
 from parklike.structures import canonical_labels
 
 ID = ChiMap.identity()
@@ -59,13 +57,13 @@ def test_empty_sequence_when_chi_is_zero():
 
 
 def test_classical_counts_small(env):
-    got = [len(generate_parking(E(), ID, canonical_labels(n), env)) for n in range(5)]
+    got = [len(Generator(env).generate(Park(E(), ID), canonical_labels(n))) for n in range(5)]
     assert got == [1, 1, 3, 16, 125]
 
 
 def test_linear_base_counts_small(env):
     got = [
-        len(generate_parking(Ref("L"), ID, canonical_labels(n), env))
+        len(Generator(env).generate(Park(Ref("L"), ID), canonical_labels(n)))
         for n in range(4)
     ]
     assert got == [1, 1, 4, 30]
@@ -73,13 +71,13 @@ def test_linear_base_counts_small(env):
 
 def test_zero_chi_generates_only_on_empty(env):
     chi = ChiMap.affine(0, 0)
-    assert len(generate_parking(E(), chi, frozenset(), env)) == 1
-    assert generate_parking(E(), chi, {1}, env) == []
+    assert len(Generator(env).generate(Park(E(), chi), frozenset())) == 1
+    assert Generator(env).generate(Park(E(), chi), {1}) == []
 
 
 def test_affine_two_counts(env):
     chi = ChiMap.affine(2, 0)
-    got = [len(generate_parking(E(), chi, canonical_labels(n), env)) for n in range(3)]
+    got = [len(Generator(env).generate(Park(E(), chi), canonical_labels(n))) for n in range(3)]
     assert got == [1, 2, 12]
 
 
@@ -87,13 +85,13 @@ def test_generated_structures_validate(env):
     gen = Generator(env)
     for chi in (ID, ChiMap.affine(1, 1), ChiMap.from_table([1, 1, 2, 5, 5])):
         for n in range(4):
-            for p in generate_parking(E(), chi, canonical_labels(n), env):
+            for p in Generator(env).generate(Park(E(), chi), canonical_labels(n)):
                 assert validate_parking(p, base=E(), gen=gen)
-                assert underlying(p) == canonical_labels(n)
+                assert p.underlying() == canonical_labels(n)
 
 
 def test_generation_is_sorted_and_duplicate_free(env):
-    out = [serialize(p) for p in generate_parking(E(), ID, canonical_labels(3), env)]
+    out = [serialize(p) for p in Generator(env).generate(Park(E(), ID), canonical_labels(3))]
     assert out == sorted(out) and len(set(out)) == 16
 
 
@@ -125,7 +123,7 @@ def test_count_factors_through_block_sizes(env, chi, base_name):
             for s in sizes:
                 ways *= gen.count(base, s)
             expected += ways
-        assert len(generate_parking(base, chi, canonical_labels(n), env)) == expected
+        assert len(Generator(env).generate(Park(base, chi), canonical_labels(n))) == expected
 
 
 # -- validation ---------------------------------------------------------------

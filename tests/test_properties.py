@@ -9,14 +9,11 @@ from parklike import (
     SpeciesEnv,
     blocks_to_pf,
     deserialize,
-    generate_parking,
     pf_to_blocks,
-    relabel,
     serialize,
-    underlying,
     validate_parking,
 )
-from parklike.expr import E, EPlus, One, Compose, Power, Prod, Ref, Sum, X, Zero
+from parklike.expr import E, EPlus, One, Compose, Park, Power, Prod, Ref, Sum, X, Zero
 from parklike.structures import canonical_labels
 
 ENV = SpeciesEnv.standard()
@@ -52,7 +49,7 @@ def test_generation_is_functorial(expr, labels):
     canon = Generator(ENV, memoize=False).raw(expr, canonical_labels(len(labels)))
     iso = dict(zip(sorted(canonical_labels(len(labels))), sorted(labels)))
     assert {serialize(s) for s in direct} == {
-        serialize(relabel(s, iso)) for s in canon
+        serialize(s.relabel(iso)) for s in canon
     }
 
 
@@ -63,7 +60,7 @@ def test_no_duplicates_and_correct_support(expr, labels):
     texts = [serialize(s) for s in out]
     assert len(set(texts)) == len(texts)
     for s in out:
-        assert underlying(s) == labels
+        assert s.underlying() == labels
 
 
 @given(exprs, label_sets)
@@ -80,7 +77,7 @@ def test_relabeling_along_any_bijection(expr, image):
     labels = canonical_labels(3)
     mapping = dict(zip(sorted(labels), image))
     gen = Generator(ENV)
-    moved = {serialize(relabel(s, mapping)) for s in gen.raw(expr, labels)}
+    moved = {serialize(s.relabel(mapping)) for s in gen.raw(expr, labels)}
     target = {serialize(s) for s in gen.raw(expr, frozenset(image))}
     assert moved == target
 
@@ -117,6 +114,6 @@ chi_tables = st.lists(
 @given(chi_tables, st.integers(min_value=0, max_value=3))
 @settings(max_examples=40, deadline=None)
 def test_generated_parking_always_validates(chi, n):
-    for p in generate_parking(E(), chi, canonical_labels(n), ENV):
+    for p in Generator(ENV).generate(Park(E(), chi), canonical_labels(n)):
         assert validate_parking(p)
-        assert underlying(p) == canonical_labels(n)
+        assert p.underlying() == canonical_labels(n)

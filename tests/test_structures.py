@@ -11,28 +11,25 @@ from parklike import (
     SumVal,
     deserialize,
     from_jsonable,
-    relabel,
     serialize,
-    to_jsonable,
-    underlying,
 )
 from parklike.errors import InvalidStructureError
 from parklike.structures import canonical_labels, order_isomorphism
 
 
 def test_unit():
-    assert underlying(UNIT) == frozenset()
+    assert UNIT.underlying() == frozenset()
     assert serialize(UNIT) == '{"k":"unit"}'
-    assert relabel(UNIT, {}) is UNIT
+    assert UNIT.relabel({}) is UNIT
 
 
 def test_set_and_atom():
     s = SetVal(frozenset({3, 1}))
-    assert underlying(s) == {1, 3}
-    assert to_jsonable(s) == {"k": "set", "labels": [1, 3]}
+    assert s.underlying() == {1, 3}
+    assert s.to_jsonable() == {"k": "set", "labels": [1, 3]}
     a = AtomVal(7)
-    assert underlying(a) == {7}
-    assert relabel(a, {7: 2}) == AtomVal(2)
+    assert a.underlying() == {7}
+    assert a.relabel({7: 2}) == AtomVal(2)
 
 
 def test_setval_coerces_iterables():
@@ -48,7 +45,7 @@ def test_sum_sides():
 
 def test_prod_underlying_is_union():
     p = ProdVal(AtomVal(1), SetVal(frozenset({2, 3})))
-    assert underlying(p) == {1, 2, 3}
+    assert p.underlying() == {1, 2, 3}
 
 
 def test_compose_blocks_sorted_by_min():
@@ -56,7 +53,7 @@ def test_compose_blocks_sorted_by_min():
     b2 = (frozenset({1, 2}), SetVal(frozenset({1, 2})))
     c = ComposeVal(SetVal(frozenset({1, 4})), (b1, b2))
     assert [sorted(b) for b, _ in c.blocks] == [[1, 2], [4, 5]]
-    assert underlying(c) == {1, 2, 4, 5}
+    assert c.underlying() == {1, 2, 4, 5}
 
 
 def test_compose_rejects_empty_blocks():
@@ -70,8 +67,8 @@ def test_compose_relabel_transports_outer_representatives():
         SetVal(frozenset({1, 3})),
         ((frozenset({1, 2}), SetVal(frozenset({1, 2}))), (frozenset({3}), AtomVal(3))),
     )
-    moved = relabel(c, {1: 5, 2: 4, 3: 2})
-    assert underlying(moved.outer) == {2, 4}
+    moved = c.relabel({1: 5, 2: 4, 3: 2})
+    assert moved.outer.underlying() == {2, 4}
     assert [sorted(b) for b, _ in moved.blocks] == [[2], [4, 5]]
 
 
@@ -79,7 +76,7 @@ def test_relabel_composes():
     s = ProdVal(SumVal("R", AtomVal(2)), SetVal(frozenset({1, 3})))
     f = {1: 10, 2: 20, 3: 30}
     g = {10: 5, 20: 6, 30: 7}
-    assert relabel(relabel(s, f), g) == relabel(s, {k: g[v] for k, v in f.items()})
+    assert s.relabel(f).relabel(g) == s.relabel({k: g[v] for k, v in f.items()})
 
 
 SAMPLES = [

@@ -5,31 +5,29 @@ from parklike import (
     SetVal,
     TreeLike,
     deserialize,
-    generate_trees,
     parse_species,
     serialize,
     tree_from_core,
     tree_to_core,
-    underlying,
     validate_tree,
 )
 from parklike.errors import InvalidStructureError
-from parklike.expr import E, Ref
+from parklike.expr import E, Ref, Tree
 from parklike.structures import UNIT, AtomVal, canonical_labels
 
 
 def test_counts_forests(env):
-    got = [len(generate_trees(E(), canonical_labels(n), env)) for n in range(5)]
+    got = [len(Generator(env).generate(Tree(E()), canonical_labels(n))) for n in range(5)]
     assert got == [1, 1, 3, 16, 125]
 
 
 def test_counts_linear_base(env):
-    got = [len(generate_trees(Ref("L"), canonical_labels(n), env)) for n in range(5)]
+    got = [len(Generator(env).generate(Tree(Ref("L")), canonical_labels(n))) for n in range(5)]
     assert got == [1, 1, 4, 30, 336]
 
 
 def test_single_label_forest(env):
-    (t,) = generate_trees(E(), {1}, env)
+    (t,) = Generator(env).generate(Tree(E()), {1})
     assert t.root == SetVal({1})
     assert t.heads == {1}
     sub = t.child(1)
@@ -39,10 +37,10 @@ def test_single_label_forest(env):
 
 
 def test_empty_label_set_is_bare_base_structure(env):
-    (t,) = generate_trees(E(), frozenset(), env)
+    (t,) = Generator(env).generate(Tree(E()), frozenset())
     assert t == TreeLike(SetVal(frozenset()), ())
     # a base with several empty structures keeps them distinct
-    two = generate_trees(Ref("Sub"), frozenset(), env)
+    two = Generator(env).generate(Tree(Ref("Sub")), frozenset())
     assert len(two) == 1  # E*E has exactly one structure on the empty set
 
 
@@ -55,19 +53,19 @@ def test_children_sorted_regardless_of_input_order(env):
 
 def test_every_label_used_exactly_once(env):
     for n in range(5):
-        for t in generate_trees(E(), canonical_labels(n), env):
-            assert underlying(t) == canonical_labels(n)
+        for t in Generator(env).generate(Tree(E()), canonical_labels(n)):
+            assert t.underlying() == canonical_labels(n)
             assert validate_tree(t, base=E())
 
 
 def test_output_sorted_and_distinct(env):
-    out = [serialize(t) for t in generate_trees(Ref("L"), canonical_labels(3), env)]
+    out = [serialize(t) for t in Generator(env).generate(Tree(Ref("L")), canonical_labels(3))]
     assert out == sorted(out)
     assert len(set(out)) == 30
 
 
 def test_json_round_trip(env):
-    for t in generate_trees(E(), canonical_labels(3), env):
+    for t in Generator(env).generate(Tree(E()), canonical_labels(3)):
         assert deserialize(serialize(t)) == t
 
 
@@ -88,14 +86,14 @@ def test_node_and_core_representations_agree(base_text):
         labels = canonical_labels(n)
         via_core = {serialize(s) for s in gen.raw(Ref("TT"), labels)}
         via_trees = {
-            serialize(tree_to_core(t)) for t in generate_trees(base, labels, env)
+            serialize(tree_to_core(t)) for t in Generator(env).generate(Tree(base), labels)
         }
         assert via_trees == via_core
 
 
 def test_core_round_trip(env):
     for n in range(5):
-        for t in generate_trees(E(), canonical_labels(n), env):
+        for t in Generator(env).generate(Tree(E()), canonical_labels(n)):
             assert tree_from_core(tree_to_core(t)) == t
 
 
