@@ -9,7 +9,8 @@ are supported:
 * ``affine(a,b)``-- chi(m) = a*m + b with a >= 0 and a + b >= 0
   (``affine(1,0)`` is stored as the identity);
 * ``table(...)`` -- explicit finite values; evaluating past the last
-  entry raises ChiTableExhaustedError.
+  entry raises ChiTableExhaustedError, which names the table as written
+  and the chi(m) that was needed, also when a shifted table runs out.
 
 Identity and affine maps are closed forms and valid for every m; only
 tables have a horizon.  Shifting by n produces rho_n(m) = chi(n+m) - chi(1),
@@ -20,7 +21,7 @@ shift to affine(a, a*(n-1)), tables to shorter tables).
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .errors import ChiTableExhaustedError, SpeciesError
 
@@ -35,6 +36,10 @@ class ChiMap:
     a: int = 0
     b: int = 0
     table: tuple[int, ...] = ()
+    # A table made by shift() keeps (unshifted table, total shift) so that
+    # running out of entries is reported on the map that was written.  Not
+    # part of the value: equal tables are equal whatever their origin.
+    origin: tuple | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
         if self.kind == "id":
@@ -81,10 +86,16 @@ class ChiMap:
         if self.kind == "affine":
             return self.a * m + self.b
         if m > len(self.table):
-            raise ChiTableExhaustedError(
-                f"chi table has {len(self.table)} entries, needed chi({m})"
-            )
+            raise self._exhausted(m)
         return self.table[m - 1]
+
+    def _exhausted(self, m: int) -> ChiTableExhaustedError:
+        """The error for a missing chi(m), stated on the unshifted table."""
+        root, offset = self.origin or (self, 0)
+        return ChiTableExhaustedError(
+            f"chi {root.key()} has {len(root.table)} entries, "
+            f"needed chi({offset + m})"
+        )
 
     def shift(self, n: int) -> "ChiMap":
         """The map rho_n : m -> chi(n + m) - chi(1)."""
@@ -96,12 +107,13 @@ class ChiMap:
         if self.kind == "affine":
             return ChiMap.affine(self.a, self.a * (n - 1))
         if n >= len(self.table):
-            raise ChiTableExhaustedError(
-                f"chi table has {len(self.table)} entries, cannot shift by {n}"
-            )
+            raise self._exhausted(n + 1)  # rho_n(1) = chi(n + 1) - chi(1)
+        root, offset = self.origin or (self, 0)
         base = self(1)
-        return ChiMap.from_table(
-            self.table[n + m] - base for m in range(len(self.table) - n)
+        return ChiMap(
+            "table",
+            table=tuple(self.table[n + m] - base for m in range(len(self.table) - n)),
+            origin=(root, offset + n),
         )
 
     @property

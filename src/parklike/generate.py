@@ -1,12 +1,11 @@
 """Exhaustive generation of labeled structures.
 
 The Generator walks a species expression and produces every structure on a
-given label set.  Results are memoized per (expression, label set); label
-sets other than the canonical {1..n} are served by relabeling the canonical
-result along the unique order isomorphism, which is sound because species
-are functorial.  The memo shares subtree objects aggressively — large runs
-(millions of structures) stay affordable because equal sub-results are the
-same Python objects.
+given label set.  Results are memoized per (expression, label set), and
+every label set is built on its own from the memoized results on its
+subsets; no result is ever copied onto other labels.  So equal
+substructures are one shared object, and a list costs one new top-level
+node per structure — large runs (millions of structures) stay affordable.
 
 Recursive definitions (Ref nodes) are solved by fixed point: within a fixed
 label count n, iterate the defining equation starting from the empty
@@ -121,8 +120,9 @@ class Generator:
         """Whether s is one of expr's structures on s's own label set.
 
         s is moved onto {1..k} along the order isomorphism and compared by
-        value with the canonical list.  The list on s's own labels is that
-        list relabeled the other way, so both tests give the same verdict.
+        value with the canonical list.  The list on s's own labels equals
+        that list relabeled the other way (species are functorial; verify's
+        prop-functoriality checks it), so both tests give the same verdict.
         """
         labels = s.underlying()
         canon = canonical_labels(len(labels))
@@ -140,13 +140,7 @@ class Generator:
         if cached is not None:
             return cached
         reads_before = self._memo.reads
-        canon = canonical_labels(len(labels))
-        if labels == canon:
-            result = self._compute(expr, labels)
-        else:
-            iso = order_isomorphism(canon, labels)
-            result = [s.relabel(iso) for s in self._gen(expr, canon)]
-        return self._memo.store(key, result, reads_before)
+        return self._memo.store(key, self._compute(expr, labels), reads_before)
 
     def _compute(self, expr, labels: frozenset) -> list:
         n = len(labels)
@@ -173,7 +167,6 @@ class Generator:
         if isinstance(expr, Compose):
             return self._compute_compose(expr, labels)
         if isinstance(expr, Ref):
-            # Only reached with canonical labels, so (expr, labels) names (name, n).
             body = self.env.lookup(expr.name)
             return self._memo.solve(
                 (expr, labels),
@@ -205,17 +198,18 @@ class Generator:
         """b^k as b * b^(k-1), with every b^j (j < k) built upward beforehand.
 
         A loop, not recursion: exponents in the thousands must not hit the
-        interpreter's recursion limit.  Round j stores b^j on {1..m} for every
-        m up to len(labels), so round j + 1 finds its right factors cached.
+        interpreter's recursion limit.  Round j stores b^j on every subset of
+        labels, so round j + 1 finds its right factors cached.
         """
         if k == 0:
             return [UNIT] if not labels else []
+        parts = list(iter_subsets(labels))
         for j in range(1, k):
-            for m in range(len(labels) + 1):
-                key = (Power(base, j), canonical_labels(m))
+            for part in parts:
+                key = (Power(base, j), part)
                 if key not in self._cache:
                     reads_before = self._memo.reads
-                    result = self._compute_prod(base, Power(base, j - 1), key[1])
+                    result = self._compute_prod(base, Power(base, j - 1), part)
                     self._memo.store(key, result, reads_before)
         return self._compute_prod(base, Power(base, k - 1), labels)
 

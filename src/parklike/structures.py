@@ -15,8 +15,9 @@ The representative of a block is its minimum label; ComposeVal keeps blocks
 sorted by representative so every structure has exactly one form.  Every
 value — including the parking-like and tree-like values defined elsewhere —
 implements the same small protocol: underlying(), relabel(mapping) and
-to_jsonable().  Generation relabels millions of nodes, so the methods are
-kept deliberately lean.
+to_jsonable().  Generation never relabels: it builds each label set from
+shared sub-results.  relabel serves membership tests, validation, the
+tree unfolding and the functoriality checks.
 
 Serialization is canonical JSON (sorted keys, no spaces), so structures are
 equal iff their serializations are byte-equal; enumeration order everywhere

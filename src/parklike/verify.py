@@ -267,11 +267,15 @@ def check_general_chi(max_n=None, golden_dir=None, env=None):
 
 
 def check_prop_functoriality(max_n=None, golden_dir=None, env=None):
-    """Transporting the structure set along any permutation preserves it."""
+    """Transporting the structure set along any permutation preserves it.
+
+    Generation builds every label set on its own, so the shifted-label
+    comparison checks it against the canonical list carried across.
+    """
     hi = _cap(4, max_n)
     environment = _env(env)
     gen = Generator(environment)
-    exprs = (Ref("L"), Ref("Par"), Ref("Sub"), Park(E(), _ID), Tree(E()))
+    exprs = [base for _name, base in BASES] + [Park(E(), _ID), Tree(E())]
     checked = 0
     for expr in exprs:
         for n in range(hi + 1):
@@ -283,7 +287,8 @@ def check_prop_functoriality(max_n=None, golden_dir=None, env=None):
                 moved = {serialize(s.relabel(mapping)) for s in structures}
                 if moved != reference:
                     return False, f"{expr!r} not closed under relabeling at n={n}"
-            # Off-canonical label sets carry order-isomorphic copies.
+            # Off-canonical label sets carry order-isomorphic copies; for Comp
+            # the outer structure moves with the block minima.
             shifted = [l + 10 for l in labels]
             iso = dict(zip(labels, shifted))
             direct = [serialize(s) for s in gen.generate(expr, shifted)]

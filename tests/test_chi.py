@@ -85,6 +85,17 @@ def test_shift_of_table():
     assert [rho(m) for m in (1, 2, 3)] == [chi(2 + m) - chi(1) for m in (1, 2, 3)]
 
 
+def test_shifted_table_runs_out_on_the_written_table():
+    chi = ChiMap.from_table([1, 1, 2, 5])
+    rho = chi.shift(1).shift(2)  # rho(m) = chi(3 + m) - chi(2)
+    assert rho == ChiMap.from_table([4])  # the origin is not part of the value
+    message = r"^chi table\(1,1,2,5\) has 4 entries, needed chi\(5\)$"
+    with pytest.raises(ChiTableExhaustedError, match=message):
+        rho(2)
+    with pytest.raises(ChiTableExhaustedError, match=message):
+        rho.shift(1)
+
+
 def test_shift_rejects_nonpositive():
     with pytest.raises(SpeciesError):
         ChiMap.identity().shift(0)

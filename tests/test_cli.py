@@ -52,7 +52,9 @@ def test_count_command(capsys):
     assert rc == 0 and out.strip() == "15"
 
 
-@pytest.mark.parametrize("expr, n, expected", [("E^3000", 0, "1"), ("E^600", 1, "600")])
+@pytest.mark.parametrize(
+    "expr, n, expected", [("E^3000", 0, "1"), ("E^600", 1, "600"), ("X*E^600", 2, "1200")]
+)
 def test_count_deep_powers(capsys, expr, n, expected):
     # One interpreter frame per exponent step would pass the recursion limit.
     rc, out = run(capsys, ["count", "--expr", expr, "--n", str(n)])
@@ -212,6 +214,22 @@ def test_bad_input_is_one_error_line(capsys, monkeypatch, argv, stdin):
     assert rc == 1 and captured.out == ""
     lines = captured.err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: ")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["count", "--expr", "park(E, table(1,2))", "--n", "3"],
+        ["series", "--expr", "park(E, table(1,2))", "--order", "2"],
+    ],
+)
+def test_chi_table_horizon_error_names_the_written_table(capsys, argv):
+    # The recursion runs out on a shifted table; the error is stated on the
+    # table as written: a structure on 2 labels has chi(3) slots.
+    rc = main(argv)
+    captured = capsys.readouterr()
+    assert rc == 1 and captured.out == ""
+    assert captured.err == "error: chi table(1,2) has 2 entries, needed chi(3)\n"
 
 
 # -- series --------------------------------------------------------------------------

@@ -13,9 +13,23 @@ from parklike.errors import (
     InadmissibleCompositionError,
     UnboundNameError,
 )
-from parklike.expr import Compose, E, EPlus, One, Power, Prod, Ref, Restrict, X, Zero
+from parklike.chi import ChiMap
+from parklike.expr import (
+    Compose,
+    E,
+    EPlus,
+    One,
+    Park,
+    Power,
+    Prod,
+    Ref,
+    Restrict,
+    Tree,
+    X,
+    Zero,
+)
 from parklike.generate import iter_set_partitions, iter_subsets
-from parklike.structures import canonical_labels
+from parklike.structures import SetVal, canonical_labels
 from parklike.verify import BASES
 
 
@@ -177,6 +191,22 @@ def test_contains_matches_the_serialized_lookup(gen):
             members = {serialize(t) for t in gen.raw(base, labels)}
             for s in candidates:
                 assert gen.contains(base, s) == (serialize(s) in members)
+
+
+def test_equal_substructures_are_one_object(gen):
+    # Each label set is built from the memoized lists of its subsets, so an
+    # equal substructure anywhere in a listing is the same Python object.
+    labels = frozenset(range(11, 17))
+    slots = [s for p in gen.raw(Park(E(), ChiMap.identity()), labels) for s in p.sequence]
+    assert all(isinstance(s, SetVal) for s in slots)
+    assert len({id(s) for s in slots}) == len(set(slots)) == 64
+
+    subtrees, stack = [], list(gen.raw(Tree(E()), labels))
+    while stack:
+        children = [sub for _head, sub in stack.pop().children]
+        subtrees.extend(children)
+        stack.extend(children)
+    assert len({id(t) for t in subtrees}) == len(set(subtrees)) == 10023
 
 
 # -- iteration helpers --------------------------------------------------------
