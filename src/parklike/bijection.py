@@ -14,8 +14,8 @@ from collections import deque
 
 from .chi import ChiMap
 from .errors import ChiNotIdentityError, InvalidStructureError
-from .parking import ParkingLike, validate_parking
-from .treelike import TreeLike
+from .parking import validate_parking
+from .structures import ParkingLike, TreeLike
 
 
 def q_order(p: ParkingLike) -> list:

@@ -31,10 +31,10 @@ from .errors import (
 )
 from .expr import SpeciesEnv, expr_to_text
 from .generate import Generator
-from .parking import ParkingLike, validate_parking
+from .parking import validate_parking
 from .series import egf_of_species
-from .structures import canonical_labels, from_jsonable, serialize
-from .treelike import TreeLike, validate_tree
+from .structures import ParkingLike, TreeLike, canonical_labels, from_jsonable, serialize
+from .treelike import validate_tree
 from .verify import run_suite
 
 
@@ -169,12 +169,21 @@ def cmd_biject(args, env) -> int:
             if not isinstance(value, ParkingLike):
                 raise SpeciesError("p2t input must be a parking-like structure")
             validate_parking(value, base, gen)
-            print(serialize(park_to_tree(value)))
+            convert = park_to_tree
         else:
             if not isinstance(value, TreeLike):
                 raise SpeciesError("t2p input must be a tree-like structure")
             validate_tree(value, base, gen)
-            print(serialize(tree_to_park(value)))
+            convert = tree_to_park
+        # A tree nests two JSON levels per label, so a long enough chain
+        # passes the input reader and still outruns the recursion limit.
+        try:
+            print(serialize(convert(value)))
+        except RecursionError as exc:
+            raise SpeciesError(
+                f"{args.direction} result on {len(value.underlying())} labels "
+                "nests too deeply to build"
+            ) from exc
     return 0
 
 

@@ -1,11 +1,13 @@
 """Exhaustive generation of labeled structures.
 
 The Generator walks a species expression and produces every structure on a
-given label set.  Results are memoized per (expression, label set), and
-every label set is built on its own from the memoized results on its
-subsets; no result is ever copied onto other labels.  So equal
-substructures are one shared object, and a list costs one new top-level
-node per structure — large runs (millions of structures) stay affordable.
+given label set, by one rule per node type (the _RULES table), the
+parking-like and tree-like operators included.  Results are memoized per
+(expression, label set), and every label set is built on its own from the
+memoized results on its subsets; no result is ever copied onto other labels.
+So equal substructures are one shared object, and a list costs one new
+top-level node per structure — large runs (millions of structures) stay
+affordable.
 
 Recursive definitions (Ref nodes) are solved by fixed point: within a fixed
 label count n, iterate the defining equation starting from the empty
@@ -18,7 +20,7 @@ from __future__ import annotations
 
 from itertools import combinations, product
 
-from .errors import InadmissibleCompositionError
+from .errors import InadmissibleCompositionError, InvalidStructureError
 from .expr import (
     E,
     EPlus,
@@ -36,19 +38,19 @@ from .expr import (
     Zero,
 )
 from .memo import Memo
-from .parking import generate_parking_raw
 from .structures import (
     UNIT,
     AtomVal,
     ComposeVal,
+    ParkingLike,
     ProdVal,
     SetVal,
     SumVal,
+    TreeLike,
     canonical_labels,
     order_isomorphism,
     serialize,
 )
-from .treelike import generate_trees_raw
 
 
 def iter_subsets(labels):
@@ -139,48 +141,18 @@ class Generator:
         cached = self._cache.get(key)
         if cached is not None:
             return cached
+        rule = _RULES.get(type(expr))
+        if rule is None:
+            raise TypeError(f"not a species expression: {expr!r}")
         reads_before = self._memo.reads
-        return self._memo.store(key, self._compute(expr, labels), reads_before)
+        return self._memo.store(key, rule(self, expr, labels), reads_before)
 
-    def _compute(self, expr, labels: frozenset) -> list:
-        n = len(labels)
-        if isinstance(expr, Zero):
-            return []
-        if isinstance(expr, One):
-            return [UNIT] if n == 0 else []
-        if isinstance(expr, X):
-            return [AtomVal(next(iter(labels)))] if n == 1 else []
-        if isinstance(expr, E):
-            return [SetVal(labels)]
-        if isinstance(expr, EPlus):
-            return [SetVal(labels)] if n > 0 else []
-        if isinstance(expr, Sum):
-            out = [SumVal("L", s) for s in self._gen(expr.left, labels)]
-            out.extend(SumVal("R", s) for s in self._gen(expr.right, labels))
-            return out
-        if isinstance(expr, Prod):
-            return self._compute_prod(expr.left, expr.right, labels)
-        if isinstance(expr, Power):
-            return self._compute_power(expr.base, expr.exponent, labels)
-        if isinstance(expr, Restrict):
-            return self._gen(expr.base, labels) if n == expr.card else []
-        if isinstance(expr, Compose):
-            return self._compute_compose(expr, labels)
-        if isinstance(expr, Ref):
-            body = self.env.lookup(expr.name)
-            return self._memo.solve(
-                (expr, labels),
-                [],
-                n + 2,
-                lambda: self._gen(body, labels),
-                f"recursion for {expr.name!r} did not stabilize on "
-                f"{n} labels after {n + 2} rounds",
-            )
-        if isinstance(expr, Park):
-            return generate_parking_raw(self, expr.base, expr.chi, labels)
-        if isinstance(expr, Tree):
-            return generate_trees_raw(self, expr.base, labels)
-        raise TypeError(f"not a species expression: {expr!r}")
+    # -- rules, one per node type (see _RULES) -------------------------------
+
+    def _compute_sum(self, expr: Sum, labels: frozenset) -> list:
+        out = [SumVal("L", s) for s in self._gen(expr.left, labels)]
+        out.extend(SumVal("R", s) for s in self._gen(expr.right, labels))
+        return out
 
     def _compute_prod(self, left, right, labels: frozenset) -> list:
         out = []
@@ -229,3 +201,108 @@ class Generator:
                 for choice in product(*inner_lists):
                     out.append(ComposeVal(outer, tuple(zip(blocks, choice))))
         return out
+
+    def _compute_ref(self, expr: Ref, labels: frozenset) -> list:
+        n = len(labels)
+        body = self.env.lookup(expr.name)
+        return self._memo.solve(
+            (expr, labels),
+            [],
+            n + 2,
+            lambda: self._gen(body, labels),
+            f"recursion for {expr.name!r} did not stabilize on "
+            f"{n} labels after {n + 2} rounds",
+        )
+
+    def _compute_park(self, expr: Park, labels: frozenset) -> list:
+        """Parking-like structures by slot peeling.
+
+        The first chi(1) slots form a power structure on a non-empty subset
+        of n labels (or on nothing, when labels is empty); the remaining
+        slots are a parking-like structure on the other labels for the
+        shifted map rho_n(m) = chi(n+m) - chi(1).
+        """
+        base, chi = expr.base, expr.chi
+        k1 = chi(1)
+        power = Power(base, k1)
+        if not labels:
+            return [
+                ParkingLike(chi, flatten_power(pw, k1)) for pw in self._gen(power, labels)
+            ]
+        out = []
+        items = sorted(labels)
+        for n in range(1, len(items) + 1):
+            tail_expr = Park(base, chi.shift(n))
+            for combo in combinations(items, n):
+                first = frozenset(combo)
+                heads = self._gen(power, first)
+                if not heads:
+                    continue
+                tails = self._gen(tail_expr, labels - first)
+                if not tails:
+                    continue
+                for pw in heads:
+                    prefix = flatten_power(pw, k1)
+                    for tail in tails:
+                        out.append(ParkingLike(chi, prefix + tail.sequence))
+        return out
+
+    def _compute_tree(self, expr: Tree, labels: frozenset) -> list:
+        """Tree-like structures, T = base(X * T).
+
+        Enumerates the head set W, the assignment of the remaining labels to
+        heads, the subtrees on each head's share, and the base structure on W.
+        """
+        base = expr.base
+        if not labels:
+            return [TreeLike(root, ()) for root in self._gen(base, labels)]
+        out = []
+        items = sorted(labels)
+        for w in range(1, len(items) + 1):
+            for heads in combinations(items, w):
+                roots = self._gen(base, frozenset(heads))
+                if not roots:
+                    continue
+                rest = sorted(labels - frozenset(heads))
+                for assignment in product(heads, repeat=len(rest)):
+                    shares = {h: [] for h in heads}
+                    for label, h in zip(rest, assignment):
+                        shares[h].append(label)
+                    sub_lists = [self._gen(expr, frozenset(shares[h])) for h in heads]
+                    if not all(sub_lists):
+                        continue
+                    for choice in product(*sub_lists):
+                        children = tuple(zip(heads, choice))
+                        out.extend(TreeLike(root, children) for root in roots)
+        return out
+
+
+def flatten_power(s, k: int) -> tuple:
+    """Split a k-fold power structure (nested pairs ending in unit) into a tuple."""
+    out = []
+    for _ in range(k):
+        if not isinstance(s, ProdVal):
+            raise InvalidStructureError(f"expected a {k}-fold power structure")
+        out.append(s.left)
+        s = s.right
+    if s != UNIT:
+        raise InvalidStructureError(f"expected a {k}-fold power structure")
+    return tuple(out)
+
+
+# Generation rule of every node type: rule(generator, expr, labels) -> list.
+_RULES = {
+    Zero: lambda g, e, labels: [],
+    One: lambda g, e, labels: [] if labels else [UNIT],
+    X: lambda g, e, labels: [AtomVal(next(iter(labels)))] if len(labels) == 1 else [],
+    E: lambda g, e, labels: [SetVal(labels)],
+    EPlus: lambda g, e, labels: [SetVal(labels)] if labels else [],
+    Sum: Generator._compute_sum,
+    Prod: lambda g, e, labels: g._compute_prod(e.left, e.right, labels),
+    Power: lambda g, e, labels: g._compute_power(e.base, e.exponent, labels),
+    Restrict: lambda g, e, labels: g._gen(e.base, labels) if len(labels) == e.card else [],
+    Compose: Generator._compute_compose,
+    Ref: Generator._compute_ref,
+    Park: Generator._compute_park,
+    Tree: Generator._compute_tree,
+}

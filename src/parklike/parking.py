@@ -8,105 +8,25 @@ condition
     |V_1| + ... + |V_{chi(k)}|  >=  k        for every 1 <= k <= u.
 
 With chi the identity and base the set species this is exactly the
-preimage-sequence view of a classical parking function.  Generation follows
-the recursive decomposition: peel off the first chi(1) slots as a power
-structure on some non-empty subset (or on nothing, in the empty case) and
-recurse on the rest with the shifted map rho_n(m) = chi(n+m) - chi(1).
+preimage-sequence view of a classical parking function.  The value itself
+(ParkingLike) lives in structures.py and its generation rule in
+generate.py; this module holds the parking condition, validation and the
+classical parking functions.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 
 from .chi import ChiMap
 from .errors import BlockLengthMismatchError, InvalidStructureError
-from .expr import Park, Power, SpeciesExpr
+from .expr import SpeciesExpr
+from .generate import Generator
 from .structures import (
-    UNIT,
-    ProdVal,
+    ParkingLike,
     SetVal,
-    from_jsonable,
-    register_json_reader,
     serialize,  # unused here: bench/tracing.py patches this name
 )
-
-
-@dataclass(frozen=True, slots=True)
-class ParkingLike:
-    chi: ChiMap
-    sequence: tuple  # tuple of Structure
-
-    def __post_init__(self):
-        if not isinstance(self.sequence, tuple):
-            object.__setattr__(self, "sequence", tuple(self.sequence))
-
-    def underlying(self) -> frozenset:
-        out: frozenset = frozenset()
-        for s in self.sequence:
-            out |= s.underlying()
-        return out
-
-    def relabel(self, mapping) -> "ParkingLike":
-        return ParkingLike(self.chi, tuple(s.relabel(mapping) for s in self.sequence))
-
-    def to_jsonable(self):
-        return {"chi": self.chi.key(), "seq": [s.to_jsonable() for s in self.sequence]}
-
-
-def _parking_from_jsonable(data) -> ParkingLike:
-    chi = ChiMap.from_string(data["chi"])
-    seq = tuple(from_jsonable(s) for s in data["seq"])
-    return ParkingLike(chi, seq)
-
-
-register_json_reader("parking", _parking_from_jsonable)
-
-
-def flatten_power(s, k: int) -> tuple:
-    """Split a k-fold power structure (nested pairs ending in unit) into a tuple."""
-    out = []
-    for _ in range(k):
-        if not isinstance(s, ProdVal):
-            raise InvalidStructureError(f"expected a {k}-fold power structure")
-        out.append(s.left)
-        s = s.right
-    if s != UNIT:
-        raise InvalidStructureError(f"expected a {k}-fold power structure")
-    return tuple(out)
-
-
-def generate_parking_raw(gen, base: SpeciesExpr, chi: ChiMap, labels: frozenset) -> list:
-    """All parking-like structures over base on labels (construction order).
-
-    Used by Generator dispatch; callers wanting sorted output should go
-    through Generator.generate on a Park expression.
-    """
-    u = len(labels)
-    k1 = chi(1)
-    power = Power(base, k1)
-    out = []
-    if u == 0:
-        for pw in gen._gen(power, labels):
-            out.append(ParkingLike(chi, flatten_power(pw, k1)))
-        return out
-    items = sorted(labels)
-    for n in range(1, u + 1):
-        rho = chi.shift(n)
-        tail_expr = Park(base, rho)
-        for combo in combinations(items, n):
-            first = frozenset(combo)
-            heads = gen._gen(power, first)
-            if not heads:
-                continue
-            tails = gen._gen(tail_expr, labels - first)
-            if not tails:
-                continue
-            for pw in heads:
-                prefix = flatten_power(pw, k1)
-                for tail in tails:
-                    out.append(ParkingLike(chi, prefix + tail.sequence))
-    return out
 
 
 def is_parking_blocks(sizes, chi: ChiMap, n: int) -> bool:
@@ -156,8 +76,6 @@ def validate_parking(p: ParkingLike, base: SpeciesExpr | None = None, gen=None) 
             raise InvalidStructureError(f"slot {i + 1} should be empty")
     if base is not None:
         if gen is None:
-            from .generate import Generator
-
             gen = Generator()
         for s, v in zip(p.sequence, sets):
             if not gen.contains(base, s):

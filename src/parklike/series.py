@@ -17,6 +17,7 @@ non-identity chi.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 
 from .chi import ChiMap
@@ -126,49 +127,31 @@ class _Evaluator:
         cached = self._memo.cache.get(expr)
         if cached is not None:
             return cached
+        rule = _RULES.get(type(expr))
+        if rule is None:
+            raise TypeError(f"not a species expression: {expr!r}")
         reads_before = self._memo.reads
-        return self._memo.store(expr, self._compute(expr), reads_before)
+        return self._memo.store(expr, rule(self, expr), reads_before)
 
-    def _compute(self, expr) -> list:
+    # -- rules, one per node type (see _RULES) -------------------------------
+
+    def _restrict(self, expr: Restrict) -> list:
+        out = [0] * (self.order + 1)
+        if expr.card <= self.order:
+            out[expr.card] = self.eval(expr.base)[expr.card]
+        return out
+
+    def _ref(self, expr: Ref) -> list:
         N = self.order
-        if isinstance(expr, Zero):
-            return [0] * (N + 1)
-        if isinstance(expr, One):
-            return [1] + [0] * N
-        if isinstance(expr, X):
-            return ([0, 1] + [0] * N)[: N + 1]
-        if isinstance(expr, E):
-            return [1] * (N + 1)
-        if isinstance(expr, EPlus):
-            return [0] + [1] * N
-        if isinstance(expr, Sum):
-            return [x + y for x, y in zip(self.eval(expr.left), self.eval(expr.right))]
-        if isinstance(expr, Prod):
-            return _mul(self.eval(expr.left), self.eval(expr.right))
-        if isinstance(expr, Power):
-            return self._power(expr)
-        if isinstance(expr, Restrict):
-            out = [0] * (N + 1)
-            if expr.card <= N:
-                out[expr.card] = self.eval(expr.base)[expr.card]
-            return out
-        if isinstance(expr, Compose):
-            return self._compose(expr)
-        if isinstance(expr, Ref):
-            body = self.env.lookup(expr.name)
-            return self._memo.solve(
-                expr,
-                [0] * (N + 1),
-                N + 2,
-                lambda: self.eval(body),
-                f"series for {expr.name!r} did not stabilize at order "
-                f"{N} after {N + 2} rounds",
-            )
-        if isinstance(expr, Park):
-            return self._park(expr.base, expr.chi, N)
-        if isinstance(expr, Tree):
-            return _lagrange(self.eval(expr.base))
-        raise TypeError(f"not a species expression: {expr!r}")
+        body = self.env.lookup(expr.name)
+        return self._memo.solve(
+            expr,
+            [0] * (N + 1),
+            N + 2,
+            lambda: self.eval(body),
+            f"series for {expr.name!r} did not stabilize at order "
+            f"{N} after {N + 2} rounds",
+        )
 
     def _power(self, expr: Power) -> list:
         """b^k as b * b^(k-1), built upward so each b^j is memoized and reused.
@@ -234,10 +217,30 @@ class _Evaluator:
         return self._memo.store(key, out, reads_before)
 
 
+# Series rule of every node type: rule(evaluator, expr) -> count vector.
+_RULES = {
+    Zero: lambda ev, e: [0] * (ev.order + 1),
+    One: lambda ev, e: [1] + [0] * ev.order,
+    X: lambda ev, e: ([0, 1] + [0] * ev.order)[: ev.order + 1],
+    E: lambda ev, e: [1] * (ev.order + 1),
+    EPlus: lambda ev, e: [0] + [1] * ev.order,
+    Sum: lambda ev, e: [x + y for x, y in zip(ev.eval(e.left), ev.eval(e.right))],
+    Prod: lambda ev, e: _mul(ev.eval(e.left), ev.eval(e.right)),
+    Power: _Evaluator._power,
+    Restrict: _Evaluator._restrict,
+    Compose: _Evaluator._compose,
+    Ref: _Evaluator._ref,
+    Park: lambda ev, e: ev._park(e.base, e.chi, ev.order),
+    Tree: lambda ev, e: _lagrange(ev.eval(e.base)),
+}
+
+
 def egf_of_species(expr, env: SpeciesEnv | None = None, order: int = 8) -> EgfSeries:
     """Structure counts a_0..a_order of a species, by series evaluation."""
     if order < 0:
         raise SpeciesError(f"series order must be >= 0, got {order}")
+    if order >= sys.maxsize:
+        raise SpeciesError(f"series order {order} is too large to index a count vector")
     if env is None:
         env = SpeciesEnv.standard()
     return EgfSeries(order, _Evaluator(env, order).eval(expr))

@@ -1,6 +1,6 @@
 """Concrete structures and the generic operations on them.
 
-A structure is a finite labeled object built from six core shapes:
+A structure is a finite labeled object of one of eight shapes:
 
     UnitVal                     the empty structure (species 1)
     SetVal(labels)              a bare set (species E and E+)
@@ -10,12 +10,14 @@ A structure is a finite labeled object built from six core shapes:
     ComposeVal(outer, blocks)   a partition into non-empty blocks, an inner
                                 structure per block, and an outer structure
                                 on the block representatives
+    ParkingLike(chi, sequence)  a slot sequence of base structures (park)
+    TreeLike(root, children)    a base structure on the head labels and a
+                                subtree per head, sorted by head (tree)
 
 The representative of a block is its minimum label; ComposeVal keeps blocks
 sorted by representative so every structure has exactly one form.  Every
-value — including the parking-like and tree-like values defined elsewhere —
-implements the same small protocol: underlying(), relabel(mapping) and
-to_jsonable().  Generation never relabels: it builds each label set from
+value implements the same small protocol: underlying(), relabel(mapping)
+and to_jsonable().  Generation never relabels: it builds each label set from
 shared sub-results.  relabel serves membership tests, validation, the
 tree unfolding and the functoriality checks.
 
@@ -28,8 +30,9 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Callable, Union
+from typing import Union
 
+from .chi import ChiMap
 from .errors import InvalidStructureError, SpeciesError
 
 _EMPTY = frozenset()
@@ -164,7 +167,86 @@ class ComposeVal:
         }
 
 
-Structure = Union[UnitVal, SetVal, AtomVal, SumVal, ProdVal, ComposeVal]
+@dataclass(frozen=True, slots=True)
+class ParkingLike:
+    chi: ChiMap
+    sequence: tuple  # tuple of Structure
+
+    def __post_init__(self):
+        if not isinstance(self.sequence, tuple):
+            object.__setattr__(self, "sequence", tuple(self.sequence))
+
+    def underlying(self) -> frozenset:
+        out: frozenset = frozenset()
+        for s in self.sequence:
+            out |= s.underlying()
+        return out
+
+    def relabel(self, mapping) -> "ParkingLike":
+        return ParkingLike(self.chi, tuple(s.relabel(mapping) for s in self.sequence))
+
+    def to_jsonable(self):
+        return {"chi": self.chi.key(), "seq": [s.to_jsonable() for s in self.sequence]}
+
+
+@dataclass(frozen=True, slots=True)
+class TreeLike:
+    root: object  # base structure on the set of head labels
+    children: tuple  # tuple of (head label, TreeLike), sorted by label
+
+    def __post_init__(self):
+        ch = self.children
+        if type(ch) is not tuple:
+            ch = tuple(ch)
+            object.__setattr__(self, "children", ch)
+        # Generation and order-preserving relabeling already build these
+        # sorted, so only pay for a sort when the order is actually broken.
+        if len(ch) > 1:
+            prev = ch[0][0]
+            for pair in ch:
+                head = pair[0]
+                if head < prev:
+                    object.__setattr__(self, "children", tuple(sorted(ch)))
+                    break
+                prev = head
+
+    @property
+    def heads(self) -> frozenset:
+        return self.root.underlying()
+
+    def child(self, label: int) -> "TreeLike":
+        for head, sub in self.children:
+            if head == label:
+                return sub
+        raise KeyError(label)
+
+    def underlying(self) -> frozenset:
+        out = self.root.underlying()
+        for _head, sub in self.children:
+            out |= sub.underlying()
+        return out
+
+    def relabel(self, mapping) -> "TreeLike":
+        return TreeLike(
+            self.root.relabel(mapping),
+            tuple(
+                [(mapping[head], sub.relabel(mapping)) for head, sub in self.children]
+            ),
+        )
+
+    def to_jsonable(self):
+        return {
+            "root": self.root.to_jsonable(),
+            "children": [
+                {"label": head, "subtree": sub.to_jsonable()}
+                for head, sub in self.children
+            ],
+        }
+
+
+Structure = Union[
+    UnitVal, SetVal, AtomVal, SumVal, ProdVal, ComposeVal, ParkingLike, TreeLike
+]
 
 UNIT = UnitVal()
 
@@ -172,15 +254,6 @@ UNIT = UnitVal()
 def serialize(s) -> str:
     """Canonical serialization: sorted keys, no whitespace."""
     return json.dumps(s.to_jsonable(), sort_keys=True, separators=(",", ":"))
-
-
-# Values defined in other modules (parking-like sequences, tree-like trees)
-# hook their parsers in here; see register_json_reader.
-_JSON_READERS: dict = {}
-
-
-def register_json_reader(shape: str, reader: Callable) -> None:
-    _JSON_READERS[shape] = reader
 
 
 def from_jsonable(data) -> "Structure":
@@ -206,13 +279,23 @@ def from_jsonable(data) -> "Structure":
             )
             return ComposeVal(from_jsonable(data["outer"]), blocks)
         if kind is None:
-            if "chi" in data and "seq" in data and "parking" in _JSON_READERS:
-                return _JSON_READERS["parking"](data)
-            if "root" in data and "children" in data and "treelike" in _JSON_READERS:
-                return _JSON_READERS["treelike"](data)
+            if "chi" in data and "seq" in data:
+                chi = ChiMap.from_string(data["chi"])
+                return ParkingLike(chi, tuple(from_jsonable(s) for s in data["seq"]))
+            if "root" in data and "children" in data:
+                return _tree_from_jsonable(data)
     except (KeyError, TypeError) as exc:
         raise InvalidStructureError(f"malformed structure JSON: {exc}") from exc
     raise InvalidStructureError(f"unrecognized structure JSON: {data!r}")
+
+
+def _tree_from_jsonable(data) -> TreeLike:
+    root = from_jsonable(data["root"])
+    children = tuple(
+        (_label(child["label"]), _tree_from_jsonable(child["subtree"]))
+        for child in data["children"]
+    )
+    return TreeLike(root, children)
 
 
 def _label(value) -> int:

@@ -25,9 +25,9 @@ from .chi import ChiMap
 from .errors import SpeciesError
 from .expr import Compose, E, Park, Power, Prod, Ref, Restrict, SpeciesEnv, Tree, X
 from .generate import Generator
-from .parking import ParkingLike, is_parking_blocks, validate_parking
+from .parking import is_parking_blocks, validate_parking
 from .series import egf_of_species, lagrange_solve, series_equal_prefix
-from .structures import SetVal, from_jsonable, serialize
+from .structures import ParkingLike, SetVal, from_jsonable, serialize
 
 BASES = (
     ("E", E()),
@@ -414,6 +414,8 @@ def run_suite(suite: str = "all", max_n=None, golden_dir=None, env=None) -> dict
         selected = REFERENCE_CHECKS + PROPERTY_CHECKS
     else:
         raise SpeciesError(f"unknown suite {suite!r}")
+    if max_n is not None and max_n < 0:
+        raise SpeciesError(f"max_n must be >= 0, got {max_n}")
     checks = []
     for name, fn in selected:
         try:

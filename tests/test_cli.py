@@ -153,6 +153,16 @@ def test_error_exit_codes(capsys, argv, rc):
 
 LEAF = {"root": {"k": "set", "labels": []}, "children": []}
 
+# Slot i holds label i: the tree is a path 1 -> 2 -> ... -> 1200, deeper
+# than the recursion limit allows to build or to write.
+CHAIN_PARKING = json.dumps(
+    {
+        "chi": "id",
+        "seq": [{"k": "set", "labels": [i]} for i in range(1, 1201)]
+        + [{"k": "set", "labels": []}],
+    }
+)
+
 
 @pytest.mark.parametrize(
     "argv, stdin",
@@ -163,6 +173,13 @@ LEAF = {"root": {"k": "set", "labels": []}, "children": []}
         (["series", "--expr", "park(E)", "--order", "-1"], None),
         (["series", "--expr", "L", "--order", "-1"], None),
         (["series", "--expr", "tree(E)", "--order", "-1"], None),
+        (["series", "--expr", "E", "--order", "10000000000000000000"], None),
+        (["verify", "--max-n", "-1"], None),
+        pytest.param(
+            ["biject", "--expr", "E", "--direction", "p2t", "--budget", "5000"],
+            CHAIN_PARKING,
+            id="p2t-1200-label-chain",
+        ),
         (["biject", "--expr", "E", "--direction", "p2t"], "not json"),
         (["biject", "--expr", "E", "--direction", "p2t"], "[" * 100_000),
         (["biject", "--expr", "E", "--direction", "p2t"], EXAMPLE_PARKING + "\n{\n"),

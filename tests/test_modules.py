@@ -1,0 +1,36 @@
+"""Module-level invariants: one rule table per evaluator, no deferred imports."""
+
+import ast
+import typing
+from pathlib import Path
+
+import pytest
+
+from parklike import Generator, egf_of_species, generate, series
+from parklike.expr import SpeciesExpr
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "parklike"
+
+
+@pytest.mark.parametrize("module", [generate, series])
+def test_rule_table_covers_every_node_type(module):
+    assert set(module._RULES) == set(typing.get_args(SpeciesExpr))
+
+
+def test_non_expression_is_a_type_error():
+    with pytest.raises(TypeError, match="not a species expression"):
+        Generator().count(object(), 1)
+    with pytest.raises(TypeError, match="not a species expression"):
+        egf_of_species(object(), order=2)
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_no_function_level_imports(path):
+    # An import deferred into a function body is how an import cycle hides.
+    tree = ast.parse(path.read_text())
+    for fn in ast.walk(tree):
+        if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            for node in ast.walk(fn):
+                assert not isinstance(node, (ast.Import, ast.ImportFrom)), (
+                    f"{path.name}:{node.lineno} imports inside {fn.name}()"
+                )

@@ -33,6 +33,12 @@ def test_unknown_suite_rejected():
         run_suite("everything")
 
 
+def test_negative_max_n_rejected():
+    # max_n = -1 would cap every check at no labels and report ok.
+    with pytest.raises(SpeciesError):
+        run_suite("all", max_n=-1)
+
+
 def test_crashed_check_reports_as_failure(tmp_path):
     # an empty golden directory makes the example checks blow up, which must
     # surface as ok=False rather than an exception
