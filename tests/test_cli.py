@@ -173,13 +173,6 @@ CHAIN_PARKING = json.dumps(
         (["series", "--expr", "park(E)", "--order", "-1"], None),
         (["series", "--expr", "L", "--order", "-1"], None),
         (["series", "--expr", "tree(E)", "--order", "-1"], None),
-        (["series", "--expr", "E", "--order", "10000000000000000000"], None),
-        (["verify", "--max-n", "-1"], None),
-        pytest.param(
-            ["biject", "--expr", "E", "--direction", "p2t", "--budget", "5000"],
-            CHAIN_PARKING,
-            id="p2t-1200-label-chain",
-        ),
         (["biject", "--expr", "E", "--direction", "p2t"], "not json"),
         (["biject", "--expr", "E", "--direction", "p2t"], "[" * 100_000),
         (["biject", "--expr", "E", "--direction", "p2t"], EXAMPLE_PARKING + "\n{\n"),
@@ -220,6 +213,13 @@ CHAIN_PARKING = json.dumps(
                     ],
                 }
             ),
+        ),
+        (["series", "--expr", "E", "--order", "10000000000000000000"], None),
+        (["verify", "--max-n", "-1"], None),
+        pytest.param(
+            ["biject", "--expr", "E", "--direction", "p2t", "--budget", "5000"],
+            CHAIN_PARKING,
+            id="p2t-1200-label-chain",
         ),
     ],
 )
