@@ -34,8 +34,6 @@ def park_to_tree(p: ParkingLike) -> TreeLike:
         raise ChiNotIdentityError("the bijection is defined for the identity chi")
     validate_parking(p)
     q = q_order(p)
-    if len(p.sequence) != len(q) + 1:
-        raise InvalidStructureError("sequence length is not label count + 1")
     node_struct = {q[i]: p.sequence[i + 1] for i in range(len(q))}
 
     def build(label) -> TreeLike:

@@ -16,18 +16,17 @@ Identity and affine maps are closed forms and valid for every m; only
 tables have a horizon.  Shifting by n produces rho_n(m) = chi(n+m) - chi(1),
 which stays inside the same three kinds (identity and affine(a, b) both
 shift to affine(a, a*(n-1)), tables to shorter tables).
+
+The text form (``key()``) is the ``chi`` production of the DSL, which reads
+it in ``park(A, chi)`` and, through ``dsl.parse_chi_text``, in the ``chi``
+field of parking-like JSON.
 """
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass, field
 
 from .errors import ChiTableExhaustedError, SpeciesError
-
-_CHI_STRING = re.compile(
-    r"^(?:id|affine\(\s*-?\d+\s*,\s*-?\d+\s*\)|table\(\s*\d+(?:\s*,\s*\d+)*\s*\))$"
-)
 
 
 @dataclass(frozen=True)
@@ -129,17 +128,3 @@ class ChiMap:
         if self.kind == "affine":
             return f"affine({self.a},{self.b})"
         return "table({})".format(",".join(str(v) for v in self.table))
-
-    @staticmethod
-    def from_string(text: str) -> "ChiMap":
-        if not isinstance(text, str):
-            raise SpeciesError(f"not a chi map: {text!r}")
-        text = text.strip()
-        if not _CHI_STRING.match(text):
-            raise SpeciesError(f"not a chi map: {text!r}")
-        if text == "id":
-            return ChiMap.identity()
-        if text.startswith("affine"):
-            a, b = (int(v) for v in text[len("affine(") : -1].split(","))
-            return ChiMap.affine(a, b)
-        return ChiMap.from_table(int(v) for v in text[len("table(") : -1].split(","))

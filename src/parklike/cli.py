@@ -11,8 +11,9 @@ Commands:
 Global flags: --define NAME:=EXPR (repeatable), --format json|jsonl|text,
 --budget N (largest label count generation commands will attempt, default 8).
 
-Exit codes: 0 success, 1 invalid input / failed check / exceeded budget,
-2 syntax or unbound-name errors in expressions.
+Exit codes: 0 success, 1 invalid input / failed check / exceeded budget /
+input nested too deeply or too large to hold, 2 syntax or unbound-name
+errors in expressions.
 """
 
 from __future__ import annotations
@@ -175,15 +176,7 @@ def cmd_biject(args, env) -> int:
                 raise SpeciesError("t2p input must be a tree-like structure")
             validate_tree(value, base, gen)
             convert = tree_to_park
-        # A tree nests two JSON levels per label, so a long enough chain
-        # passes the input reader and still outruns the recursion limit.
-        try:
-            print(serialize(convert(value)))
-        except RecursionError as exc:
-            raise SpeciesError(
-                f"{args.direction} result on {len(value.underlying())} labels "
-                "nests too deeply to build"
-            ) from exc
+        print(serialize(convert(value)))
     return 0
 
 
@@ -243,6 +236,14 @@ def main(argv=None) -> int:
         return 2
     except SpeciesError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except RecursionError as exc:
+        # Expressions, definitions and structures are walked recursively, so
+        # deep enough nesting in any of them outruns the recursion limit.
+        print(f"error: input nests too deeply: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError:
+        print(f"error: not enough memory for this {args.command} request", file=sys.stderr)
         return 1
 
 

@@ -12,17 +12,25 @@ Grammar (precedence ^ > @ > * > +, with @ left-associative)::
              | "tree" "(" expr ")"
              | "restrict" "(" expr "," INT ")"
              | "(" expr ")"
-    chi     := "id" | "affine(" INT "," INT ")" | "table(" INT {"," INT} ")"
+    chi     := "id" | "affine(" ["-"] INT "," ["-"] INT ")" | "table(" INT {"," INT} ")"
 
+The lexicon is ASCII: INT is ``[0-9]+`` and NAME is ``[A-Za-z_][A-Za-z0-9_]*``,
+the names ``SpeciesEnv.bind`` accepts; any other character is a ParseError.
 The token ``E+`` is lexed greedily: ``E`` immediately followed by ``+`` is
 the nonempty-set species, so a sum with E on the left needs a space
 (``E + X``) or parentheses.
+
+A NAME is checked against the environment where it is read, so an unbound
+name is reported before any later syntax error.  The ``chi`` production is
+also the reader of the ``chi`` field of parking-like JSON (``parse_chi_text``).
 """
 
 from __future__ import annotations
 
+import re
+
 from .chi import ChiMap
-from .errors import ParseError
+from .errors import ParseError, UnboundNameError
 from .expr import (
     Compose,
     E,
@@ -38,17 +46,21 @@ from .expr import (
     Tree,
     X,
     Zero,
-    check_bound,
 )
 
-_SYMBOLS = "+*@^(),-"
+# ASCII only: str.isdigit() would admit "²", which int() rejects, and "١",
+# which int() reads as 1.
+_TOKEN = re.compile(
+    r"(?P<space>\s+)|(?P<int>[0-9]+)|(?P<eplus>E\+)|(?P<name>[A-Za-z_]\w*)|[-+*@^(),]",
+    re.ASCII,
+)
 
 
 class _Token:
     __slots__ = ("kind", "value", "pos")
 
     def __init__(self, kind: str, value, pos: int):
-        self.kind = kind  # "int" | "name" | one of _SYMBOLS | "eplus" | "end"
+        self.kind = kind  # "int" | "name" | "eplus" | "end" | a symbol
         self.value = value
         self.pos = pos
 
@@ -58,45 +70,30 @@ class _Token:
 
 def _tokenize(text: str) -> list:
     tokens = []
-    i, n = 0, len(text)
-    while i < n:
-        c = text[i]
-        if c.isspace():
-            i += 1
-            continue
-        if c.isdigit():
-            j = i
-            while j < n and text[j].isdigit():
-                j += 1
-            tokens.append(_Token("int", int(text[i:j]), i))
-            i = j
-            continue
-        if c.isalpha() or c == "_":
-            j = i
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            name = text[i:j]
-            if name == "E" and j < n and text[j] == "+":
-                tokens.append(_Token("eplus", "E+", i))
-                i = j + 1
-            else:
-                tokens.append(_Token("name", name, i))
-                i = j
-            continue
-        if c in _SYMBOLS:
-            tokens.append(_Token(c, c, i))
-            i += 1
-            continue
-        raise ParseError(f"unexpected character {c!r}", i)
-    tokens.append(_Token("end", None, n))
+    i = 0
+    while i < len(text):
+        m = _TOKEN.match(text, i)
+        if m is None:
+            raise ParseError(f"unexpected character {text[i]!r}", i)
+        kind, value = m.lastgroup, m.group()
+        if kind == "int":
+            try:
+                value = int(value)
+            except ValueError:  # past the interpreter's int-from-str digit limit
+                raise ParseError(f"integer of {len(value)} digits is too long", i) from None
+        if kind != "space":
+            tokens.append(_Token(kind or value, value, i))
+        i = m.end()
+    tokens.append(_Token("end", None, len(text)))
     return tokens
 
 
 class _Parser:
-    def __init__(self, text: str):
-        self.text = text
+    def __init__(self, text: str, env=None, extra_names=()):
         self.tokens = _tokenize(text)
         self.i = 0
+        self.env = env
+        self.extra_names = frozenset(extra_names)
 
     def peek(self) -> _Token:
         return self.tokens[self.i]
@@ -111,9 +108,6 @@ class _Parser:
         if tok.kind != kind:
             raise ParseError(f"expected {kind!r}, found {tok.value!r}", tok.pos)
         return tok
-
-    def fail(self, message: str) -> None:
-        raise ParseError(message, self.peek().pos)
 
     # expr := term { "+" term }
     def parse_expr(self) -> SpeciesExpr:
@@ -174,6 +168,8 @@ class _Parser:
                 return E()
             if self.peek().kind == "(":
                 return self.parse_call(name, tok.pos)
+            if name not in self.extra_names and not self.env.knows(name):
+                raise UnboundNameError(f"species {name!r} is not defined")
             return Ref(name)
         raise ParseError(f"expected a species, found {tok.value!r}", tok.pos)
 
@@ -244,10 +240,8 @@ class _Parser:
 
 
 def parse_species(text: str, env, extra_names=()) -> SpeciesExpr:
-    """Parse an expression and check every name resolves against env."""
-    expr = _Parser(text).parse_complete()
-    check_bound(expr, env, extra_names)
-    return expr
+    """Parse an expression; every name must be bound in env or in extra_names."""
+    return _Parser(text, env, extra_names).parse_complete()
 
 
 def parse_chi_text(text: str) -> ChiMap:

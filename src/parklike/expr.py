@@ -190,44 +190,10 @@ def expr_to_text(expr: SpeciesExpr) -> str:
 
 
 def _render(expr) -> tuple[str, int]:
-    if isinstance(expr, Zero):
-        return "0", _LVL_ATOM
-    if isinstance(expr, One):
-        return "1", _LVL_ATOM
-    if isinstance(expr, X):
-        return "X", _LVL_ATOM
-    if isinstance(expr, E):
-        return "E", _LVL_ATOM
-    if isinstance(expr, EPlus):
-        return "E+", _LVL_ATOM
-    if isinstance(expr, Ref):
-        return expr.name, _LVL_ATOM
-    if isinstance(expr, Sum):
-        return (
-            f"{_wrap(expr.left, _LVL_SUM)} + {_wrap(expr.right, _LVL_SUM)}",
-            _LVL_SUM,
-        )
-    if isinstance(expr, Prod):
-        return (
-            f"{_wrap(expr.left, _LVL_PROD)}*{_wrap(expr.right, _LVL_PROD)}",
-            _LVL_PROD,
-        )
-    if isinstance(expr, Compose):
-        # Left-associative: the right operand needs strictly tighter binding.
-        left = _wrap(expr.outer, _LVL_COMPOSE)
-        right = _wrap(expr.inner, _LVL_COMPOSE + 1)
-        return f"{left}@{right}", _LVL_COMPOSE
-    if isinstance(expr, Power):
-        return f"{_wrap(expr.base, _LVL_ATOM)}^{expr.exponent}", _LVL_POWER
-    if isinstance(expr, Restrict):
-        return f"restrict({expr_to_text(expr.base)}, {expr.card})", _LVL_ATOM
-    if isinstance(expr, Park):
-        if expr.chi.is_identity:
-            return f"park({expr_to_text(expr.base)})", _LVL_ATOM
-        return f"park({expr_to_text(expr.base)}, {expr.chi.key()})", _LVL_ATOM
-    if isinstance(expr, Tree):
-        return f"tree({expr_to_text(expr.base)})", _LVL_ATOM
-    raise SpeciesError(f"cannot render {expr!r}")
+    rule = _RENDER.get(type(expr))
+    if rule is None:
+        raise SpeciesError(f"cannot render {expr!r}")
+    return rule(expr)
 
 
 def _wrap(expr, min_level: int) -> str:
@@ -235,18 +201,28 @@ def _wrap(expr, min_level: int) -> str:
     return text if level >= min_level else f"({text})"
 
 
-def check_bound(expr: SpeciesExpr, env: SpeciesEnv, extra_names=()) -> None:
-    """Raise UnboundNameError if any Ref in expr lacks a binding."""
-    extra = set(extra_names)
-    stack = [expr]
-    while stack:
-        node = stack.pop()
-        if isinstance(node, Ref):
-            if node.name not in extra and not env.knows(node.name):
-                raise UnboundNameError(f"species {node.name!r} is not defined")
-        elif isinstance(node, (Sum, Prod)):
-            stack.extend((node.left, node.right))
-        elif isinstance(node, (Power, Restrict, Park, Tree)):
-            stack.append(node.base)
-        elif isinstance(node, Compose):
-            stack.extend((node.outer, node.inner))
+def _render_park(expr: Park) -> tuple[str, int]:
+    chi = "" if expr.chi.is_identity else f", {expr.chi.key()}"
+    return f"park({expr_to_text(expr.base)}{chi})", _LVL_ATOM
+
+
+# (text, precedence level) of each node type.  Compose is left-associative:
+# its right operand needs strictly tighter binding.
+_RENDER = {
+    Zero: lambda e: ("0", _LVL_ATOM),
+    One: lambda e: ("1", _LVL_ATOM),
+    X: lambda e: ("X", _LVL_ATOM),
+    E: lambda e: ("E", _LVL_ATOM),
+    EPlus: lambda e: ("E+", _LVL_ATOM),
+    Ref: lambda e: (e.name, _LVL_ATOM),
+    Sum: lambda e: (f"{_wrap(e.left, _LVL_SUM)} + {_wrap(e.right, _LVL_SUM)}", _LVL_SUM),
+    Prod: lambda e: (f"{_wrap(e.left, _LVL_PROD)}*{_wrap(e.right, _LVL_PROD)}", _LVL_PROD),
+    Compose: lambda e: (
+        f"{_wrap(e.outer, _LVL_COMPOSE)}@{_wrap(e.inner, _LVL_COMPOSE + 1)}",
+        _LVL_COMPOSE,
+    ),
+    Power: lambda e: (f"{_wrap(e.base, _LVL_ATOM)}^{e.exponent}", _LVL_POWER),
+    Restrict: lambda e: (f"restrict({expr_to_text(e.base)}, {e.card})", _LVL_ATOM),
+    Park: _render_park,
+    Tree: lambda e: (f"tree({expr_to_text(e.base)})", _LVL_ATOM),
+}

@@ -33,7 +33,8 @@ from dataclasses import dataclass
 from typing import Union
 
 from .chi import ChiMap
-from .errors import InvalidStructureError, SpeciesError
+from .dsl import parse_chi_text
+from .errors import InvalidStructureError, ParseError, SpeciesError
 
 _EMPTY = frozenset()
 
@@ -280,13 +281,22 @@ def from_jsonable(data) -> "Structure":
             return ComposeVal(from_jsonable(data["outer"]), blocks)
         if kind is None:
             if "chi" in data and "seq" in data:
-                chi = ChiMap.from_string(data["chi"])
+                chi = _chi(data["chi"])
                 return ParkingLike(chi, tuple(from_jsonable(s) for s in data["seq"]))
             if "root" in data and "children" in data:
                 return _tree_from_jsonable(data)
     except (KeyError, TypeError) as exc:
         raise InvalidStructureError(f"malformed structure JSON: {exc}") from exc
     raise InvalidStructureError(f"unrecognized structure JSON: {data!r}")
+
+
+def _chi(text) -> ChiMap:
+    if not isinstance(text, str):
+        raise InvalidStructureError(f"not a chi map: {text!r}")
+    try:
+        return parse_chi_text(text)
+    except ParseError as exc:
+        raise InvalidStructureError(f"not a chi map: {text!r}: {exc}") from exc
 
 
 def _tree_from_jsonable(data) -> TreeLike:
@@ -307,7 +317,7 @@ def _label(value) -> int:
 def deserialize(text: str) -> "Structure":
     try:
         data = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise InvalidStructureError(f"bad JSON: {exc}") from exc
     return from_jsonable(data)
 

@@ -144,6 +144,10 @@ def test_define_dump(capsys):
         (["enumerate", "--expr", "Ghost", "--n", "1"], 2),  # unbound
         (["count", "--expr", "E@E", "--n", "2"], 1),  # inadmissible composition
         (["series", "--expr", "park(E", "--order", "2"], 2),
+        # The lexicon is ASCII: other digits are neither misread nor a traceback.
+        (["count", "--expr", "X^²", "--n", "1"], 2),
+        (["count", "--expr", "X^١", "--n", "1"], 2),
+        (["count", "--expr", "park(E, table(١,٢,٣))", "--n", "1"], 2),
     ],
 )
 def test_error_exit_codes(capsys, argv, rc):
@@ -221,6 +225,12 @@ CHAIN_PARKING = json.dumps(
             CHAIN_PARKING,
             id="p2t-1200-label-chain",
         ),
+        (["count", "--expr", "(" * 400 + "X" + ")" * 400, "--n", "1"], None),
+        (["count", "--expr", "1+" * 3000 + "X", "--n", "1"], None),
+        (["series", "--expr", "X*" * 1200 + "1", "--order", "2"], None),
+        (["define-dump", "--define", "A:=" + "X*" * 1200 + "1"], None),
+        # 2**62 + 1 coefficients: the list size check fails before any allocation.
+        (["series", "--expr", "E", "--order", str(2**62)], None),
     ],
 )
 def test_bad_input_is_one_error_line(capsys, monkeypatch, argv, stdin):

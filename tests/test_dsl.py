@@ -105,6 +105,11 @@ def test_unbound_name(env):
         parse_species("Mystery", env)
 
 
+def test_unbound_name_is_reported_where_it_is_read(env):
+    with pytest.raises(UnboundNameError, match="'B'"):
+        parse_species("B + (", env)
+
+
 def test_extra_names_allow_forward_references(env):
     e = parse_species("1 + X*B^2", env, extra_names=("B",))
     assert e == Sum(One(), Prod(X(), Power(Ref("B"), 2)))

@@ -6,15 +6,19 @@ from pathlib import Path
 
 import pytest
 
-from parklike import Generator, egf_of_species, generate, series
+from parklike import Generator, egf_of_species, expr, generate, series
 from parklike.expr import SpeciesExpr
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "parklike"
 
 
-@pytest.mark.parametrize("module", [generate, series])
-def test_rule_table_covers_every_node_type(module):
-    assert set(module._RULES) == set(typing.get_args(SpeciesExpr))
+@pytest.mark.parametrize(
+    "table",
+    [generate._RULES, series._RULES, expr._RENDER],
+    ids=["parklike.generate", "parklike.series", "parklike.expr"],
+)
+def test_rule_table_covers_every_node_type(table):
+    assert set(table) == set(typing.get_args(SpeciesExpr))
 
 
 def test_non_expression_is_a_type_error():

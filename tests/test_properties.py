@@ -1,6 +1,8 @@
 """Property-based checks: the laws that should survive any random input."""
 
-from hypothesis import given, settings, strategies as st
+import json
+
+from hypothesis import example, given, settings, strategies as st
 
 from parklike import (
     ChiMap,
@@ -9,10 +11,13 @@ from parklike import (
     SpeciesEnv,
     blocks_to_pf,
     deserialize,
+    parse_chi_text,
+    parse_species,
     pf_to_blocks,
     serialize,
     validate_parking,
 )
+from parklike.errors import SpeciesError
 from parklike.expr import E, EPlus, One, Compose, Park, Power, Prod, Ref, Sum, X, Zero
 from parklike.structures import canonical_labels
 
@@ -117,3 +122,57 @@ def test_generated_parking_always_validates(chi, n):
     for p in Generator(ENV).generate(Park(E(), chi), canonical_labels(n)):
         assert validate_parking(p)
         assert p.underlying() == canonical_labels(n)
+
+
+# -- readers: every text either reads or raises SpeciesError --------------------
+
+# Any text (non-ASCII digits and letters included), and strings of DSL
+# tokens, which get past the lexer and exercise the grammar.
+DSL_TOKENS = ["X", "E", "E+", "L", "Ghost", "0", "1", "2", "-", "+", "*", "@", "^",
+              "(", ")", ",", " ", "park", "tree", "restrict", "Ary", "id", "affine",
+              "table", "²", "١"]
+dsl_texts = st.text() | st.lists(st.sampled_from(DSL_TOKENS)).map("".join)
+
+JSON_KEYS = ["k", "labels", "label", "side", "in", "l", "r", "outer", "blocks",
+             "chi", "seq", "root", "children", "subtree"]
+JSON_WORDS = ["unit", "set", "atom", "sum", "prod", "comp", "L", "R", "id",
+              "affine(2,0)", "table(1,1)", "table(١)"]
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 3) | st.sampled_from(JSON_WORDS) | st.text(),
+    lambda sub: st.lists(sub, max_size=3)
+    | st.dictionaries(st.sampled_from(JSON_KEYS), sub, max_size=4),
+    max_leaves=12,
+)
+
+
+@given(dsl_texts)
+@example("X^²")
+@example("X^١")
+@example("park(E, table(١,٢,٣))")
+@example("X^" + "9" * 5000)
+@settings(deadline=None)
+def test_parse_species_reads_or_raises_species_error(text):
+    try:
+        parse_species(text, ENV)
+    except SpeciesError:
+        pass
+
+
+@given(dsl_texts)
+@example("table(١,٢,٣)")
+@settings(deadline=None)
+def test_parse_chi_text_reads_or_raises_species_error(text):
+    try:
+        parse_chi_text(text)
+    except SpeciesError:
+        pass
+
+
+@given(st.text() | json_values.map(json.dumps))
+@example("[" * 100_000)
+@settings(deadline=None)
+def test_deserialize_reads_or_raises_species_error(text):
+    try:
+        deserialize(text)
+    except SpeciesError:
+        pass

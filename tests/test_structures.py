@@ -115,6 +115,9 @@ def test_serialization_is_canonical():
         {"k": "sum", "side": "L"},
         {"k": "comp", "outer": {"k": "unit"}, "blocks": [{"labels": [], "in": {"k": "unit"}}]},
         {"root": {"k": "unit"}},
+        {"chi": "bogus", "seq": []},
+        {"chi": 5, "seq": []},
+        {"chi": "table(١)", "seq": []},
     ],
 )
 def test_from_jsonable_rejects_malformed(data):
@@ -125,6 +128,11 @@ def test_from_jsonable_rejects_malformed(data):
 def test_deserialize_rejects_bad_json():
     with pytest.raises(InvalidStructureError):
         deserialize("{not json")
+
+
+def test_deserialize_rejects_deep_nesting():
+    with pytest.raises(InvalidStructureError):
+        deserialize("[" * 100_000)
 
 
 def test_canonical_labels():
