@@ -42,13 +42,13 @@ from .expr import (
     expr_to_text,
 )
 from .generate import Generator
+from .membership import accepts, validate_parking, validate_tree
 from .parking import (
     ParkingFunction,
     ParkingLike,
     blocks_to_pf,
     is_parking_blocks,
     pf_to_blocks,
-    validate_parking,
     validate_parking_function,
 )
 from .bijection import park_to_tree, q_order, tree_to_park
@@ -69,13 +69,13 @@ from .treelike import (
     TreeLike,
     tree_from_core,
     tree_to_core,
-    validate_tree,
 )
 from .verify import run_suite
 
 __version__ = "0.1.0"
 
 __all__ = [
+    "accepts",
     "AtomVal",
     "BlockLengthMismatchError",
     "BudgetExceededError",

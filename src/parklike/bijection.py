@@ -14,7 +14,7 @@ from collections import deque
 
 from .chi import ChiMap
 from .errors import ChiNotIdentityError, InvalidStructureError
-from .parking import validate_parking
+from .membership import validate_parking
 from .structures import ParkingLike, TreeLike
 
 

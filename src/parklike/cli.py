@@ -9,7 +9,7 @@ Commands:
     define-dump  print the active species definitions
 
 Global flags: --define NAME:=EXPR (repeatable), --format json|jsonl|text,
---budget N (largest label count generation commands will attempt, default 8).
+--budget N (largest label count enumerate and count will attempt, default 8).
 
 Exit codes: 0 success, 1 invalid input / failed check / exceeded budget /
 input nested too deeply or too large to hold, 2 syntax or unbound-name
@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from .bijection import park_to_tree, tree_to_park
@@ -32,10 +33,9 @@ from .errors import (
 )
 from .expr import SpeciesEnv, expr_to_text
 from .generate import Generator
-from .parking import validate_parking
+from .membership import validate_parking, validate_tree
 from .series import egf_of_species
 from .structures import ParkingLike, TreeLike, canonical_labels, from_jsonable, serialize
-from .treelike import validate_tree
 from .verify import run_suite
 
 
@@ -57,7 +57,7 @@ def _add_shared_flags(parser) -> None:
         "--budget",
         type=int,
         default=argparse.SUPPRESS,
-        help="largest label count generation will attempt (default 8)",
+        help="largest label count enumerate and count will attempt (default 8)",
     )
 
 
@@ -162,19 +162,17 @@ def _read_documents(source: str):
 
 def cmd_biject(args, env) -> int:
     base = parse_species(args.expr, env)
-    gen = Generator(env)
     for data in _read_documents(args.input):
         value = from_jsonable(data)
-        _check_budget(len(value.underlying()), args.budget)
         if args.direction == "p2t":
             if not isinstance(value, ParkingLike):
                 raise SpeciesError("p2t input must be a parking-like structure")
-            validate_parking(value, base, gen)
+            validate_parking(value, base, env)
             convert = park_to_tree
         else:
             if not isinstance(value, TreeLike):
                 raise SpeciesError("t2p input must be a tree-like structure")
-            validate_tree(value, base, gen)
+            validate_tree(value, base, env)
             convert = tree_to_park
         print(serialize(convert(value)))
     return 0
@@ -207,6 +205,9 @@ def cmd_define_dump(args, env) -> int:
     entries = {name: expr_to_text(env.lookup(name)) for name in env.names()}
     if args.format == "json":
         print(json.dumps(entries, sort_keys=True))
+    elif args.format == "jsonl":
+        for name in sorted(entries):
+            print(json.dumps({"expr": entries[name], "name": name}, sort_keys=True))
     else:
         for name in sorted(entries):
             print(f"{name} := {entries[name]}")
@@ -244,6 +245,13 @@ def main(argv=None) -> int:
         return 1
     except MemoryError:
         print(f"error: not enough memory for this {args.command} request", file=sys.stderr)
+        return 1
+    except BrokenPipeError:
+        # Point stdout at devnull, so that the flush at exit cannot raise again.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        print("error: output closed before it was all written", file=sys.stderr)
         return 1
 
 

@@ -7,7 +7,9 @@ parking-like and tree-like operators included.  Results are memoized per
 memoized results on its subsets; no result is ever copied onto other labels.
 So equal substructures are one shared object, and a list costs one new
 top-level node per structure — large runs (millions of structures) stay
-affordable.
+affordable.  Generation answers which structures there are; whether one
+given value is among them is read off the value by membership.accepts,
+which lists nothing.
 
 Recursive definitions (Ref nodes) are solved by fixed point: within a fixed
 label count n, iterate the defining equation starting from the empty
@@ -48,7 +50,6 @@ from .structures import (
     SumVal,
     TreeLike,
     canonical_labels,
-    order_isomorphism,
     serialize,
 )
 
@@ -118,21 +119,13 @@ class Generator:
     def count(self, expr, n: int) -> int:
         return len(self._gen(expr, canonical_labels(n)))
 
-    def contains(self, expr, s) -> bool:
-        """Whether s is one of expr's structures on s's own label set.
-
-        s is moved onto {1..k} along the order isomorphism and compared by
-        value with the canonical list.  The list on s's own labels equals
-        that list relabeled the other way (species are functorial; verify's
-        prop-functoriality checks it), so both tests give the same verdict.
-        """
-        labels = s.underlying()
-        canon = canonical_labels(len(labels))
-        try:
-            s = s.relabel(order_isomorphism(labels, canon))
-        except KeyError:  # e.g. an outer structure off its blocks' minima
-            return False
-        return s in self._gen(expr, canon)
+    def check_admissible(self, expr: Compose) -> None:
+        """Raise unless expr's inner species has no structure on the empty set."""
+        if self._gen(expr.inner, frozenset()):
+            raise InadmissibleCompositionError(
+                "composition requires the inner species to have no structure "
+                "on the empty set"
+            )
 
     # -- dispatch ------------------------------------------------------------
 
@@ -186,11 +179,7 @@ class Generator:
         return self._compute_prod(base, Power(base, k - 1), labels)
 
     def _compute_compose(self, expr: Compose, labels: frozenset) -> list:
-        if self._gen(expr.inner, frozenset()):
-            raise InadmissibleCompositionError(
-                "composition requires the inner species to have no structure "
-                "on the empty set"
-            )
+        self.check_admissible(expr)
         out = []
         for blocks in iter_set_partitions(labels):
             inner_lists = [self._gen(expr.inner, b) for b in blocks]

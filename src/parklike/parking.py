@@ -9,9 +9,9 @@ condition
 
 With chi the identity and base the set species this is exactly the
 preimage-sequence view of a classical parking function.  The value itself
-(ParkingLike) lives in structures.py and its generation rule in
-generate.py; this module holds the parking condition, validation and the
-classical parking functions.
+(ParkingLike) lives in structures.py, its generation rule in generate.py,
+and its validation, the base at every slot included, in membership.py; this
+module holds the parking condition and the classical parking functions.
 """
 
 from __future__ import annotations
@@ -20,8 +20,6 @@ from dataclasses import dataclass
 
 from .chi import ChiMap
 from .errors import BlockLengthMismatchError, InvalidStructureError
-from .expr import SpeciesExpr
-from .generate import Generator
 from .structures import (
     ParkingLike,
     SetVal,
@@ -47,42 +45,6 @@ def is_parking_blocks(sizes, chi: ChiMap, n: int) -> bool:
         total += s
         prefix.append(total)
     return all(prefix[min(chi(k), len(sizes))] >= k for k in range(1, n + 1))
-
-
-def validate_parking(p: ParkingLike, base: SpeciesExpr | None = None, gen=None) -> bool:
-    """Check the structural invariants; raises InvalidStructureError if broken.
-
-    With a base species (and optionally a Generator), also checks each entry
-    is genuinely a base structure on its underlying set.
-    """
-    seen: set = set()
-    sets = []
-    for s in p.sequence:
-        v = s.underlying()
-        if v & seen:
-            raise InvalidStructureError("slot underlying sets are not disjoint")
-        seen |= v
-        sets.append(v)
-    u = len(seen)
-    if len(p.sequence) != p.chi(u + 1):
-        raise InvalidStructureError(
-            f"sequence length {len(p.sequence)} != chi(u+1) = {p.chi(u + 1)}"
-        )
-    if not is_parking_blocks([len(v) for v in sets], p.chi, u):
-        raise InvalidStructureError("block sizes violate the parking condition")
-    tail_start = p.chi(u) if u >= 1 else 0
-    for i in range(tail_start, len(sets)):
-        if sets[i]:
-            raise InvalidStructureError(f"slot {i + 1} should be empty")
-    if base is not None:
-        if gen is None:
-            gen = Generator()
-        for s, v in zip(p.sequence, sets):
-            if not gen.contains(base, s):
-                raise InvalidStructureError(
-                    f"entry on {sorted(v)} is not a base-species structure"
-                )
-    return True
 
 
 @dataclass(frozen=True)

@@ -18,8 +18,8 @@ The representative of a block is its minimum label; ComposeVal keeps blocks
 sorted by representative so every structure has exactly one form.  Every
 value implements the same small protocol: underlying(), relabel(mapping)
 and to_jsonable().  Generation never relabels: it builds each label set from
-shared sub-results.  relabel serves membership tests, validation, the
-tree unfolding and the functoriality checks.
+shared sub-results, and membership (membership.py) reads each value on its
+own labels.  relabel serves the tree unfolding and the functoriality checks.
 
 Serialization is canonical JSON (sorted keys, no spaces), so structures are
 equal iff their serializations are byte-equal; enumeration order everywhere
@@ -331,12 +331,3 @@ def canonical_labels(n: int) -> frozenset:
         raise SpeciesError(f"label count must be >= 0, got {n}")
     return frozenset(range(1, n + 1))
 
-
-def order_isomorphism(src, dst) -> dict:
-    """The unique order-preserving bijection between two equal-size sets."""
-    src_sorted, dst_sorted = sorted(src), sorted(dst)
-    if len(src_sorted) != len(dst_sorted):
-        raise InvalidStructureError(
-            f"label sets differ in size: {len(src_sorted)} vs {len(dst_sorted)}"
-        )
-    return dict(zip(src_sorted, dst_sorted))

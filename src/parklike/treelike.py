@@ -4,9 +4,9 @@ A TreeLike node is a base structure whose labels ("heads") each carry a
 subtree.  A node on the empty set is just a base structure on the empty set
 with no children — for the set species those are the leaves of a rooted
 forest; for richer bases the empty structure can still carry shape and is
-preserved as-is.  The value itself (TreeLike) lives in structures.py and
-its generation rule in generate.py; this module holds validation and the
-unfolding bridge.
+preserved as-is.  The value itself (TreeLike) lives in structures.py, its
+generation rule in generate.py, and its validation, the base at every node
+included, in membership.py; this module holds the unfolding bridge.
 
 The unfolding bridge (tree_to_core / tree_from_core) converts between this
 node representation and the plain composition structure of base@(X*T),
@@ -17,8 +17,6 @@ the test suite holds them to that.
 from __future__ import annotations
 
 from .errors import InvalidStructureError
-from .expr import SpeciesExpr
-from .generate import Generator
 from .structures import (
     AtomVal,
     ComposeVal,
@@ -26,34 +24,6 @@ from .structures import (
     TreeLike,
     serialize,  # unused here: bench/tracing.py patches this name
 )
-
-
-def validate_tree(t: TreeLike, base: SpeciesExpr | None = None, gen=None) -> bool:
-    """Check the node invariants; raises InvalidStructureError if broken."""
-    if base is not None and gen is None:
-        gen = Generator()
-
-    def rec(node) -> frozenset:
-        heads = node.root.underlying()
-        child_heads = frozenset(head for head, _sub in node.children)
-        if heads != child_heads:
-            raise InvalidStructureError(
-                f"children keys {sorted(child_heads)} != root labels {sorted(heads)}"
-            )
-        if base is not None and not gen.contains(base, node.root):
-            raise InvalidStructureError(
-                f"root on {sorted(heads)} is not a base-species structure"
-            )
-        seen = heads
-        for head, sub in node.children:
-            below = rec(sub)
-            if below & seen:
-                raise InvalidStructureError(f"label reuse under head {head}")
-            seen |= below
-        return seen
-
-    rec(t)
-    return True
 
 
 def tree_to_core(t: TreeLike):

@@ -25,7 +25,8 @@ from .chi import ChiMap
 from .errors import SpeciesError
 from .expr import Compose, E, Park, Power, Prod, Ref, Restrict, SpeciesEnv, Tree, X
 from .generate import Generator
-from .parking import is_parking_blocks, validate_parking
+from .membership import validate_parking
+from .parking import is_parking_blocks
 from .series import egf_of_species, lagrange_solve, series_equal_prefix
 from .structures import ParkingLike, SetVal, from_jsonable, serialize
 
@@ -89,7 +90,7 @@ def check_worked_bijection(max_n=None, golden_dir=None, env=None):
     """The worked six-label example maps to its forest and back."""
     parking = from_jsonable(json.loads(_read_golden(golden_dir, "six_label_parking.json")))
     forest = from_jsonable(json.loads(_read_golden(golden_dir, "six_label_forest.json")))
-    validate_parking(parking, E(), Generator(_env(env)))
+    validate_parking(parking, E(), _env(env))
     forward = park_to_tree(parking)
     if serialize(forward) != serialize(forest):
         return False, "forward image differs from the reference forest"

@@ -1,15 +1,19 @@
 import io
 import json
 import math
+import os
 import shutil
+import subprocess
 import sys
 from decimal import Decimal
 from importlib import resources
+from pathlib import Path
 
 import pytest
 
+from parklike import ChiMap, Generator, Park, SpeciesEnv, expr_to_text, parse_species
 from parklike.cli import main
-from parklike.structures import from_jsonable, serialize
+from parklike.structures import canonical_labels, from_jsonable, serialize
 
 EXAMPLE_PARKING = json.dumps(
     {
@@ -134,6 +138,34 @@ def test_define_dump(capsys):
     assert "Forest" in json.loads(out)
 
 
+def test_define_dump_jsonl_is_one_json_object_per_definition(capsys):
+    rc, out = run(capsys, ["--format", "jsonl", "define-dump", "--define", "B:=1+X*B^2"])
+    rows = [json.loads(line) for line in out.splitlines()]
+    assert rc == 0
+    assert [row["name"] for row in rows] == ["B", "Comp", "Forest", "L", "Par", "Sub"]
+    assert {"expr": "1 + X*L", "name": "L"} in rows
+    assert {"expr": "1 + X*B^2", "name": "B"} in rows
+
+
+def test_closed_output_pipe_is_at_most_one_error_line():
+    # The reader takes one line of a ~200 KB listing and closes its end.
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "parklike.cli", "enumerate", "--expr", "park(E)", "--n", "5"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=env,
+    )
+    assert proc.stdout.readline().startswith(b'{"chi":"id"')
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    proc.stderr.close()
+    assert proc.wait() == 1
+    lines = err.splitlines()
+    assert len(lines) <= 1 and all(line.startswith("error: ") for line in lines)
+
+
 # -- exit codes ---------------------------------------------------------------------
 
 
@@ -231,6 +263,16 @@ CHAIN_PARKING = json.dumps(
         (["define-dump", "--define", "A:=" + "X*" * 1200 + "1"], None),
         # 2**62 + 1 coefficients: the list size check fails before any allocation.
         (["series", "--expr", "E", "--order", str(2**62)], None),
+        # Head 1 carries two subtrees.
+        (
+            ["biject", "--expr", "E", "--direction", "t2p"],
+            json.dumps(
+                {
+                    "root": {"k": "set", "labels": [1]},
+                    "children": [{"label": 1, "subtree": LEAF}, {"label": 1, "subtree": LEAF}],
+                }
+            ),
+        ),
     ],
 )
 def test_bad_input_is_one_error_line(capsys, monkeypatch, argv, stdin):
@@ -355,6 +397,94 @@ def test_biject_rejects_wrong_kind(capsys, monkeypatch):
         monkeypatch=monkeypatch,
     )
     assert rc == 1
+
+
+def forbid_listing(monkeypatch):
+    """Make any generation over a non-empty label set fail."""
+    original = Generator._gen
+
+    def guarded(self, expr, labels):
+        assert not labels, f"listed {expr_to_text(expr)} on {sorted(labels)}"
+        return original(self, expr, labels)
+
+    monkeypatch.setattr(Generator, "_gen", guarded)
+
+
+@pytest.mark.parametrize("base", ["E", "L", "Par"])
+def test_biject_validates_without_listing_structures(capsys, monkeypatch, base):
+    env = SpeciesEnv.standard()
+    park = Park(parse_species(base, env), ChiMap.identity())
+    parks = [serialize(p) for n in range(4) for p in Generator(env).raw(park, canonical_labels(n))]
+    forbid_listing(monkeypatch)
+    argv = ["biject", "--expr", base, "--direction"]
+    rc, trees = run(capsys, argv + ["p2t"], stdin="\n".join(parks), monkeypatch=monkeypatch)
+    assert rc == 0 and len(trees.splitlines()) == len(parks)
+    rc, back = run(capsys, argv + ["t2p"], stdin=trees, monkeypatch=monkeypatch)
+    assert rc == 0 and back.splitlines() == parks
+
+
+def linear_order(labels) -> dict:
+    """The JSON of the L-structure (L = 1 + X*L) that lists labels in order."""
+    s = {"k": "sum", "side": "L", "in": {"k": "unit"}}
+    for label in reversed(labels):
+        s = {"k": "sum", "side": "R", "in": {"k": "prod", "l": {"k": "atom", "label": label}, "r": s}}
+    return s
+
+
+def test_biject_long_linear_order_slot_round_trips(capsys, monkeypatch):
+    # Checking the first slot by listing would build all 10! linear orders.
+    doc = json.dumps({"chi": "id", "seq": [linear_order(range(1, 11))] + [linear_order([])] * 10})
+    forbid_listing(monkeypatch)
+    argv = ["biject", "--expr", "L", "--budget", "64", "--direction"]
+    rc, tree = run(capsys, argv + ["p2t"], stdin=doc, monkeypatch=monkeypatch)
+    assert rc == 0
+    rc, back = run(capsys, argv + ["t2p"], stdin=tree, monkeypatch=monkeypatch)
+    assert rc == 0 and back == serialize(from_jsonable(json.loads(doc))) + "\n"
+
+
+def test_biject_is_not_bound_by_the_generation_budget(capsys, monkeypatch):
+    empty = {"k": "set", "labels": []}
+    doc = json.dumps({"chi": "id", "seq": [{"k": "set", "labels": list(range(1, 13))}] + [empty] * 12})
+    rc, out = run(capsys, ["biject", "--expr", "E", "--direction", "p2t"], stdin=doc, monkeypatch=monkeypatch)
+    assert rc == 0 and json.loads(out)["root"] == {"k": "set", "labels": list(range(1, 13))}
+
+
+@pytest.mark.parametrize(
+    "define, base, slot, expected",
+    [
+        # The least fixed point of A = A is empty.
+        ("A:=A", "A", {"k": "set", "labels": []}, "error: entry on [] is not a base-species structure"),
+        # A = 1 + A has infinitely many structures on the empty set; this is one.
+        (
+            "A:=1+A",
+            "A",
+            {"k": "sum", "side": "R", "in": {"k": "sum", "side": "L", "in": {"k": "unit"}}},
+            '{"children":[],"root":{"in":{"in":{"k":"unit"},"k":"sum","side":"L"},"k":"sum","side":"R"}}',
+        ),
+        # A = E*A has no structure anywhere.
+        (
+            "A:=E*A",
+            "A",
+            {"k": "prod", "l": {"k": "set", "labels": []}, "r": {"k": "unit"}},
+            "error: entry on [] is not a base-species structure",
+        ),
+        (
+            "A:=X",
+            "E@E",
+            {"k": "comp", "outer": {"k": "set", "labels": []}, "blocks": []},
+            "error: composition requires the inner species to have no structure on the empty set",
+        ),
+    ],
+    ids=["A:=A", "A:=1+A", "A:=E*A", "E@E"],
+)
+def test_biject_degenerate_bases(capsys, monkeypatch, define, base, slot, expected):
+    monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps({"chi": "id", "seq": [slot]})))
+    rc = main(["biject", "--define", define, "--expr", base, "--direction", "p2t"])
+    captured = capsys.readouterr()
+    if expected.startswith("error: "):
+        assert (rc, captured.out, captured.err) == (1, "", expected + "\n")
+    else:
+        assert (rc, captured.out, captured.err) == (0, expected + "\n", "")
 
 
 def test_biject_streams_multiple_lines(capsys, monkeypatch):

@@ -5,6 +5,7 @@ import pytest
 from parklike import (
     Generator,
     SpeciesEnv,
+    accepts,
     parse_species,
     serialize,
 )
@@ -29,7 +30,7 @@ from parklike.expr import (
     Zero,
 )
 from parklike.generate import iter_set_partitions, iter_subsets
-from parklike.structures import SetVal, canonical_labels
+from parklike.structures import UNIT, ProdVal, SetVal, canonical_labels
 from parklike.verify import BASES
 
 
@@ -181,16 +182,38 @@ def test_relabel_transports_generated_structures(gen):
     assert {serialize(s) for s in moved} == {serialize(s) for s in expected}
 
 
-def test_contains_matches_the_serialized_lookup(gen):
+# Every base of the verify suite plus one expression per remaining operator.
+MEMBERSHIP_EXPRS = [base for _name, base in BASES] + [
+    Park(E(), ChiMap.identity()),
+    Park(Ref("L"), ChiMap.affine(2, 0)),
+    Tree(E()),
+    Restrict(Ref("Par"), 2),
+    Power(E(), 3),
+    Prod(X(), Ref("L")),
+]
+
+
+def test_contains_matches_the_serialized_lookup(gen, env):
     # Reference: membership of serialize(s) among the serialized structures
-    # of the base on s's own (here shifted, gapped) label set.
+    # of the expression on s's own (here shifted, gapped) label set.
     for n in range(5):
         labels = frozenset(range(7, 7 + 2 * n, 2))
-        candidates = [s for _name, base in BASES for s in gen.raw(base, labels)]
-        for _name, base in BASES:
-            members = {serialize(t) for t in gen.raw(base, labels)}
-            for s in candidates:
-                assert gen.contains(base, s) == (serialize(s) in members)
+        candidates = [
+            (s, serialize(s)) for expr in MEMBERSHIP_EXPRS for s in gen.raw(expr, labels)
+        ]
+        for expr in MEMBERSHIP_EXPRS:
+            members = {serialize(t) for t in gen.raw(expr, labels)}
+            for s, text in candidates:
+                assert accepts(expr, s, env) == (text in members)
+
+
+def test_accepts_deep_powers(env):
+    # One interpreter frame per exponent step would pass the recursion limit.
+    s = UNIT
+    for _ in range(3000):
+        s = ProdVal(SetVal(frozenset()), s)
+    assert accepts(Power(E(), 3000), s, env)
+    assert not accepts(Power(E(), 2999), s, env)
 
 
 def test_equal_substructures_are_one_object(gen):

@@ -6,16 +6,17 @@ from pathlib import Path
 
 import pytest
 
-from parklike import Generator, egf_of_species, expr, generate, series
+from parklike import Generator, accepts, egf_of_species, expr, generate, membership, series
 from parklike.expr import SpeciesExpr
+from parklike.structures import UNIT
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "parklike"
 
 
 @pytest.mark.parametrize(
     "table",
-    [generate._RULES, series._RULES, expr._RENDER],
-    ids=["parklike.generate", "parklike.series", "parklike.expr"],
+    [generate._RULES, series._RULES, expr._RENDER, membership._RULES],
+    ids=["parklike.generate", "parklike.series", "parklike.expr", "parklike.membership"],
 )
 def test_rule_table_covers_every_node_type(table):
     assert set(table) == set(typing.get_args(SpeciesExpr))
@@ -26,6 +27,19 @@ def test_non_expression_is_a_type_error():
         Generator().count(object(), 1)
     with pytest.raises(TypeError, match="not a species expression"):
         egf_of_species(object(), order=2)
+    with pytest.raises(TypeError, match="not a species expression"):
+        accepts(object(), UNIT)
+
+
+@pytest.mark.parametrize("name", ["parking.py", "treelike.py"])
+def test_value_modules_import_nothing_from_generate(name):
+    # Validation reads membership off the value; it needs no generator.
+    tree = ast.parse((SRC / name).read_text())
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            assert node.module != "generate" and "generate" not in {a.name for a in node.names}
+        elif isinstance(node, ast.Import):
+            assert not any(a.name.endswith("generate") for a in node.names)
 
 
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)

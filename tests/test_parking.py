@@ -82,11 +82,10 @@ def test_affine_two_counts(env):
 
 
 def test_generated_structures_validate(env):
-    gen = Generator(env)
     for chi in (ID, ChiMap.affine(1, 1), ChiMap.from_table([1, 1, 2, 5, 5])):
         for n in range(4):
             for p in Generator(env).generate(Park(E(), chi), canonical_labels(n)):
-                assert validate_parking(p, base=E(), gen=gen)
+                assert validate_parking(p, base=E(), env=env)
                 assert p.underlying() == canonical_labels(n)
 
 
@@ -160,7 +159,7 @@ def test_validate_checks_base_membership(env):
 
     p = ParkingLike(ID, (AtomVal(1), SetVal(frozenset())))
     with pytest.raises(InvalidStructureError):
-        validate_parking(p, base=E(), gen=Generator(env))
+        validate_parking(p, base=E(), env=env)
 
 
 # -- classical parking functions ----------------------------------------------

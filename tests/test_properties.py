@@ -1,6 +1,9 @@
 """Property-based checks: the laws that should survive any random input."""
 
+import io
 import json
+from contextlib import redirect_stderr, redirect_stdout
+from unittest import mock
 
 from hypothesis import example, given, settings, strategies as st
 
@@ -9,6 +12,7 @@ from parklike import (
     Generator,
     ParkingFunction,
     SpeciesEnv,
+    accepts,
     blocks_to_pf,
     deserialize,
     parse_chi_text,
@@ -17,8 +21,9 @@ from parklike import (
     serialize,
     validate_parking,
 )
+from parklike.cli import main
 from parklike.errors import SpeciesError
-from parklike.expr import E, EPlus, One, Compose, Park, Power, Prod, Ref, Sum, X, Zero
+from parklike.expr import E, EPlus, One, Compose, Park, Power, Prod, Ref, Sum, Tree, X, Zero
 from parklike.structures import canonical_labels
 
 ENV = SpeciesEnv.standard()
@@ -73,6 +78,15 @@ def test_no_duplicates_and_correct_support(expr, labels):
 def test_serialization_round_trip(expr, labels):
     for s in Generator(ENV).raw(expr, labels):
         assert deserialize(serialize(s)) == s
+
+
+@given(exprs, exprs, label_sets)
+@settings(max_examples=60, deadline=None)
+def test_accepts_agrees_with_generated_membership(e1, e2, labels):
+    gen = Generator(ENV)
+    members = gen.raw(e1, labels)
+    for s in members + gen.raw(e2, labels):
+        assert accepts(e1, s, ENV) == (s in members)
 
 
 @given(exprs, st.permutations(range(1, 4)))
@@ -176,3 +190,26 @@ def test_deserialize_reads_or_raises_species_error(text):
         deserialize(text)
     except SpeciesError:
         pass
+
+
+def _first(expr, n: int):
+    return json.loads(serialize(Generator(ENV).generate(expr, canonical_labels(n))[0]))
+
+
+@given(st.sampled_from(["E", "L", "Par"]), st.sampled_from(["p2t", "t2p"]), json_values)
+@example("E", "p2t", _first(Park(E(), ChiMap.identity()), 3))
+@example("L", "p2t", _first(Park(Ref("L"), ChiMap.identity()), 2))
+@example("Par", "t2p", _first(Tree(Ref("Par")), 3))
+@example("L", "t2p", _first(Tree(Ref("L")), 2))
+@settings(deadline=None)
+def test_biject_prints_canonical_json_or_one_error_line(base, direction, doc):
+    out, err = io.StringIO(), io.StringIO()
+    with mock.patch("sys.stdin", io.StringIO(json.dumps(doc))), redirect_stdout(out), redirect_stderr(err):
+        rc = main(["biject", "--expr", base, "--direction", direction])
+    if rc == 0:
+        (line,) = out.getvalue().splitlines()
+        assert serialize(deserialize(line)) == line and err.getvalue() == ""
+    else:
+        assert rc == 1 and out.getvalue() == ""
+        (line,) = err.getvalue().splitlines()
+        assert line.startswith("error: ")

@@ -14,7 +14,7 @@ from parklike import (
     serialize,
 )
 from parklike.errors import InvalidStructureError
-from parklike.structures import canonical_labels, order_isomorphism
+from parklike.structures import canonical_labels
 
 
 def test_unit():
@@ -139,9 +139,3 @@ def test_canonical_labels():
     assert canonical_labels(0) == frozenset()
     assert canonical_labels(3) == {1, 2, 3}
 
-
-def test_order_isomorphism():
-    iso = order_isomorphism({3, 1, 2}, {10, 20, 30})
-    assert iso == {1: 10, 2: 20, 3: 30}
-    with pytest.raises(InvalidStructureError):
-        order_isomorphism({1}, {1, 2})

@@ -126,4 +126,4 @@ def test_validate_rejects_label_reuse():
 def test_validate_rejects_foreign_root(env):
     t = TreeLike(AtomVal(1), ((1, TreeLike(UNIT, ())),))
     with pytest.raises(InvalidStructureError):
-        validate_tree(t, base=E(), gen=Generator(env))
+        validate_tree(t, base=E(), env=env)
