@@ -2,20 +2,20 @@
 
 A chi map sends positive integers to non-negative integers and never
 decreases.  It controls how many slots a parking-like sequence exposes:
-a structure on u labels is a sequence of chi(u+1) entries.  Three kinds
+a structure on u labels is a sequence of chi(u+1) entries.  Two kinds
 are supported:
 
-* ``identity``   -- chi(m) = m, the classical parking case;
-* ``affine(a,b)``-- chi(m) = a*m + b with a >= 0 and a + b >= 0
-  (``affine(1,0)`` is stored as the identity);
+* ``affine(a,b)``-- chi(m) = a*m + b with a >= 0 and a + b >= 0; the
+  identity chi(m) = m, the classical parking case, is ``affine(1,0)``
+  and prints as ``id``;
 * ``table(...)`` -- explicit finite values; evaluating past the last
   entry raises ChiTableExhaustedError, which names the table as written
   and the chi(m) that was needed, also when a shifted table runs out.
 
-Identity and affine maps are closed forms and valid for every m; only
-tables have a horizon.  Shifting by n produces rho_n(m) = chi(n+m) - chi(1),
-which stays inside the same three kinds (identity and affine(a, b) both
-shift to affine(a, a*(n-1)), tables to shorter tables).
+Affine maps are closed forms and valid for every m; only tables have a
+horizon.  Shifting by n produces rho_n(m) = chi(n+m) - chi(1), which stays
+inside the same kind (affine(a, b) shifts to affine(a, a*(n-1)), tables to
+shorter tables).
 
 The text form (``key()``) is the ``chi`` production of the DSL, which reads
 it in ``park(A, chi)`` and, through ``dsl.parse_chi_text``, in the ``chi``
@@ -31,7 +31,7 @@ from .errors import ChiTableExhaustedError, SpeciesError
 
 @dataclass(frozen=True)
 class ChiMap:
-    kind: str  # "id" | "affine" | "table"
+    kind: str  # "affine" | "table"
     a: int = 0
     b: int = 0
     table: tuple[int, ...] = ()
@@ -41,19 +41,13 @@ class ChiMap:
     origin: tuple | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
-        if self.kind == "id":
-            pass
-        elif self.kind == "affine":
+        if self.kind == "affine":
             if self.a < 0:
                 raise SpeciesError(f"affine chi needs a >= 0, got a={self.a}")
             if self.a + self.b < 0:
                 raise SpeciesError(
                     f"affine chi needs chi(1) = a + b >= 0, got {self.a + self.b}"
                 )
-            if (self.a, self.b) == (1, 0):
-                # One form per map: affine(1,0) is the identity.
-                object.__setattr__(self, "kind", "id")
-                object.__setattr__(self, "a", 0)
         elif self.kind == "table":
             values = self.table
             if not values:
@@ -67,7 +61,7 @@ class ChiMap:
 
     @staticmethod
     def identity() -> "ChiMap":
-        return ChiMap("id")
+        return ChiMap.affine(1, 0)
 
     @staticmethod
     def affine(a: int, b: int) -> "ChiMap":
@@ -80,8 +74,6 @@ class ChiMap:
     def __call__(self, m: int) -> int:
         if m < 1:
             raise SpeciesError(f"chi is defined on positive integers, got {m}")
-        if self.kind == "id":
-            return m
         if self.kind == "affine":
             return self.a * m + self.b
         if m > len(self.table):
@@ -100,11 +92,9 @@ class ChiMap:
         """The map rho_n : m -> chi(n + m) - chi(1)."""
         if n < 1:
             raise SpeciesError(f"shift amount must be positive, got {n}")
-        if self.kind == "id":
-            # rho_n(m) = (n + m) - 1; only the n = 1 shift is the identity.
-            return self if n == 1 else ChiMap.affine(1, n - 1)
         if self.kind == "affine":
-            return ChiMap.affine(self.a, self.a * (n - 1))
+            b = self.a * (n - 1)
+            return self if b == self.b else ChiMap.affine(self.a, b)
         if n >= len(self.table):
             raise self._exhausted(n + 1)  # rho_n(1) = chi(n + 1) - chi(1)
         root, offset = self.origin or (self, 0)
@@ -119,11 +109,11 @@ class ChiMap:
     def is_identity(self) -> bool:
         # Tables never count: their horizon is finite even if the visible
         # entries match the identity.
-        return self.kind == "id"
+        return self.kind == "affine" and (self.a, self.b) == (1, 0)
 
     def key(self) -> str:
         """Canonical string form, used in JSON and as a cache key."""
-        if self.kind == "id":
+        if self.is_identity:
             return "id"
         if self.kind == "affine":
             return f"affine({self.a},{self.b})"

@@ -42,7 +42,10 @@ from .verify import run_suite
 def _add_shared_flags(parser) -> None:
     # Registered on the main parser and on every subcommand, so they are
     # accepted on either side of the command word.  SUPPRESS keeps a
-    # subcommand's unset flag from clobbering one given before it.
+    # subcommand's unset flag from clobbering one given before it.  The
+    # defaults are set on the main parser only; argparse's parents= would
+    # share these actions, and set_defaults would then reset the subcommands'
+    # defaults too, wiping a --define given before the command word.
     parser.add_argument(
         "--define",
         action="append",
@@ -61,12 +64,13 @@ def _add_shared_flags(parser) -> None:
     )
 
 
-def build_parser() -> argparse.ArgumentParser:
+def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="parklike",
         description="Exact enumeration of parking-like and tree-like structures.",
     )
     _add_shared_flags(parser)
+    parser.set_defaults(define=[], format="text", budget=8)
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_enum = sub.add_parser("enumerate", help="list all structures on {1..n}")
@@ -98,6 +102,9 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_PARSER = _build_parser()
+
+
 def _build_env(defines) -> SpeciesEnv:
     env = SpeciesEnv.standard()
     pairs = []
@@ -120,12 +127,11 @@ def _check_budget(n: int, budget: int) -> None:
 
 
 def cmd_enumerate(args, env) -> int:
+    if args.count_only:
+        return cmd_count(args, env)
     expr = parse_species(args.expr, env)
     _check_budget(args.n, args.budget)
     gen = Generator(env)
-    if getattr(args, "count_only", False):
-        print(gen.count(expr, args.n))
-        return 0
     labels = canonical_labels(args.n)
     if args.format == "json":
         structures = gen.generate(expr, labels)
@@ -225,10 +231,7 @@ _COMMANDS = {
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
-    for flag, default in (("define", []), ("format", "text"), ("budget", 8)):
-        if not hasattr(args, flag):
-            setattr(args, flag, default)
+    args = _PARSER.parse_args(argv)
     try:
         env = _build_env(args.define)
         return _COMMANDS[args.command](args, env)

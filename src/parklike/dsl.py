@@ -1,6 +1,7 @@
 """Text syntax for species expressions.
 
-Grammar (precedence ^ > @ > * > +, with @ left-associative)::
+Grammar (precedence ^ > @ > * > +; all three binary operators are
+left-associative)::
 
     expr    := term { "+" term }
     term    := factor { "*" factor }
@@ -13,6 +14,11 @@ Grammar (precedence ^ > @ > * > +, with @ left-associative)::
              | "restrict" "(" expr "," INT ")"
              | "(" expr ")"
     chi     := "id" | "affine(" ["-"] INT "," ["-"] INT ")" | "table(" INT {"," INT} ")"
+
+The primitive tokens and the binary operators, loosest first, are the
+tables ``PRIMITIVES`` and ``BINARY`` in ``expr``, which the printer
+``expr_to_text`` reads too; one method, ``parse_expr(level)``, reads the
+expr, term, factor and power levels off ``BINARY``.
 
 The lexicon is ASCII: INT is ``[0-9]+`` and NAME is ``[A-Za-z_][A-Za-z0-9_]*``,
 the names ``SpeciesEnv.bind`` accepts; any other character is a ParseError.
@@ -28,25 +34,11 @@ also the reader of the ``chi`` field of parking-like JSON (``parse_chi_text``).
 from __future__ import annotations
 
 import re
+from typing import NamedTuple
 
 from .chi import ChiMap
 from .errors import ParseError, UnboundNameError
-from .expr import (
-    Compose,
-    E,
-    EPlus,
-    One,
-    Park,
-    Power,
-    Prod,
-    Ref,
-    Restrict,
-    SpeciesExpr,
-    Sum,
-    Tree,
-    X,
-    Zero,
-)
+from .expr import BINARY, PRIMITIVES, Park, Power, Ref, Restrict, SpeciesExpr, Tree
 
 # ASCII only: str.isdigit() would admit "²", which int() rejects, and "١",
 # which int() reads as 1.
@@ -56,16 +48,10 @@ _TOKEN = re.compile(
 )
 
 
-class _Token:
-    __slots__ = ("kind", "value", "pos")
-
-    def __init__(self, kind: str, value, pos: int):
-        self.kind = kind  # "int" | "name" | "eplus" | "end" | a symbol
-        self.value = value
-        self.pos = pos
-
-    def __repr__(self):
-        return f"_Token({self.kind!r}, {self.value!r}, {self.pos})"
+class _Token(NamedTuple):
+    kind: str  # "int" | "name" | "eplus" | "end" | a symbol
+    value: object
+    pos: int
 
 
 def _tokenize(text: str) -> list:
@@ -109,146 +95,102 @@ class _Parser:
             raise ParseError(f"expected {kind!r}, found {tok.value!r}", tok.pos)
         return tok
 
-    # expr := term { "+" term }
-    def parse_expr(self) -> SpeciesExpr:
-        node = self.parse_term()
-        while self.peek().kind == "+":
-            self.next()
-            node = Sum(node, self.parse_term())
-        return node
+    def accept(self, kind: str) -> bool:
+        """Consume the next token if it is of this kind."""
+        if self.peek().kind != kind:
+            return False
+        self.i += 1
+        return True
 
-    # term := factor { "*" factor }
-    def parse_term(self) -> SpeciesExpr:
-        node = self.parse_factor()
-        while self.peek().kind == "*":
-            self.next()
-            node = Prod(node, self.parse_factor())
-        return node
+    def expect_end(self, result):
+        tok = self.peek()
+        if tok.kind != "end":
+            raise ParseError(f"trailing input at {tok.value!r}", tok.pos)
+        return result
 
-    # factor := power { "@" power }
-    def parse_factor(self) -> SpeciesExpr:
-        node = self.parse_power()
-        while self.peek().kind == "@":
-            self.next()
-            node = Compose(node, self.parse_power())
-        return node
-
-    # power := atom [ "^" INT ]
-    def parse_power(self) -> SpeciesExpr:
-        node = self.parse_atom()
-        if self.peek().kind == "^":
-            self.next()
-            exponent = self.expect("int").value
-            node = Power(node, exponent)
+    def parse_expr(self, level: int = 0) -> SpeciesExpr:
+        """An expression whose operators bind at least as tightly as BINARY[level]."""
+        if level == len(BINARY):
+            node = self.parse_atom()
+            if self.accept("^"):
+                node = Power(node, self.expect("int").value)
+            return node
+        op, node_type = BINARY[level]
+        node = self.parse_expr(level + 1)
+        while self.accept(op):
+            node = node_type(node, self.parse_expr(level + 1))
         return node
 
     def parse_atom(self) -> SpeciesExpr:
-        tok = self.peek()
-        if tok.kind == "int":
-            self.next()
-            if tok.value == 0:
-                return Zero()
-            if tok.value == 1:
-                return One()
-            raise ParseError(f"no species literal {tok.value}", tok.pos)
-        if tok.kind == "eplus":
-            self.next()
-            return EPlus()
+        tok = self.next()
         if tok.kind == "(":
-            self.next()
             node = self.parse_expr()
             self.expect(")")
             return node
+        primitive = PRIMITIVES.get(str(tok.value))
+        if primitive is not None:
+            return primitive()
+        if tok.kind == "int":
+            raise ParseError(f"no species literal {tok.value}", tok.pos)
         if tok.kind == "name":
-            self.next()
-            name = tok.value
-            if name == "X":
-                return X()
-            if name == "E":
-                return E()
             if self.peek().kind == "(":
-                return self.parse_call(name, tok.pos)
-            if name not in self.extra_names and not self.env.knows(name):
-                raise UnboundNameError(f"species {name!r} is not defined")
-            return Ref(name)
+                return self.parse_call(tok.value, tok.pos)
+            if tok.value not in self.extra_names and not self.env.knows(tok.value):
+                raise UnboundNameError(f"species {tok.value!r} is not defined")
+            return Ref(tok.value)
         raise ParseError(f"expected a species, found {tok.value!r}", tok.pos)
 
     def parse_call(self, name: str, pos: int) -> SpeciesExpr:
+        if name not in ("Ary", "park", "tree", "restrict"):
+            raise ParseError(f"{name!r} does not take arguments", pos)
+        self.expect("(")
         if name == "Ary":
-            self.expect("(")
             k = self.expect("int").value
-            self.expect(")")
-            if k < 1:
-                raise ParseError(f"Ary(k) needs k >= 1, got {k}", pos)
-            return Ref(f"Ary({k})")
-        if name == "park":
-            self.expect("(")
+            node = Ref(f"Ary({k})")
+        else:
             base = self.parse_expr()
-            chi = ChiMap.identity()
-            if self.peek().kind == ",":
-                self.next()
-                chi = self.parse_chi()
-            self.expect(")")
-            return Park(base, chi)
-        if name == "tree":
-            self.expect("(")
-            base = self.parse_expr()
-            self.expect(")")
-            return Tree(base)
-        if name == "restrict":
-            self.expect("(")
-            base = self.parse_expr()
-            self.expect(",")
-            card = self.expect("int").value
-            self.expect(")")
-            return Restrict(base, card)
-        raise ParseError(f"{name!r} does not take arguments", pos)
+            if name == "park":
+                node = Park(base, self.parse_chi() if self.accept(",") else ChiMap.identity())
+            elif name == "restrict":
+                self.expect(",")
+                node = Restrict(base, self.expect("int").value)
+            else:
+                node = Tree(base)
+        self.expect(")")
+        if name == "Ary" and k < 1:
+            raise ParseError(f"Ary(k) needs k >= 1, got {k}", pos)
+        return node
 
     def parse_chi(self) -> ChiMap:
         tok = self.expect("name")
         if tok.value == "id":
             return ChiMap.identity()
+        if tok.value not in ("affine", "table"):
+            raise ParseError(f"unknown chi {tok.value!r}", tok.pos)
+        self.expect("(")
         if tok.value == "affine":
-            self.expect("(")
-            a = self.parse_signed_int()
+            values = [self.parse_signed_int()]
             self.expect(",")
-            b = self.parse_signed_int()
-            self.expect(")")
-            return ChiMap.affine(a, b)
-        if tok.value == "table":
-            self.expect("(")
+            values.append(self.parse_signed_int())
+        else:
             values = [self.expect("int").value]
-            while self.peek().kind == ",":
-                self.next()
+            while self.accept(","):
                 values.append(self.expect("int").value)
-            self.expect(")")
-            return ChiMap.from_table(values)
-        raise ParseError(f"unknown chi {tok.value!r}", tok.pos)
+        self.expect(")")
+        return ChiMap.affine(*values) if tok.value == "affine" else ChiMap.from_table(values)
 
     def parse_signed_int(self) -> int:
-        if self.peek().kind == "-":
-            self.next()
-            return -self.expect("int").value
-        return self.expect("int").value
-
-    def parse_complete(self) -> SpeciesExpr:
-        node = self.parse_expr()
-        tok = self.peek()
-        if tok.kind != "end":
-            raise ParseError(f"trailing input at {tok.value!r}", tok.pos)
-        return node
+        sign = -1 if self.accept("-") else 1
+        return sign * self.expect("int").value
 
 
 def parse_species(text: str, env, extra_names=()) -> SpeciesExpr:
     """Parse an expression; every name must be bound in env or in extra_names."""
-    return _Parser(text, env, extra_names).parse_complete()
+    parser = _Parser(text, env, extra_names)
+    return parser.expect_end(parser.parse_expr())
 
 
 def parse_chi_text(text: str) -> ChiMap:
     """Parse a standalone chi description ("id", "affine(2,0)", "table(1,1,2)")."""
     parser = _Parser(text)
-    chi = parser.parse_chi()
-    tok = parser.peek()
-    if tok.kind != "end":
-        raise ParseError(f"trailing input at {tok.value!r}", tok.pos)
-    return chi
+    return parser.expect_end(parser.parse_chi())

@@ -5,8 +5,12 @@ An expression is a small immutable AST over the combinators
     0  1  X  E  E+  sum  product  power  restriction  composition
 
 plus named references and the two derived operators ``park`` (parking-like)
-and ``tree`` (tree-like).  Named species live in a SpeciesEnv; the standard
-environment carries the usual library:
+and ``tree`` (tree-like).  The tables ``PRIMITIVES`` and ``BINARY`` are the
+grammar of the species text; the DSL parser and the printer ``expr_to_text``
+both read them, so printed text reads back as the same expression.
+
+Named species live in a SpeciesEnv; the standard environment carries the
+usual library:
 
     L      linear orders          L  = 1 + X*L
     Par    set partitions         Par = E@(E+)
@@ -21,7 +25,7 @@ Ary(k) bindings are synthesized on demand, one per arity.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Union
 
 from .chi import ChiMap
@@ -111,8 +115,14 @@ SpeciesExpr = Union[
     Zero, One, X, E, EPlus, Sum, Prod, Power, Restrict, Compose, Ref, Park, Tree
 ]
 
-# Tokens that can never be rebound by user definitions.
-PRIMITIVE_TOKENS = frozenset({"0", "1", "X", "E", "E+"})
+# The primitive species by token; these tokens can never be rebound by
+# user definitions.
+PRIMITIVES = {"0": Zero, "1": One, "X": X, "E": E, "E+": EPlus}
+PRIMITIVE_TOKENS = frozenset(PRIMITIVES)
+
+# The binary operators, loosest first; each is left-associative.  Power
+# (``^ INT``) binds tighter than all of them.
+BINARY = (("+", Sum), ("*", Prod), ("@", Compose))
 
 _NAME = re.compile(r"^[A-Za-z_][A-Za-z0-9_]*$")
 _ARY = re.compile(r"^Ary\((\d+)\)$")
@@ -179,8 +189,10 @@ def ary(k: int) -> Ref:
     return Ref(f"Ary({k})")
 
 
-# Precedence levels for the printer: sum < prod < compose < power < atom.
-_LVL_SUM, _LVL_PROD, _LVL_COMPOSE, _LVL_POWER, _LVL_ATOM = range(5)
+# Printer precedence levels: the index of each binary operator in BINARY,
+# then power, then atoms.
+_LVL_POWER = len(BINARY)
+_LVL_ATOM = _LVL_POWER + 1
 
 
 def expr_to_text(expr: SpeciesExpr) -> str:
@@ -201,26 +213,27 @@ def _wrap(expr, min_level: int) -> str:
     return text if level >= min_level else f"({text})"
 
 
+def _binary_rule(op: str, node_type, level: int):
+    # Left-associative: the right operand must bind strictly tighter.  "+"
+    # is spaced because "E+X" would lex as the token "E+" followed by "X".
+    sep = " + " if op == "+" else op
+    left, right = (f.name for f in fields(node_type))
+    return lambda e: (
+        f"{_wrap(getattr(e, left), level)}{sep}{_wrap(getattr(e, right), level + 1)}",
+        level,
+    )
+
+
 def _render_park(expr: Park) -> tuple[str, int]:
     chi = "" if expr.chi.is_identity else f", {expr.chi.key()}"
     return f"park({expr_to_text(expr.base)}{chi})", _LVL_ATOM
 
 
-# (text, precedence level) of each node type.  Compose is left-associative:
-# its right operand needs strictly tighter binding.
+# (text, precedence level) of each node type.
 _RENDER = {
-    Zero: lambda e: ("0", _LVL_ATOM),
-    One: lambda e: ("1", _LVL_ATOM),
-    X: lambda e: ("X", _LVL_ATOM),
-    E: lambda e: ("E", _LVL_ATOM),
-    EPlus: lambda e: ("E+", _LVL_ATOM),
+    **{t: (lambda e, token=token: (token, _LVL_ATOM)) for token, t in PRIMITIVES.items()},
+    **{t: _binary_rule(op, t, level) for level, (op, t) in enumerate(BINARY)},
     Ref: lambda e: (e.name, _LVL_ATOM),
-    Sum: lambda e: (f"{_wrap(e.left, _LVL_SUM)} + {_wrap(e.right, _LVL_SUM)}", _LVL_SUM),
-    Prod: lambda e: (f"{_wrap(e.left, _LVL_PROD)}*{_wrap(e.right, _LVL_PROD)}", _LVL_PROD),
-    Compose: lambda e: (
-        f"{_wrap(e.outer, _LVL_COMPOSE)}@{_wrap(e.inner, _LVL_COMPOSE + 1)}",
-        _LVL_COMPOSE,
-    ),
     Power: lambda e: (f"{_wrap(e.base, _LVL_ATOM)}^{e.exponent}", _LVL_POWER),
     Restrict: lambda e: (f"restrict({expr_to_text(e.base)}, {e.card})", _LVL_ATOM),
     Park: _render_park,

@@ -147,6 +147,20 @@ def test_define_dump_jsonl_is_one_json_object_per_definition(capsys):
     assert {"expr": "1 + X*B^2", "name": "B"} in rows
 
 
+def test_define_dump_prints_text_that_reads_back_as_the_same_species(capsys):
+    rc, out = run(capsys, ["define-dump", "--define", "B:=X*(X*X)"])
+    assert rc == 0 and "B := X*(X*X)\n" in out
+    printed = next(line for line in out.splitlines() if line.startswith("B := "))[5:]
+    listings = []
+    for text in ("X*(X*X)", printed):
+        rc, listing = run(
+            capsys, ["--format", "jsonl", "--define", f"B:={text}", "enumerate", "--expr", "B", "--n", "3"]
+        )
+        assert rc == 0
+        listings.append(listing)
+    assert listings[0] == listings[1] and listings[0]
+
+
 def test_closed_output_pipe_is_at_most_one_error_line():
     # The reader takes one line of a ~200 KB listing and closes its end.
     src = str(Path(__file__).resolve().parents[1] / "src")

@@ -100,6 +100,11 @@ def test_parse_errors_carry_positions(env, text, pos):
     assert exc.value.position == pos
 
 
+def test_deep_parentheses_parse(env):
+    # Each nesting level costs the parser a fixed number of stack frames.
+    assert parse_species("(" * 150 + "X" + ")" * 150, env) == X()
+
+
 def test_unbound_name(env):
     with pytest.raises(UnboundNameError):
         parse_species("Mystery", env)

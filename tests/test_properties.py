@@ -15,6 +15,7 @@ from parklike import (
     accepts,
     blocks_to_pf,
     deserialize,
+    expr_to_text,
     parse_chi_text,
     parse_species,
     pf_to_blocks,
@@ -99,6 +100,14 @@ def test_relabeling_along_any_bijection(expr, image):
     moved = {serialize(s.relabel(mapping)) for s in gen.raw(expr, labels)}
     target = {serialize(s) for s in gen.raw(expr, frozenset(image))}
     assert moved == target
+
+
+@given(exprs)
+@example(Prod(X(), Prod(X(), X())))
+@example(Sum(X(), Sum(E(), One())))
+@settings(max_examples=200, deadline=None)
+def test_printed_text_parses_back_to_the_same_expression(expr):
+    assert parse_species(expr_to_text(expr), ENV) == expr
 
 
 # -- parking properties ---------------------------------------------------------
