@@ -107,7 +107,8 @@ class Generator:
     def generate(self, expr, labels) -> list:
         """All structures of expr on labels, sorted by canonical serialization."""
         result = self._gen(expr, frozenset(labels))
-        return sorted(result, key=serialize)
+        texts = {}  # shared parts are written once for the whole listing
+        return sorted(result, key=lambda s: serialize(s, texts))
 
     def raw(self, expr, labels) -> list:
         """Same set as generate(), in deterministic construction order.

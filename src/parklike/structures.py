@@ -23,7 +23,11 @@ own labels.  relabel serves the tree unfolding and the functoriality checks.
 
 Serialization is canonical JSON (sorted keys, no spaces), so structures are
 equal iff their serializations are byte-equal; enumeration order everywhere
-is lexicographic on that string.
+is lexicographic on that string.  serialize writes that text itself, one
+entry per structure type (the _TEXT table), from the texts of the value's
+parts, so a part shared across a listing is written once.  to_jsonable
+gives the same value as a JSON tree: it is what `enumerate --format json`
+prints, and the tests hold serialize to json.dumps of it.
 """
 
 from __future__ import annotations
@@ -252,9 +256,87 @@ Structure = Union[
 UNIT = UnitVal()
 
 
-def serialize(s) -> str:
-    """Canonical serialization: sorted keys, no whitespace."""
-    return json.dumps(s.to_jsonable(), sort_keys=True, separators=(",", ":"))
+def serialize(s, texts=None) -> str:
+    """Canonical serialization: sorted keys, no whitespace.
+
+    The text equals json.dumps(s.to_jsonable(), sort_keys=True,
+    separators=(",", ":")), written from the texts of s's parts.  texts maps
+    id(value) to the text already written for that value; pass one dict
+    across a listing so a part shared by many structures is written once.
+    The caller keeps every value in the listing alive while the dict is in
+    use, since ids are reused once a value is freed.  The walk is a loop, not
+    recursion, so nesting depth costs no interpreter frames.  The text of s
+    itself is not kept: only parts recur.
+    """
+    if texts is None:
+        texts = {}
+    # Every value with no text yet, each before its parts; written backwards,
+    # every part's text exists before the value that needs it.
+    order = []
+    stack = [s]
+    while stack:
+        value = stack.pop()
+        if id(value) not in texts:
+            order.append(value)
+            stack.extend(_PARTS[type(value)](value))
+    for value in reversed(order):
+        texts[id(value)] = _TEXT[type(value)](value, texts)
+    return texts.pop(id(s))
+
+
+def _labels_text(labels) -> str:
+    return "[" + ",".join(map(str, sorted(labels))) + "]"
+
+
+def _chi_text(chi, texts) -> str:
+    """The JSON string of chi's key, kept in texts like the text of a part."""
+    text = texts.get(id(chi))
+    if text is None:
+        text = texts[id(chi)] = json.dumps(chi.key())
+    return text
+
+
+# The parts of every structure type, whose texts its own text is made of.
+_PARTS = {
+    UnitVal: lambda v: (),
+    SetVal: lambda v: (),
+    AtomVal: lambda v: (),
+    SumVal: lambda v: (v.inner,),
+    ProdVal: lambda v: (v.left, v.right),
+    ComposeVal: lambda v: (v.outer, *[inner for _, inner in v.blocks]),
+    ParkingLike: lambda v: v.sequence,
+    TreeLike: lambda v: (v.root, *[sub for _, sub in v.children]),
+}
+
+# The canonical text of every structure type, keys in sorted order, from the
+# texts of its parts: text(value, texts) -> str.
+_TEXT = {
+    UnitVal: lambda v, t: '{"k":"unit"}',
+    SetVal: lambda v, t: '{"k":"set","labels":' + _labels_text(v.labels) + "}",
+    AtomVal: lambda v, t: '{"k":"atom","label":' + str(v.label) + "}",
+    SumVal: lambda v, t: '{"in":' + t[id(v.inner)] + ',"k":"sum","side":"' + v.side + '"}',
+    ProdVal: lambda v, t: '{"k":"prod","l":' + t[id(v.left)] + ',"r":' + t[id(v.right)] + "}",
+    ComposeVal: lambda v, t: (
+        '{"blocks":['
+        + ",".join(
+            '{"in":' + t[id(inner)] + ',"labels":' + _labels_text(block) + "}"
+            for block, inner in v.blocks
+        )
+        + '],"k":"comp","outer":' + t[id(v.outer)] + "}"
+    ),
+    ParkingLike: lambda v, t: (
+        '{"chi":' + _chi_text(v.chi, t) + ',"seq":['
+        + ",".join([t[id(part)] for part in v.sequence]) + "]}"
+    ),
+    TreeLike: lambda v, t: (
+        '{"children":['
+        + ",".join(
+            '{"label":' + str(head) + ',"subtree":' + t[id(sub)] + "}"
+            for head, sub in v.children
+        )
+        + '],"root":' + t[id(v.root)] + "}"
+    ),
+}
 
 
 def from_jsonable(data) -> "Structure":

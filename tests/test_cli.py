@@ -456,6 +456,18 @@ def test_biject_long_linear_order_slot_round_trips(capsys, monkeypatch):
     assert rc == 0 and back == serialize(from_jsonable(json.loads(doc))) + "\n"
 
 
+def test_biject_round_trips_a_300_label_chain(capsys, monkeypatch):
+    # Each slot but the last parks one label, so the tree is a path 300 deep;
+    # writing it must not run into the interpreter's recursion limit.
+    seq = [{"k": "set", "labels": [label]} for label in range(1, 301)]
+    doc = {"chi": "id", "seq": seq + [{"k": "set", "labels": []}]}
+    argv = ["biject", "--expr", "E", "--direction"]
+    rc, tree = run(capsys, argv + ["p2t"], stdin=json.dumps(doc), monkeypatch=monkeypatch)
+    assert rc == 0
+    rc, back = run(capsys, argv + ["t2p"], stdin=tree, monkeypatch=monkeypatch)
+    assert rc == 0 and json.loads(back) == doc
+
+
 def test_biject_is_not_bound_by_the_generation_budget(capsys, monkeypatch):
     empty = {"k": "set", "labels": []}
     doc = json.dumps({"chi": "id", "seq": [{"k": "set", "labels": list(range(1, 13))}] + [empty] * 12})

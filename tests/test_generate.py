@@ -15,6 +15,7 @@ from parklike.errors import (
     UnboundNameError,
 )
 from parklike.chi import ChiMap
+from parklike.memo import Memo
 from parklike.expr import (
     Compose,
     E,
@@ -134,6 +135,47 @@ def test_divergent_recursion_detected():
     env.bind("S", parse_species("S + X", env, extra_names=("S",)))
     with pytest.raises(DivergentRecursionError):
         Generator(env).count(Ref("S"), 1)
+
+
+@pytest.mark.parametrize(
+    "definitions, n, error",
+    [
+        (("A:=1+A",), 0, "recursion for 'A' did not stabilize on 0 labels after 2 rounds"),
+        (("A:=1+B", "B:=A"), 0, "recursion for 'A' did not stabilize on 0 labels after 2 rounds"),
+        (("A:=X+B", "B:=A"), 1, "recursion for 'A' did not stabilize on 1 labels after 3 rounds"),
+    ],
+)
+def test_divergent_recursion_error_text(defined, definitions, n, error):
+    with pytest.raises(DivergentRecursionError) as info:
+        Generator(defined(*definitions)).count(Ref("A"), n)
+    assert str(info.value) == error
+
+
+@pytest.mark.parametrize("definitions", [("A:=A",), ("A:=E*A",), ("A:=1+B", "B:=A")])
+def test_recursion_without_a_base_case_is_empty_where_it_stabilizes(defined, definitions):
+    # The least fixed point of A = A and of A = E*A is the empty species; the
+    # mutual pair diverges only on no labels.
+    gen = Generator(defined(*definitions))
+    assert [gen.count(Ref("A"), n) for n in range(1, 4)] == [0, 0, 0]
+
+
+def test_solve_stops_after_a_round_that_did_not_read_its_approximation(monkeypatch):
+    # Solving L = 1 + X*L on n labels reads L only on n - 1 labels, so one
+    # round per label set is the fixed point: 2^7 label sets, 2^7 rounds.
+    rounds = 0
+    solve = Memo.solve
+
+    def counting(self, key, empty, bound, step, error):
+        def counted():
+            nonlocal rounds
+            rounds += 1
+            return step()
+
+        return solve(self, key, empty, bound, counted, error)
+
+    monkeypatch.setattr(Memo, "solve", counting)
+    assert Generator(SpeciesEnv.standard()).count(Ref("L"), 7) == 5040
+    assert rounds == 128
 
 
 def test_unbound_ref_raises(gen):

@@ -6,7 +6,16 @@ from pathlib import Path
 
 import pytest
 
-from parklike import Generator, accepts, egf_of_species, expr, generate, membership, series
+from parklike import (
+    Generator,
+    accepts,
+    egf_of_species,
+    expr,
+    generate,
+    membership,
+    series,
+    structures,
+)
 from parklike.expr import SpeciesExpr
 from parklike.structures import UNIT
 
@@ -20,6 +29,13 @@ SRC = Path(__file__).resolve().parents[1] / "src" / "parklike"
 )
 def test_rule_table_covers_every_node_type(table):
     assert set(table) == set(typing.get_args(SpeciesExpr))
+
+
+@pytest.mark.parametrize(
+    "table", [structures._TEXT, structures._PARTS], ids=["_TEXT", "_PARTS"]
+)
+def test_structure_tables_cover_every_structure_type(table):
+    assert set(table) == set(typing.get_args(structures.Structure))
 
 
 def test_non_expression_is_a_type_error():

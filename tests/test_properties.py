@@ -81,6 +81,23 @@ def test_serialization_round_trip(expr, labels):
         assert deserialize(serialize(s)) == s
 
 
+@given(
+    st.one_of(
+        exprs,
+        exprs.map(lambda e: Park(e, ChiMap.identity())),
+        exprs.map(Tree),
+    ),
+    label_sets,
+)
+@settings(max_examples=60, deadline=None)
+def test_serialize_writes_the_canonical_json_of_to_jsonable(expr, labels):
+    texts = {}  # one for the whole listing, as enumerate uses it
+    for s in Generator(ENV).raw(expr, labels):
+        want = json.dumps(s.to_jsonable(), sort_keys=True, separators=(",", ":"))
+        assert serialize(s) == want
+        assert serialize(s, texts) == want
+
+
 @given(exprs, exprs, label_sets)
 @settings(max_examples=60, deadline=None)
 def test_accepts_agrees_with_generated_membership(e1, e2, labels):

@@ -83,6 +83,25 @@ def test_divergent_recursion():
         egf("S", env, 2)
 
 
+@pytest.mark.parametrize(
+    "definitions, error",
+    [
+        (("A:=1+A",), "series for 'A' did not stabilize at order 3 after 5 rounds"),
+        (("A:=1+B", "B:=A"), "series for 'A' did not stabilize at order 3 after 5 rounds"),
+        (("A:=X+B", "B:=A"), "series for 'A' did not stabilize at order 3 after 5 rounds"),
+    ],
+)
+def test_divergent_recursion_error_text(defined, definitions, error):
+    with pytest.raises(DivergentRecursionError) as info:
+        egf("A", defined(*definitions), 3)
+    assert str(info.value) == error
+
+
+@pytest.mark.parametrize("definitions", [("A:=A",), ("A:=E*A",)])
+def test_recursion_without_a_base_case_is_the_zero_series(defined, definitions):
+    assert egf("A", defined(*definitions), 3).counts == (0, 0, 0, 0)
+
+
 def test_counts_validate_length():
     with pytest.raises(SpeciesError):
         EgfSeries(2, (1, 0))

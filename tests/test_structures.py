@@ -6,15 +6,18 @@ from parklike import (
     UNIT,
     AtomVal,
     ComposeVal,
+    Generator,
     ProdVal,
     SetVal,
     SumVal,
     deserialize,
     from_jsonable,
+    parse_species,
     serialize,
 )
 from parklike.errors import InvalidStructureError
 from parklike.structures import canonical_labels
+from parklike.verify import BASES
 
 
 def test_unit():
@@ -103,6 +106,43 @@ def test_serialization_is_canonical():
     text = serialize(SetVal(frozenset({3, 1, 2})))
     assert text == '{"k":"set","labels":[1,2,3]}'
     assert json.loads(text) == {"k": "set", "labels": [1, 2, 3]}
+
+
+def canonical_json(s) -> str:
+    return json.dumps(s.to_jsonable(), sort_keys=True, separators=(",", ":"))
+
+
+@pytest.mark.parametrize(
+    "text",
+    [name for name, _ in BASES]
+    + [
+        "park(E)",
+        "park(L, affine(2,0))",
+        "park(E, table(1,3,4,6,8,9,11,12))",
+        "tree(Comp)",
+        "E@(X+X)",
+        "X*L",
+        "1+X",
+        "E^3",
+    ],
+)
+def test_serialize_writes_the_canonical_json_of_to_jsonable(env, text):
+    gen = Generator(env)
+    expr = parse_species(text, env)
+    for n in range(5):
+        texts = {}  # one for the whole listing, as enumerate uses it
+        for s in gen.raw(expr, canonical_labels(n)):
+            want = canonical_json(s)
+            assert serialize(s) == want
+            assert serialize(s, texts) == want
+
+
+def test_serialize_keeps_only_the_texts_of_parts():
+    inner = SetVal(frozenset({1}))
+    s = ProdVal(inner, UNIT)
+    texts = {}
+    assert serialize(s, texts) == canonical_json(s)
+    assert set(texts) == {id(inner), id(UNIT)}
 
 
 @pytest.mark.parametrize(
