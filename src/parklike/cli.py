@@ -137,8 +137,8 @@ def cmd_enumerate(args, env) -> int:
         structures = gen.generate(expr, labels)
         print(json.dumps([s.to_jsonable() for s in structures], sort_keys=True))
     else:
-        # One serialization per structure, both to sort and to print; shared
-        # parts are written once for the whole listing.
+        # One serialization per structure, both to sort and to print; one
+        # texts dict for the whole listing, so shared parts reuse their text.
         texts = {}
         for text in sorted(serialize(s, texts) for s in gen.raw(expr, labels)):
             print(text)

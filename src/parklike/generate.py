@@ -107,7 +107,7 @@ class Generator:
     def generate(self, expr, labels) -> list:
         """All structures of expr on labels, sorted by canonical serialization."""
         result = self._gen(expr, frozenset(labels))
-        texts = {}  # shared parts are written once for the whole listing
+        texts = {}  # one for the whole listing, so shared parts reuse their text
         return sorted(result, key=lambda s: serialize(s, texts))
 
     def raw(self, expr, labels) -> list:

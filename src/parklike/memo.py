@@ -1,12 +1,11 @@
 """Memoization with a fixed-point driver for recursive definitions.
 
 Structure generation and series evaluation both solve a Ref by iterating its
-body from an empty value until two rounds agree, or until a round does not
-read its own approximation (its result then does not depend on it, so it is
-the fixed point).  While a solve runs, its current approximation stands in
-for the Ref, so any result computed from it is provisional: Memo caches a
-result only if no approximation was read while it was computed.  Each caller
-picks its own cache key, empty value, round bound and error text.
+body from an empty value until two rounds agree.  While a solve runs, its
+current approximation stands in for the Ref, so any result computed from it
+is provisional: Memo caches a result only if no approximation was read while
+it was computed.  Each caller picks its own cache key, empty value, round
+bound and error text.
 """
 
 from __future__ import annotations
@@ -54,11 +53,8 @@ class Memo:
         self._driver_reads.append(reads)
         try:
             for _ in range(rounds):
-                reads.discard(key)
                 result = step()
-                # A round that never read its own approximation computed the
-                # result without it: that is the fixed point.
-                if key not in reads or result == self._approx[key]:
+                if result == self._approx[key]:
                     break
                 self._approx[key] = result
             else:

@@ -23,11 +23,13 @@ own labels.  relabel serves the tree unfolding and the functoriality checks.
 
 Serialization is canonical JSON (sorted keys, no spaces), so structures are
 equal iff their serializations are byte-equal; enumeration order everywhere
-is lexicographic on that string.  serialize writes that text itself, one
-entry per structure type (the _TEXT table), from the texts of the value's
-parts, so a part shared across a listing is written once.  to_jsonable
-gives the same value as a JSON tree: it is what `enumerate --format json`
-prints, and the tests hold serialize to json.dumps of it.
+is lexicographic on that string.  serialize writes that text itself from
+the _TEXT table, which gives per structure type the pieces of a value's
+text: literal strings and the parts whose texts go between them.  Within a
+listing, the text of a part met a second time is kept and reused, so a
+shared part is not written over and over.  to_jsonable gives the same value
+as a JSON tree: it is what `enumerate --format json` prints, and the tests
+hold serialize to json.dumps of it.
 """
 
 from __future__ import annotations
@@ -260,82 +262,96 @@ def serialize(s, texts=None) -> str:
     """Canonical serialization: sorted keys, no whitespace.
 
     The text equals json.dumps(s.to_jsonable(), sort_keys=True,
-    separators=(",", ":")), written from the texts of s's parts.  texts maps
-    id(value) to the text already written for that value; pass one dict
-    across a listing so a part shared by many structures is written once.
-    The caller keeps every value in the listing alive while the dict is in
-    use, since ids are reused once a value is freed.  The walk is a loop, not
-    recursion, so nesting depth costs no interpreter frames.  The text of s
-    itself is not kept: only parts recur.
+    separators=(",", ":")), written as one list of pieces and joined once.
+    Pass one texts dict across a listing to write a shared part once: it maps
+    id(part) to None once the listing has met the part, and to the part's
+    text from its second meeting on.  Parts inside a part whose text is being
+    kept are not kept, so the kept texts add up to at most the listing's
+    output.  The caller keeps every value in the listing alive while the dict
+    is in use, since ids are reused once a value is freed.  The walk is a loop
+    over a stack of iterators over _TEXT pieces, not recursion, so nesting
+    depth costs no interpreter frames.  s itself is not recorded.
     """
     if texts is None:
         texts = {}
-    # Every value with no text yet, each before its parts; written backwards,
-    # every part's text exists before the value that needs it.
-    order = []
-    stack = [s]
+    pieces = []
+    stack = [iter(_TEXT[type(s)](s))]
+    kept = None  # the part whose text is being kept, while it is written
     while stack:
-        value = stack.pop()
-        if id(value) not in texts:
-            order.append(value)
-            stack.extend(_PARTS[type(value)](value))
-    for value in reversed(order):
-        texts[id(value)] = _TEXT[type(value)](value, texts)
-    return texts.pop(id(s))
+        for piece in stack[-1]:
+            if type(piece) is str:
+                pieces.append(piece)
+                continue
+            text = texts.get(id(piece), _UNMET)
+            if text is _UNMET:
+                texts[id(piece)] = None
+            elif text is not None:
+                pieces.append(text)
+                continue
+            elif kept is None:
+                kept, kept_depth, kept_start = piece, len(stack), len(pieces)
+            stack.append(iter(_TEXT[type(piece)](piece)))
+            break
+        else:
+            stack.pop()
+            if kept is not None and len(stack) == kept_depth:
+                text = "".join(pieces[kept_start:])
+                del pieces[kept_start:]
+                pieces.append(text)
+                texts[id(kept)] = text
+                kept = None
+    return "".join(pieces)
+
+
+_UNMET = object()
 
 
 def _labels_text(labels) -> str:
     return "[" + ",".join(map(str, sorted(labels))) + "]"
 
 
-def _chi_text(chi, texts) -> str:
-    """The JSON string of chi's key, kept in texts like the text of a part."""
-    text = texts.get(id(chi))
-    if text is None:
-        text = texts[id(chi)] = json.dumps(chi.key())
-    return text
+def _compose_text(v):
+    yield '{"blocks":['
+    for i, (block, inner) in enumerate(v.blocks):
+        yield ',{"in":' if i else '{"in":'
+        yield inner
+        yield ',"labels":' + _labels_text(block) + "}"
+    yield '],"k":"comp","outer":'
+    yield v.outer
+    yield "}"
 
 
-# The parts of every structure type, whose texts its own text is made of.
-_PARTS = {
-    UnitVal: lambda v: (),
-    SetVal: lambda v: (),
-    AtomVal: lambda v: (),
-    SumVal: lambda v: (v.inner,),
-    ProdVal: lambda v: (v.left, v.right),
-    ComposeVal: lambda v: (v.outer, *[inner for _, inner in v.blocks]),
-    ParkingLike: lambda v: v.sequence,
-    TreeLike: lambda v: (v.root, *[sub for _, sub in v.children]),
-}
+def _parking_text(v):
+    yield '{"chi":' + json.dumps(v.chi.key()) + ',"seq":['
+    for i, part in enumerate(v.sequence):
+        if i:
+            yield ","
+        yield part
+    yield "]}"
 
-# The canonical text of every structure type, keys in sorted order, from the
-# texts of its parts: text(value, texts) -> str.
+
+def _tree_text(v):
+    yield '{"children":['
+    for i, (head, sub) in enumerate(v.children):
+        yield (',{"label":' if i else '{"label":') + str(head) + ',"subtree":'
+        yield sub
+        yield "}"
+    yield '],"root":'
+    yield v.root
+    yield "}"
+
+
+# The canonical text of every structure type, keys in sorted order, as its
+# pieces: literal strings, and the parts whose texts go between them.
 _TEXT = {
-    UnitVal: lambda v, t: '{"k":"unit"}',
-    SetVal: lambda v, t: '{"k":"set","labels":' + _labels_text(v.labels) + "}",
-    AtomVal: lambda v, t: '{"k":"atom","label":' + str(v.label) + "}",
-    SumVal: lambda v, t: '{"in":' + t[id(v.inner)] + ',"k":"sum","side":"' + v.side + '"}',
-    ProdVal: lambda v, t: '{"k":"prod","l":' + t[id(v.left)] + ',"r":' + t[id(v.right)] + "}",
-    ComposeVal: lambda v, t: (
-        '{"blocks":['
-        + ",".join(
-            '{"in":' + t[id(inner)] + ',"labels":' + _labels_text(block) + "}"
-            for block, inner in v.blocks
-        )
-        + '],"k":"comp","outer":' + t[id(v.outer)] + "}"
-    ),
-    ParkingLike: lambda v, t: (
-        '{"chi":' + _chi_text(v.chi, t) + ',"seq":['
-        + ",".join([t[id(part)] for part in v.sequence]) + "]}"
-    ),
-    TreeLike: lambda v, t: (
-        '{"children":['
-        + ",".join(
-            '{"label":' + str(head) + ',"subtree":' + t[id(sub)] + "}"
-            for head, sub in v.children
-        )
-        + '],"root":' + t[id(v.root)] + "}"
-    ),
+    UnitVal: lambda v: ('{"k":"unit"}',),
+    SetVal: lambda v: ('{"k":"set","labels":' + _labels_text(v.labels) + "}",),
+    AtomVal: lambda v: ('{"k":"atom","label":' + str(v.label) + "}",),
+    SumVal: lambda v: ('{"in":', v.inner, ',"k":"sum","side":"' + v.side + '"}'),
+    ProdVal: lambda v: ('{"k":"prod","l":', v.left, ',"r":', v.right, "}"),
+    ComposeVal: _compose_text,
+    ParkingLike: _parking_text,
+    TreeLike: _tree_text,
 }
 
 

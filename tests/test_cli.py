@@ -5,6 +5,7 @@ import os
 import shutil
 import subprocess
 import sys
+import tracemalloc
 from decimal import Decimal
 from importlib import resources
 from pathlib import Path
@@ -63,6 +64,21 @@ def test_count_deep_powers(capsys, expr, n, expected):
     # One interpreter frame per exponent step would pass the recursion limit.
     rc, out = run(capsys, ["count", "--expr", expr, "--n", str(n)])
     assert rc == 0 and out.strip() == expected
+
+
+def test_enumerate_deep_listing_keeps_no_text_per_part(capsys):
+    # Each of the 200 structures is a chain of 200 products whose parts are
+    # reached from it alone, so keeping the text of every part would hold
+    # about 50 * 200^3 / 3 bytes (130 MB, 70 times the 1.8 MB output).  The
+    # output, its capture and the structures take about 3 times the output.
+    tracemalloc.start()
+    try:
+        rc, out = run(capsys, ["enumerate", "--expr", "E^200", "--n", "1"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rc == 0 and out.count("\n") == 200
+    assert peak < 6 * len(out)
 
 
 def test_enumerate_jsonl_lines_are_sorted_json(capsys):

@@ -15,7 +15,6 @@ from parklike.errors import (
     UnboundNameError,
 )
 from parklike.chi import ChiMap
-from parklike.memo import Memo
 from parklike.expr import (
     Compose,
     E,
@@ -157,25 +156,6 @@ def test_recursion_without_a_base_case_is_empty_where_it_stabilizes(defined, def
     # mutual pair diverges only on no labels.
     gen = Generator(defined(*definitions))
     assert [gen.count(Ref("A"), n) for n in range(1, 4)] == [0, 0, 0]
-
-
-def test_solve_stops_after_a_round_that_did_not_read_its_approximation(monkeypatch):
-    # Solving L = 1 + X*L on n labels reads L only on n - 1 labels, so one
-    # round per label set is the fixed point: 2^7 label sets, 2^7 rounds.
-    rounds = 0
-    solve = Memo.solve
-
-    def counting(self, key, empty, bound, step, error):
-        def counted():
-            nonlocal rounds
-            rounds += 1
-            return step()
-
-        return solve(self, key, empty, bound, counted, error)
-
-    monkeypatch.setattr(Memo, "solve", counting)
-    assert Generator(SpeciesEnv.standard()).count(Ref("L"), 7) == 5040
-    assert rounds == 128
 
 
 def test_unbound_ref_raises(gen):

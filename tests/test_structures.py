@@ -137,12 +137,22 @@ def test_serialize_writes_the_canonical_json_of_to_jsonable(env, text):
             assert serialize(s, texts) == want
 
 
-def test_serialize_keeps_only_the_texts_of_parts():
+def test_serialize_keeps_the_text_of_a_part_met_twice():
     inner = SetVal(frozenset({1}))
-    s = ProdVal(inner, UNIT)
+    mid = SumVal("L", inner)
+    first, second = ProdVal(mid, UNIT), ProdVal(UNIT, mid)
     texts = {}
-    assert serialize(s, texts) == canonical_json(s)
-    assert set(texts) == {id(inner), id(UNIT)}
+    assert serialize(first, texts) == canonical_json(first)
+    # Met once: recorded, not kept; the structure itself is not recorded.
+    assert texts == {id(mid): None, id(inner): None, id(UNIT): None}
+    assert serialize(second, texts) == canonical_json(second)
+    # Met twice: kept, except inside a part whose text is being kept.
+    assert texts == {
+        id(mid): canonical_json(mid),
+        id(inner): None,
+        id(UNIT): canonical_json(UNIT),
+    }
+    assert serialize(second, texts) == canonical_json(second)
 
 
 @pytest.mark.parametrize(
