@@ -134,8 +134,12 @@ def cmd_enumerate(args, env) -> int:
     gen = Generator(env)
     labels = canonical_labels(args.n)
     if args.format == "json":
-        structures = gen.generate(expr, labels)
-        print(json.dumps([s.to_jsonable() for s in structures], sort_keys=True))
+        # The bytes of json.dumps(list, sort_keys=True), one structure at a
+        # time, so one structure's dict tree is alive at once, not all.
+        print("[", end="")
+        for i, s in enumerate(gen.generate(expr, labels)):
+            print(", " if i else "", json.dumps(s.to_jsonable(), sort_keys=True), sep="", end="")
+        print("]")
     else:
         # One serialization per structure, both to sort and to print; one
         # texts dict for the whole listing, so shared parts reuse their text.

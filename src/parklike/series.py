@@ -6,19 +6,29 @@ ones: a product is the binomial convolution sum_k C(n,k) a_k b_(n-k), a
 composition is sum_k f_k (g^k)_n / k!, and Lagrange inversion for
 T = A(X*T) gives T_n = (A^(n+1))_n / (n+1).  Every division goes through
 one exact-division check, which raises NonIntegralSeriesError on a
-remainder.
+remainder.  A set composition E@G skips the powers of G: F = E(G) solves
+F' = G'F, so f_(n+1) = sum_k C(n,k) g_(k+1) f_(n-k), one quadratic
+recurrence (Flajolet-Sedgewick, Analytic Combinatorics, 2009).
 
 Recursive definitions iterate from the zero series to a fixed point (same
 contract as structure generation: error after N+2 non-stabilizing rounds).
-Tree-like series go through Lagrange inversion; the parking-like series
+A round is a Newton step y + (H(y) - y)(1 - J)^(-1), with J = dH/dy read
+off the definition by one derivative rule per node type, so a well-founded
+definition settles in O(log N) rounds (Pivoteau-Salvy-Soria, JCTA 119,
+2012).  Where the definition has no such derivative (mutual recursion,
+parking, trees, restriction, a composition other than a set's) or J_0 is not
+0, the round is the plain one, H(y).
+
+Tree-like series go through Lagrange inversion.  The parking-like series
 follows the slot-peeling recursion, which is the route that stays valid for
-non-identity chi.
+non-identity chi; every chi map it reaches is filled at once, coefficient
+by coefficient.
 """
 
 from __future__ import annotations
 
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 from .chi import ChiMap
 from .errors import InadmissibleCompositionError, NonIntegralSeriesError, SpeciesError
@@ -94,6 +104,40 @@ def _mul(a: list, b: list) -> list:
     return out
 
 
+def _pow(a: list, k: int) -> list:
+    """a^k by square-and-multiply: about 2 log2(k) products."""
+    out = [1] + [0] * (len(a) - 1)
+    while k:
+        if k & 1:
+            out = _mul(out, a)
+        k >>= 1
+        if k:
+            a = _mul(a, a)
+    return out
+
+
+def _recurrence(head: list, terms: list, lag: int) -> list:
+    """out with out_(n+lag) = head_(n+lag) + sum_(k,x) C(n,k) x out_(n-k).
+
+    The sum runs over the (k, x) of terms with k <= n, k ascending, so zero
+    coefficients cost nothing; with lag 0 every k must be at least 1.  Each
+    term carries its C(n, k) from one n to the next.
+    """
+    out = head[:lag]
+    binomials = [1] * len(terms)
+    for n in range(len(head) - lag):
+        total = head[n + lag]
+        for i, (k, x) in enumerate(terms):
+            if k > n:
+                break
+            if k < n:
+                binomials[i] = binomials[i] * n // (n - k)
+            if out[n - k]:
+                total += binomials[i] * x * out[n - k]
+        out.append(total)
+    return out
+
+
 def _lagrange(a: list) -> list:
     """Counts of T = A(X*T) from A's counts: T_n = (A^(n+1))_n / (n+1)."""
     out, power = [], a
@@ -115,6 +159,9 @@ def lagrange_solve(base: EgfSeries, order: int) -> EgfSeries:
 # -- species evaluation --------------------------------------------------------
 
 
+_SETS = (E, EPlus)  # outer species whose composition takes the exp rule
+
+
 class _Evaluator:
     """Species-to-count-vector evaluation at a fixed truncation order."""
 
@@ -122,16 +169,26 @@ class _Evaluator:
         self.env = env
         self.order = order
         self._memo = Memo()
+        # Results read off approximations in the current fixed-point round:
+        # valid until the round ends, so its derivative reuses them.
+        self._round: dict = {}
 
     def eval(self, expr) -> list:
         cached = self._memo.cache.get(expr)
         if cached is not None:
             return cached
+        cached = self._round.get(expr)
+        if cached is not None:
+            self._memo.reads += 1  # so what is built on it stays provisional
+            return cached
         rule = _RULES.get(type(expr))
         if rule is None:
             raise TypeError(f"not a species expression: {expr!r}")
         reads_before = self._memo.reads
-        return self._memo.store(expr, rule(self, expr), reads_before)
+        result = self._memo.store(expr, rule(self, expr), reads_before)
+        if self._memo.reads != reads_before:
+            self._round[expr] = result
+        return result
 
     # -- rules, one per node type (see _RULES) -------------------------------
 
@@ -148,27 +205,31 @@ class _Evaluator:
             expr,
             [0] * (N + 1),
             N + 2,
-            lambda: self.eval(body),
+            lambda: self._newton(expr, body),
             f"series for {expr.name!r} did not stabilize at order "
             f"{N} after {N + 2} rounds",
         )
 
-    def _power(self, expr: Power) -> list:
-        """b^k as b * b^(k-1), built upward so each b^j is memoized and reused.
+    def _newton(self, ref: Ref, body) -> list:
+        """One round for ref := body: y + (H(y) - y)(1 - J)^(-1), else H(y)."""
+        outer_round, self._round = self._round, {}
+        try:
+            value = self.eval(body)
+            slope = self.slope(body, ref.name)
+            if slope[0] or not any(slope):  # with J = 0 the step is H(y) too
+                return value
+            y = self.eval(ref)  # the approximation this round improves
+        except _NoSlope:
+            return value
+        finally:
+            self._round = outer_round
+        # step = (H(y) - y) + J*step, the difference taken first.
+        terms = [(k, j) for k, j in enumerate(slope) if j]
+        step = _recurrence([h - a for h, a in zip(value, y)], terms, 0)
+        return [a + b for a, b in zip(y, step)]
 
-        A loop, not recursion: exponents in the thousands must not hit the
-        interpreter's recursion limit.
-        """
-        reads_before = self._memo.reads
-        base = self.eval(expr.base)
-        out = [1] + [0] * self.order
-        for j in range(1, expr.exponent + 1):
-            step = Power(expr.base, j)
-            cached = self._memo.cache.get(step)
-            if cached is None:
-                cached = self._memo.store(step, _mul(base, out), reads_before)
-            out = cached
-        return out
+    def _power(self, expr: Power) -> list:
+        return _pow(self.eval(expr.base), expr.exponent)
 
     def _compose(self, expr: Compose) -> list:
         """sum_k f_k (g^k)_n / k!: k-sets of inner structures, outer on the k blocks."""
@@ -177,6 +238,12 @@ class _Evaluator:
             raise InadmissibleCompositionError(
                 "series composition requires a zero constant term inside"
             )
+        if type(expr.outer) in _SETS:
+            # F = E(G) solves F' = G'F: f_(n+1) = sum_k C(n,k) g_(k+1) f_(n-k).
+            terms = [(k, g) for k, g in enumerate(inner[1:]) if g]
+            out = _recurrence([1] + [0] * self.order, terms, 1)
+            out[0] = int(type(expr.outer) is E)  # E+ has no empty set
+            return out
         outer = self.eval(expr.outer)
         out = [0] * (self.order + 1)
         power = [1] + [0] * self.order  # inner^k
@@ -190,32 +257,127 @@ class _Evaluator:
                     out[n] += f * _exact(power[n], k_factorial, n)
         return out
 
-    def _park(self, base, chi: ChiMap, order: int) -> list:
-        """Slot-peeling recursion on truncated count vectors.
+    def _park(self, expr: Park) -> list:
+        """Slot-peeling on count vectors, for every chi map reached at once.
 
-        The first chi(1) slots form a power structure on n of the labels;
-        the rest is the shifted parking-like series at order - n, and the
-        labels split between the two in C(n+j, n) ways.
+        With p = base^chi(1), P_chi[0] = p_0 and, for m >= 1,
+        P_chi[m] = sum_(n=1..m) C(m,n) p_n P_(chi.shift(n))[m-n]: the first
+        chi(1) slots form a power structure on n of the labels, the rest is
+        the shifted parking-like series.  Coefficient m reads only
+        coefficients below m, so all maps fill together, index by index,
+        and id.shift(1) == id is no cycle.
         """
-        key = ("park", base, chi, order)
-        cached = self._memo.cache.get(key)
-        if cached is not None:
-            return cached
-        reads_before = self._memo.reads
-        power = self.eval(Power(base, chi(1)))
-        out = [0] * (order + 1)
-        out[0] = power[0]
-        for n in range(1, order + 1):
-            if not power[n]:
-                continue
-            tail = self._park(base, chi.shift(n), order - n)
-            c = 1  # C(n + j, n): ways to split the labels
-            for j, t in enumerate(tail):
-                if t:
-                    out[n + j] += c * power[n] * t
-                c = c * (n + j + 1) // (j + 1)
-        return self._memo.store(key, out, reads_before)
+        counts = self.eval(expr.base)
+        powers = [[1] + [0] * self.order]  # base^j, one product per new j
 
+        def power(j: int) -> list:
+            while len(powers) <= j:
+                powers.append(_mul(powers[-1], counts))
+            return powers[j]
+
+        # Find every map and the highest index it needs, depth-first in the
+        # order of the recursion, so that a table which runs out names the
+        # same chi(m) as the recursion would.  A table map fixes its index
+        # bound; an affine map met again with a higher bound is walked again.
+        need: dict = {}
+        shifts: dict = {}  # (map, n) -> map.shift(n), each taken once
+
+        def enter(chi: ChiMap, bound: int):
+            if need.get(chi, -1) >= bound:
+                return None
+            need[chi] = bound
+            p = power(chi(1))
+            return chi, bound, (n for n in range(1, bound + 1) if p[n])
+
+        stack = [enter(expr.chi, self.order)]
+        while stack:
+            chi, bound, ns = stack[-1]
+            for n in ns:
+                shifted = shifts.get((chi, n))
+                if shifted is None:
+                    shifted = shifts[chi, n] = chi.shift(n)
+                frame = enter(shifted, bound - n)
+                if frame is not None:
+                    stack.append(frame)
+                    break
+            else:
+                stack.pop()
+
+        series = {chi: [power(chi(1))[0]] for chi in need}
+        terms = {}  # map -> [(n, p_n, shifted map's series)]
+        for chi, bound in need.items():
+            p = power(chi(1))
+            terms[chi] = [(n, p[n], series[shifts[chi, n]]) for n in range(1, bound + 1) if p[n]]
+        row = [1]  # C(m, n), n = 0..m
+        for m in range(1, self.order + 1):
+            row = [1] + [row[n - 1] + row[n] for n in range(1, m)] + [1]
+            for chi, bound in need.items():
+                if m <= bound:
+                    series[chi].append(
+                        sum(row[n] * pn * tail[m - n] for n, pn, tail in terms[chi] if n <= m)
+                    )
+        return series[expr.chi]
+
+    # -- derivative of a definition's body by one of its names ---------------
+
+    def slope(self, expr, name: str) -> list:
+        """d expr / d Ref(name) as counts; raises _NoSlope where no rule gives one."""
+        if not self._mentions(expr, name):
+            return [0] * (self.order + 1)
+        return _SLOPES[type(expr)](self, expr, name)
+
+    def _mentions(self, expr, name: str) -> bool:
+        """Whether expr refers to name, directly or through definitions."""
+        seen, todo = set(), [expr]
+        while todo:
+            e = todo.pop()
+            if type(e) is Ref:
+                if e.name == name:
+                    return True
+                if e.name not in seen and self.env.knows(e.name):
+                    seen.add(e.name)
+                    todo.append(self.env.lookup(e.name))
+            else:
+                todo.extend(getattr(e, f.name) for f in fields(e) if f.name in _PARTS)
+        return False
+
+    # Each product puts the slope first: _mul skips its zero coefficients.
+
+    def _slope_prod(self, expr: Prod, name: str) -> list:
+        left = _mul(self.slope(expr.left, name), self.eval(expr.right))
+        right = _mul(self.slope(expr.right, name), self.eval(expr.left))
+        return [x + y for x, y in zip(left, right)]
+
+    def _slope_power(self, expr: Power, name: str) -> list:
+        k = expr.exponent
+        if not k:
+            return [0] * (self.order + 1)
+        base = self.slope(expr.base, name)
+        return [k * c for c in _mul(base, self.eval(Power(expr.base, k - 1)))]
+
+    def _slope_compose(self, expr: Compose, name: str) -> list:
+        # d E(G) = E(G) dG, and E+ differs from E by a constant.
+        if type(expr.outer) not in _SETS:
+            raise _NoSlope
+        return _mul(self.slope(expr.inner, name), self.eval(Compose(E(), expr.inner)))
+
+
+class _NoSlope(Exception):
+    """No derivative rule applies; the round is a plain one."""
+
+
+def _no_slope(ev, e, name):
+    raise _NoSlope
+
+
+def _slope_ref(ev, e, name):
+    if e.name != name:
+        raise _NoSlope  # a definition that leads back to name: mutual recursion
+    return [1] + [0] * ev.order
+
+
+# Fields of a node that hold subexpressions.
+_PARTS = frozenset({"left", "right", "base", "outer", "inner"})
 
 # Series rule of every node type: rule(evaluator, expr) -> count vector.
 _RULES = {
@@ -230,8 +392,20 @@ _RULES = {
     Restrict: _Evaluator._restrict,
     Compose: _Evaluator._compose,
     Ref: _Evaluator._ref,
-    Park: lambda ev, e: ev._park(e.base, e.chi, ev.order),
+    Park: _Evaluator._park,
     Tree: lambda ev, e: _lagrange(ev.eval(e.base)),
+}
+
+# Derivative rule of every node type, for a node that mentions the name:
+# rule(evaluator, expr, name) -> count vector, or raise _NoSlope.  The
+# primitives mention no name, so their rule is never reached.
+_SLOPES = {
+    **{t: _no_slope for t in (Zero, One, X, E, EPlus, Restrict, Park, Tree)},
+    Sum: lambda ev, e, name: [x + y for x, y in zip(ev.slope(e.left, name), ev.slope(e.right, name))],
+    Prod: _Evaluator._slope_prod,
+    Power: _Evaluator._slope_power,
+    Compose: _Evaluator._slope_compose,
+    Ref: _slope_ref,
 }
 
 

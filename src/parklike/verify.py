@@ -125,9 +125,8 @@ def check_bijection_exhaustive(max_n=None, golden_dir=None, env=None):
     return True, f"{checked} structures round-tripped across {len(BASES)} bases, n<={hi}"
 
 
-def check_series_three_routes(max_n=None, golden_dir=None, env=None):
+def check_series_three_routes(max_n=None, golden_dir=None, env=None, order=12):
     """Lagrange inversion == recursive fixed point == generation counts."""
-    order = 12
     hi = _cap(6, max_n)
     environment = _env(env)
     details = []

@@ -1,6 +1,8 @@
 from math import factorial
+import tracemalloc
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from parklike import (
     EgfSeries,
@@ -8,14 +10,28 @@ from parklike import (
     egf_of_species,
     lagrange_solve,
     parse_species,
+    series,
     series_equal_prefix,
 )
 from parklike.errors import (
+    ChiTableExhaustedError,
     DivergentRecursionError,
     InadmissibleCompositionError,
     SpeciesError,
 )
-from parklike.expr import Compose, E, Ref, SpeciesEnv
+from parklike.expr import (
+    Compose,
+    E,
+    EPlus,
+    One,
+    Power,
+    Prod,
+    Ref,
+    SpeciesEnv,
+    Sum,
+    X,
+    Zero,
+)
 
 
 def egf(text, env, order=6):
@@ -102,6 +118,65 @@ def test_recursion_without_a_base_case_is_the_zero_series(defined, definitions):
     assert egf("A", defined(*definitions), 3).counts == (0, 0, 0, 0)
 
 
+def diverges(order):
+    return f"series for 'A' did not stabilize at order {order} after {order + 2} rounds"
+
+
+def zero_series(order):
+    return (0,) * (order + 1)
+
+
+# Verdicts word for word at orders 0, 3 and 12.  A:=A and A:=E*A take plain
+# rounds (J_0 = 1), A:=1+A*A one Newton round and then plain ones (J = 2A),
+# and the mutual pairs have no derivative at all.
+@pytest.mark.parametrize("order", [0, 3, 12])
+@pytest.mark.parametrize(
+    "definitions, verdict",
+    [
+        (("A:=A",), zero_series),
+        (("A:=E*A",), zero_series),
+        (("A:=1+A",), diverges),
+        (("A:=1+A*A",), diverges),
+        (("A:=1+B", "B:=A"), diverges),
+        (("A:=X+B", "B:=A"), lambda n: zero_series(n) if n == 0 else diverges(n)),
+    ],
+)
+def test_recursion_verdicts_are_pinned(defined, definitions, verdict, order):
+    expected = verdict(order)
+    if isinstance(expected, tuple):
+        assert egf("A", defined(*definitions), order).counts == expected
+        return
+    with pytest.raises(DivergentRecursionError) as info:
+        egf("A", defined(*definitions), order)
+    assert str(info.value) == expected
+
+
+@pytest.mark.parametrize(
+    "text, order, result",
+    [
+        ("park(E, table(1,2))", 1, (1, 1)),
+        ("park(E, table(1,2))", 2, "chi table(1,2) has 2 entries, needed chi(3)"),
+        ("park(E, table(1,2))", 12, "chi table(1,2) has 2 entries, needed chi(3)"),
+        ("park(E, table(1,1,2,5))", 3, (1, 1, 1, 4)),
+        ("park(E, table(1,1,2,5))", 4, "chi table(1,1,2,5) has 4 entries, needed chi(5)"),
+        ("park(E, table(1,1,2,5))", 12, "chi table(1,1,2,5) has 4 entries, needed chi(5)"),
+        # The first map that runs out is the one slot peeling meets first
+        # depth-first: here chi(4), three shifts by 1 deep, not chi(6) at the
+        # top, where the base's power skips from n = 1 to n = 5.
+        ("park(X+restrict(E,5), table(1,2,3))", 2, (0, 0, 0)),
+        ("park(X+restrict(E,5), table(1,2,3))", 3, "chi table(1,2,3) has 3 entries, needed chi(4)"),
+        ("park(X+restrict(E,5), table(1,2,3))", 12, "chi table(1,2,3) has 3 entries, needed chi(4)"),
+    ],
+)
+def test_table_exhaustion_texts_are_pinned(env, text, order, result):
+    if isinstance(result, tuple):
+        assert egf(text, env, order).counts == result
+        return
+    with pytest.raises(ChiTableExhaustedError) as info:
+        egf(text, env, order)
+    assert str(info.value) == result
+
+
 def test_counts_validate_length():
     with pytest.raises(SpeciesError):
         EgfSeries(2, (1, 0))
@@ -132,6 +207,84 @@ def test_lagrange_agrees_with_fixed_point(env):
     assert series_equal_prefix(
         lagrange_solve(egf("E", env, 8), 8), egf("T", fix, 8), 8
     )
+
+
+# -- the exp rule, Newton rounds and slot peeling against other routes -------------
+
+leaves = st.sampled_from([Zero(), One(), X(), E(), EPlus(), Ref("L"), Ref("Par"), Ref("Sub")])
+species = st.recursive(
+    leaves,
+    lambda sub: st.one_of(
+        st.tuples(sub, sub).map(lambda p: Sum(*p)),
+        st.tuples(sub, sub).map(lambda p: Prod(*p)),
+        st.tuples(sub, st.integers(min_value=0, max_value=3)).map(lambda p: Power(*p)),
+    ),
+    max_leaves=4,
+)
+# X*G and E+*G have no structure on the empty set, so they compose.
+inners = st.one_of(species.map(lambda g: Prod(X(), g)), species.map(lambda g: Prod(EPlus(), g)))
+
+
+@given(inners)
+@settings(max_examples=60, deadline=None)
+def test_exp_rule_agrees_with_the_general_composition(inner):
+    # A Sum outer takes the general rule, with the same counts as E or E+.
+    env, order = SpeciesEnv.standard(), 10
+    for exp_outer, general_outer in ((E(), Sum(One(), EPlus())), (EPlus(), Sum(EPlus(), Zero()))):
+        assert (
+            egf_of_species(Compose(exp_outer, inner), env, order).counts
+            == egf_of_species(Compose(general_outer, inner), env, order).counts
+        )
+
+
+def test_newton_rounds_agree_with_plain_rounds(defined):
+    # Mutual recursion has no derivative, so A takes plain rounds; L takes
+    # Newton rounds.
+    assert egf("A", defined("A:=1+X*B", "B:=A"), 200).counts == tuple(
+        factorial(n) for n in range(201)
+    )
+
+
+@pytest.mark.parametrize(
+    "text, order, closed",
+    [
+        ("Forest", 100, cayley),
+        ("Ary(2)", 150, lambda n: factorial(2 * n) // factorial(n + 1)),
+        ("park(E)", 60, cayley),
+        ("park(L)", 40, lambda n: factorial(2 * n) // factorial(n + 1)),
+        ("park(E, affine(2,0))", 40, lambda n: 2 * (2 * n + 2) ** (n - 1) if n else 1),
+    ],
+)
+def test_closed_forms_at_large_orders(env, text, order, closed):
+    assert egf(text, env, order).counts == tuple(closed(n) for n in range(order + 1))
+
+
+@pytest.mark.parametrize(
+    "text, order", [("L", 1700), ("Comp", 200), ("Forest", 100), ("Ary(2)", 150), ("Ary(3)", 100)]
+)
+def test_newton_rounds_settle_in_logarithmically_many(env, monkeypatch, text, order):
+    # Plain rounds would take order + 2 rounds; a Newton round doubles the
+    # number of settled coefficients.
+    rounds = []
+    newton = series._Evaluator._newton
+    monkeypatch.setattr(
+        series._Evaluator, "_newton", lambda ev, ref, body: rounds.append(ref) or newton(ev, ref, body)
+    )
+    egf(text, env, order)
+    assert 2 <= len(rounds) <= order.bit_length() + 2
+
+
+def test_large_exponent_keeps_no_power_per_step(env):
+    # Square-and-multiply holds a few count vectors, not one per exponent
+    # step (400000 of them, about 150 MB).
+    tracemalloc.start()
+    try:
+        counts = egf("E^400000", env, 2).counts
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert counts == (1, 400000, 400000**2)
+    assert peak < 2_000_000
 
 
 # -- parking-like and tree-like series -------------------------------------------

@@ -2,7 +2,7 @@ import pytest
 
 from parklike import run_suite
 from parklike.errors import SpeciesError
-from parklike.verify import REFERENCE_CHECKS, PROPERTY_CHECKS
+from parklike.verify import BASES, REFERENCE_CHECKS, PROPERTY_CHECKS, check_series_three_routes
 
 
 def test_reference_suite_at_reduced_scale():
@@ -46,3 +46,12 @@ def test_crashed_check_reports_as_failure(tmp_path):
     failing = {c["name"] for c in report["checks"] if not c["ok"]}
     assert "golden-listings" in failing
     assert report["ok"] is False
+
+
+def test_three_routes_agree_at_order_60():
+    # Lagrange inversion against the fixed point of TreeFix := base@(X*TreeFix),
+    # which takes the exp rule and Newton rounds over E, plain rounds and the
+    # general composition over the other bases.
+    ok, detail = check_series_three_routes(max_n=2, order=60)
+    assert ok, detail
+    assert detail.count(":") == len(BASES)
