@@ -1,4 +1,4 @@
-from math import factorial
+from math import factorial, isqrt
 import tracemalloc
 
 import pytest
@@ -182,6 +182,21 @@ def test_counts_validate_length():
         EgfSeries(2, (1, 0))
 
 
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: EgfSeries(-1, ()),
+        lambda: lagrange_solve(EgfSeries(2, (1, 1, 1)), -1),
+        lambda: egf_of_species(E(), None, -1),
+    ],
+    ids=["EgfSeries", "lagrange_solve", "egf_of_species"],
+)
+def test_negative_order_is_rejected(make):
+    with pytest.raises(SpeciesError) as info:
+        make()
+    assert str(info.value) == "series order must be >= 0, got -1"
+
+
 # -- Lagrange inversion ----------------------------------------------------------
 
 
@@ -207,6 +222,45 @@ def test_lagrange_agrees_with_fixed_point(env):
     assert series_equal_prefix(
         lagrange_solve(egf("E", env, 8), 8), egf("T", fix, 8), 8
     )
+
+
+def lagrange_by_powers(a):
+    """T_n = (A^(n+1))_n / (n+1), one full product per n: the oracle."""
+    out, power = [], a
+    for n in range(len(a)):
+        out.append(series._exact(power[n], n + 1, n))
+        power = series._mul(power, a)
+    return out
+
+
+coefficients = st.one_of(st.just(0), st.integers(0, 5), st.integers(0, 10**20))
+
+
+@given(st.lists(coefficients, min_size=1, max_size=40))
+@settings(max_examples=150, deadline=None)
+def test_lagrange_agrees_with_one_power_per_coefficient(a):
+    assert series._lagrange(a) == lagrange_by_powers(a)
+
+
+# N + 1 on both sides of each turn of the baby/giant split.
+@pytest.mark.parametrize("length", [1, 2, 4, 5, 9, 10, 16, 17, 36, 37])
+@pytest.mark.parametrize(
+    "pattern", [[1], [0, 1], [3, 1, 0, 2], [2, 0, 0, 0, 0, 7]], ids=["E", "X-led", "dense", "sparse"]
+)
+def test_lagrange_at_the_split_turns(length, pattern):
+    a = (pattern * length)[:length]
+    assert series._lagrange(a) == lagrange_by_powers(a)
+
+
+@pytest.mark.parametrize("order", [34, 99, 150])
+def test_lagrange_takes_about_two_root_n_products(env, monkeypatch, order):
+    # One power per coefficient would be order + 1 products.
+    base = egf("E", env, order)
+    calls = []
+    mul = series._mul
+    monkeypatch.setattr(series, "_mul", lambda a, b: calls.append(1) or mul(a, b))
+    assert lagrange_solve(base, order).counts == tuple(cayley(n) for n in range(order + 1))
+    assert len(calls) <= 2 * (isqrt(order) + 1) + 1  # 2 ceil(sqrt(order + 1)) + 1
 
 
 # -- the exp rule, Newton rounds and slot peeling against other routes -------------
@@ -253,6 +307,9 @@ def test_newton_rounds_agree_with_plain_rounds(defined):
         ("park(E)", 60, cayley),
         ("park(L)", 40, lambda n: factorial(2 * n) // factorial(n + 1)),
         ("park(E, affine(2,0))", 40, lambda n: 2 * (2 * n + 2) ** (n - 1) if n else 1),
+        ("tree(E)", 200, cayley),
+        ("tree(Sub)", 100, lambda n: 2**n * cayley(n)),
+        ("tree(L)", 80, lambda n: factorial(2 * n) // factorial(n + 1)),
     ],
 )
 def test_closed_forms_at_large_orders(env, text, order, closed):
