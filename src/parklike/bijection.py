@@ -34,16 +34,16 @@ def park_to_tree(p: ParkingLike) -> TreeLike:
         raise ChiNotIdentityError("the bijection is defined for the identity chi")
     validate_parking(p)
     q = q_order(p)
-    node_struct = {q[i]: p.sequence[i + 1] for i in range(len(q))}
-
-    def build(label) -> TreeLike:
-        root = node_struct[label]
-        return TreeLike(
-            root, tuple((v, build(v)) for v in sorted(root.underlying()))
-        )
-
-    top = p.sequence[0]
-    return TreeLike(top, tuple((v, build(v)) for v in sorted(top.underlying())))
+    # Slot i + 1 is the node of q[i], and its labels come later in the
+    # q-order (the parking condition), so building nodes in reversed q-order
+    # finds every child built: a loop, however deep the tree.
+    built = {}
+    for i in range(len(q), -1, -1):
+        root = p.sequence[i]
+        node = TreeLike(root, tuple([(v, built.pop(v)) for v in sorted(root.underlying())]))
+        if i:
+            built[q[i - 1]] = node
+    return node
 
 
 def tree_to_park(t: TreeLike) -> ParkingLike:

@@ -131,21 +131,24 @@ def cmd_enumerate(args, env) -> int:
         return cmd_count(args, env)
     expr = parse_species(args.expr, env)
     _check_budget(args.n, args.budget)
-    gen = Generator(env)
     labels = canonical_labels(args.n)
+    # The generator and its memo go once the listing exists: the sub-results
+    # on smaller label sets are freed before the listing is written.
     if args.format == "json":
         # The bytes of json.dumps(list, sort_keys=True), one structure at a
         # time, so one structure's dict tree is alive at once, not all.
         print("[", end="")
-        for i, s in enumerate(gen.generate(expr, labels)):
+        for i, s in enumerate(Generator(env).generate(expr, labels)):
             print(", " if i else "", json.dumps(s.to_jsonable(), sort_keys=True), sep="", end="")
         print("]")
     else:
         # One serialization per structure, both to sort and to print; one
         # texts dict for the whole listing, so shared parts reuse their text.
+        structures = Generator(env).raw(expr, labels)
         texts = {}
-        for text in sorted(serialize(s, texts) for s in gen.raw(expr, labels)):
-            print(text)
+        write = sys.stdout.write
+        for text in sorted([serialize(s, texts) for s in structures]):
+            write(text + "\n")
     return 0
 
 

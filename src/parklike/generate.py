@@ -16,10 +16,19 @@ label count n, iterate the defining equation starting from the empty
 structure set until it stabilizes, erroring after n + 2 non-stabilizing
 rounds.  Structures on fewer labels are final and cached normally.  Results
 computed against a provisional approximation are never memoized.
+
+generate, raw and count pause the cyclic garbage collector while they build
+and restore the caller's setting afterwards.  Every full collection would
+re-walk the whole memo, and there is nothing for it to find: values are
+immutable and built bottom-up from existing ones, so the structure graph is
+acyclic, and generation makes no reference cycles of its own (no
+self-referencing closures).  Reference counting frees every structure,
+paused or not.
 """
 
 from __future__ import annotations
 
+import gc
 from itertools import combinations, product
 
 from .errors import InadmissibleCompositionError, InvalidStructureError
@@ -66,27 +75,34 @@ def iter_set_partitions(labels):
     """All partitions into non-empty blocks, each a tuple of frozensets.
 
     Blocks come out ordered by minimum element; the whole iteration is
-    deterministic (the classical refinement recursion over sorted labels).
+    deterministic: the restricted-growth strings of the sorted labels in
+    lexicographic order, which is the order of the classical refinement
+    recursion (each label joins every open block in turn, then opens a new
+    one).  A loop, so no self-referencing closure is left for the cyclic
+    collector.
     """
     items = sorted(labels)
-    if not items:
+    n = len(items)
+    if not n:
         yield ()
         return
-
-    def rec(i, blocks):
-        if i == len(items):
-            yield tuple(frozenset(b) for b in blocks)
+    # block[i]: the block index of items[i]; top[i]: max(block[:i + 1]).
+    # block[i] may grow up to top[i - 1] + 1, a new block.
+    block, top = [0] * n, [0] * n
+    while True:
+        blocks = [[] for _ in range(top[-1] + 1)]
+        for x, b in zip(items, block):
+            blocks[b].append(x)
+        yield tuple(map(frozenset, blocks))
+        i = n - 1
+        while i and block[i] > top[i - 1]:
+            i -= 1
+        if not i:
             return
-        x = items[i]
-        for block in blocks:
-            block.append(x)
-            yield from rec(i + 1, blocks)
-            block.pop()
-        blocks.append([x])
-        yield from rec(i + 1, blocks)
-        blocks.pop()
-
-    yield from rec(0, [])
+        block[i] += 1
+        top[i] = max(top[i - 1], block[i])
+        for j in range(i + 1, n):
+            block[j], top[j] = 0, top[i]
 
 
 class Generator:
@@ -106,7 +122,7 @@ class Generator:
 
     def generate(self, expr, labels) -> list:
         """All structures of expr on labels, sorted by canonical serialization."""
-        result = self._gen(expr, frozenset(labels))
+        result = self._build(expr, labels)
         texts = {}  # one for the whole listing, so shared parts reuse their text
         return sorted(result, key=lambda s: serialize(s, texts))
 
@@ -115,10 +131,10 @@ class Generator:
 
         Skips the serialization sort — use for counting large spaces.
         """
-        return self._gen(expr, frozenset(labels))
+        return self._build(expr, labels)
 
     def count(self, expr, n: int) -> int:
-        return len(self._gen(expr, canonical_labels(n)))
+        return len(self._build(expr, canonical_labels(n)))
 
     def check_admissible(self, expr: Compose) -> None:
         """Raise unless expr's inner species has no structure on the empty set."""
@@ -129,6 +145,16 @@ class Generator:
             )
 
     # -- dispatch ------------------------------------------------------------
+
+    def _build(self, expr, labels) -> list:
+        """_gen on labels with the cyclic collector paused; see the module doc."""
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            return self._gen(expr, frozenset(labels))
+        finally:
+            if enabled:
+                gc.enable()
 
     def _gen(self, expr, labels: frozenset) -> list:
         key = (expr, labels)

@@ -75,7 +75,7 @@ def validate_tree(t: TreeLike, base: SpeciesExpr | None = None, env=None) -> boo
     a base species, also checks that every node's root is a base structure.
     """
 
-    def rec(node) -> frozenset:
+    def enter(node) -> list:
         heads = node.root.underlying()
         child_heads = [head for head, _sub in node.children]  # sorted by head
         if child_heads != sorted(heads):
@@ -86,15 +86,24 @@ def validate_tree(t: TreeLike, base: SpeciesExpr | None = None, env=None) -> boo
             raise InvalidStructureError(
                 f"root on {sorted(heads)} is not a base-species structure"
             )
-        seen = heads
-        for head, sub in node.children:
-            below = rec(sub)
-            if below & seen:
-                raise InvalidStructureError(f"label reuse under head {head}")
-            seen |= below
-        return seen
+        return [heads, iter(node.children), None]
 
-    rec(t)
+    # Depth-first with a stack of [labels seen so far, children left, head
+    # being visited] per open node, in the order a recursion would take.
+    stack = [enter(t)]
+    while stack:
+        frame = stack[-1]
+        for head, sub in frame[1]:
+            frame[2] = head
+            stack.append(enter(sub))
+            break
+        else:
+            stack.pop()
+            if stack:
+                parent = stack[-1]
+                if frame[0] & parent[0]:
+                    raise InvalidStructureError(f"label reuse under head {parent[2]}")
+                parent[0] |= frame[0]
     return True
 
 

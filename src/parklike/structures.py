@@ -15,11 +15,21 @@ A structure is a finite labeled object of one of eight shapes:
                                 subtree per head, sorted by head (tree)
 
 The representative of a block is its minimum label; ComposeVal keeps blocks
-sorted by representative so every structure has exactly one form.  Every
-value implements the same small protocol: underlying(), relabel(mapping)
-and to_jsonable().  Generation never relabels: it builds each label set from
-shared sub-results, and membership (membership.py) reads each value on its
-own labels.  relabel serves the tree unfolding and the functoriality checks.
+sorted by representative so every structure has exactly one form.
+
+Values are frozen dataclasses with slots.  Each class's own __init__ first
+normalises and checks its arguments (a set becomes a frozenset, a sequence a
+tuple, blocks and children are sorted), then fills the slots through the
+slot descriptors' setters, bound once after the classes, since a frozen
+class's own __setattr__ refuses every assignment.  Equality, hashing and
+repr are the dataclass ones, and assigning to a field of a built value
+raises FrozenInstanceError.
+
+Every value implements the same small protocol: underlying(),
+relabel(mapping) and to_jsonable().  Generation never relabels: it builds
+each label set from shared sub-results, and membership (membership.py)
+reads each value on its own labels.  relabel serves the tree unfolding and
+the functoriality checks.
 
 Serialization is canonical JSON (sorted keys, no spaces), so structures are
 equal iff their serializations are byte-equal; enumeration order everywhere
@@ -57,13 +67,12 @@ class UnitVal:
         return {"k": "unit"}
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class SetVal:
     labels: frozenset
 
-    def __post_init__(self):
-        if not isinstance(self.labels, frozenset):
-            object.__setattr__(self, "labels", frozenset(self.labels))
+    def __init__(self, labels):
+        _set_labels(self, labels if isinstance(labels, frozenset) else frozenset(labels))
 
     def underlying(self) -> frozenset:
         return self.labels
@@ -75,9 +84,12 @@ class SetVal:
         return {"k": "set", "labels": sorted(self.labels)}
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class AtomVal:
     label: int
+
+    def __init__(self, label):
+        _atom_label(self, label)
 
     def underlying(self) -> frozenset:
         return frozenset((self.label,))
@@ -89,14 +101,16 @@ class AtomVal:
         return {"k": "atom", "label": self.label}
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class SumVal:
     side: str  # "L" or "R"
     inner: "Structure"
 
-    def __post_init__(self):
-        if self.side not in ("L", "R"):
-            raise InvalidStructureError(f"sum side must be 'L' or 'R', got {self.side!r}")
+    def __init__(self, side, inner):
+        if side not in ("L", "R"):
+            raise InvalidStructureError(f"sum side must be 'L' or 'R', got {side!r}")
+        _sum_side(self, side)
+        _sum_inner(self, inner)
 
     def underlying(self) -> frozenset:
         return self.inner.underlying()
@@ -108,10 +122,14 @@ class SumVal:
         return {"k": "sum", "side": self.side, "in": self.inner.to_jsonable()}
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class ProdVal:
     left: "Structure"
     right: "Structure"
+
+    def __init__(self, left, right):
+        _prod_left(self, left)
+        _prod_right(self, right)
 
     def underlying(self) -> frozenset:
         return self.left.underlying() | self.right.underlying()
@@ -123,13 +141,12 @@ class ProdVal:
         return {"k": "prod", "l": self.left.to_jsonable(), "r": self.right.to_jsonable()}
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class ComposeVal:
     outer: "Structure"
     blocks: tuple  # tuple of (frozenset, Structure), sorted by min label
 
-    def __post_init__(self):
-        blocks = self.blocks
+    def __init__(self, outer, blocks):
         if not isinstance(blocks, tuple) or not all(
             isinstance(b, frozenset) for b, _ in blocks
         ):
@@ -137,14 +154,13 @@ class ComposeVal:
                 (b if isinstance(b, frozenset) else frozenset(b), s)
                 for b, s in blocks
             )
-            object.__setattr__(self, "blocks", blocks)
         if any(not b for b, _ in blocks):
             raise InvalidStructureError("composition blocks must be non-empty")
         mins = [min(b) for b, _ in blocks]
-        if any(mins[i] > mins[i + 1] for i in range(len(mins) - 1)):
-            object.__setattr__(
-                self, "blocks", tuple(sorted(blocks, key=lambda p: min(p[0])))
-            )
+        if mins != sorted(mins):
+            blocks = tuple(sorted(blocks, key=lambda p: min(p[0])))
+        _compose_outer(self, outer)
+        _compose_blocks(self, blocks)
 
     def underlying(self) -> frozenset:
         out = _EMPTY
@@ -174,14 +190,14 @@ class ComposeVal:
         }
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class ParkingLike:
     chi: ChiMap
     sequence: tuple  # tuple of Structure
 
-    def __post_init__(self):
-        if not isinstance(self.sequence, tuple):
-            object.__setattr__(self, "sequence", tuple(self.sequence))
+    def __init__(self, chi, sequence):
+        _parking_chi(self, chi)
+        _parking_sequence(self, sequence if isinstance(sequence, tuple) else tuple(sequence))
 
     def underlying(self) -> frozenset:
         out: frozenset = frozenset()
@@ -196,26 +212,26 @@ class ParkingLike:
         return {"chi": self.chi.key(), "seq": [s.to_jsonable() for s in self.sequence]}
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class TreeLike:
     root: object  # base structure on the set of head labels
     children: tuple  # tuple of (head label, TreeLike), sorted by label
 
-    def __post_init__(self):
-        ch = self.children
-        if type(ch) is not tuple:
-            ch = tuple(ch)
-            object.__setattr__(self, "children", ch)
+    def __init__(self, root, children):
+        if type(children) is not tuple:
+            children = tuple(children)
         # Generation and order-preserving relabeling already build these
         # sorted, so only pay for a sort when the order is actually broken.
-        if len(ch) > 1:
-            prev = ch[0][0]
-            for pair in ch:
+        if len(children) > 1:
+            prev = children[0][0]
+            for pair in children:
                 head = pair[0]
                 if head < prev:
-                    object.__setattr__(self, "children", tuple(sorted(ch)))
+                    children = tuple(sorted(children))
                     break
                 prev = head
+        _tree_root(self, root)
+        _tree_children(self, children)
 
     @property
     def heads(self) -> frozenset:
@@ -250,6 +266,15 @@ class TreeLike:
             ],
         }
 
+
+# The slot setters the constructors fill values through (see the module doc).
+_set_labels = SetVal.labels.__set__
+_atom_label = AtomVal.label.__set__
+_sum_side, _sum_inner = SumVal.side.__set__, SumVal.inner.__set__
+_prod_left, _prod_right = ProdVal.left.__set__, ProdVal.right.__set__
+_compose_outer, _compose_blocks = ComposeVal.outer.__set__, ComposeVal.blocks.__set__
+_parking_chi, _parking_sequence = ParkingLike.chi.__set__, ParkingLike.sequence.__set__
+_tree_root, _tree_children = TreeLike.root.__set__, TreeLike.children.__set__
 
 Structure = Union[
     UnitVal, SetVal, AtomVal, SumVal, ProdVal, ComposeVal, ParkingLike, TreeLike
@@ -322,7 +347,7 @@ def _compose_text(v):
 
 
 def _parking_text(v):
-    yield '{"chi":' + json.dumps(v.chi.key()) + ',"seq":['
+    yield '{"chi":' + v.chi.json_key + ',"seq":['
     for i, part in enumerate(v.sequence):
         if i:
             yield ","

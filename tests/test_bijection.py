@@ -154,3 +154,23 @@ def test_tree_to_park_rejects_label_reuse():
     )
     with pytest.raises(InvalidStructureError):
         tree_to_park(dup)
+
+
+def test_bijection_and_validation_leave_no_cyclic_garbage():
+    # Only reference counting frees what they build: no self-referencing
+    # closure keeps a document's structures alive until a collection.
+    import gc
+
+    from parklike import validate_tree
+
+    p = sets((1, 3), (), (2,), ())
+    gc.collect()
+    was = gc.isenabled()
+    gc.disable()
+    try:
+        t = park_to_tree(p)
+        assert validate_tree(t, E()) and tree_to_park(t) == p
+        assert gc.collect() == 0
+    finally:
+        if was:
+            gc.enable()

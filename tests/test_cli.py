@@ -250,16 +250,6 @@ def test_error_exit_codes(capsys, argv, rc):
 
 LEAF = {"root": {"k": "set", "labels": []}, "children": []}
 
-# Slot i holds label i: the tree is a path 1 -> 2 -> ... -> 1200, deeper
-# than the recursion limit allows to build or to write.
-CHAIN_PARKING = json.dumps(
-    {
-        "chi": "id",
-        "seq": [{"k": "set", "labels": [i]} for i in range(1, 1201)]
-        + [{"k": "set", "labels": []}],
-    }
-)
-
 
 @pytest.mark.parametrize(
     "argv, stdin",
@@ -314,9 +304,10 @@ CHAIN_PARKING = json.dumps(
         (["series", "--expr", "E", "--order", "10000000000000000000"], None),
         (["verify", "--max-n", "-1"], None),
         pytest.param(
-            ["biject", "--expr", "E", "--direction", "p2t", "--budget", "5000"],
-            CHAIN_PARKING,
-            id="p2t-1200-label-chain",
+            # A path 1200 deep, one slot short: invalid however deep it is.
+            ["biject", "--expr", "E", "--direction", "p2t"],
+            json.dumps({"chi": "id", "seq": [{"k": "set", "labels": [i]} for i in range(1, 1201)]}),
+            id="p2t-1200-label-chain-short-a-slot",
         ),
         (["count", "--expr", "(" * 400 + "X" + ")" * 400, "--n", "1"], None),
         (["count", "--expr", "1+" * 3000 + "X", "--n", "1"], None),
@@ -344,6 +335,30 @@ def test_bad_input_is_one_error_line(capsys, monkeypatch, argv, stdin):
     assert rc == 1 and captured.out == ""
     lines = captured.err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: ")
+
+
+def chain_tree_text(n):
+    """Canonical text of the path 1 -> 2 -> ... -> n, built from the leaf up."""
+    text = '{"children":[],"root":{"k":"set","labels":[]}}'
+    for label in range(n, 0, -1):
+        text = (
+            f'{{"children":[{{"label":{label},"subtree":{text}}}],'
+            f'"root":{{"k":"set","labels":[{label}]}}}}'
+        )
+    return text
+
+
+@pytest.mark.parametrize("n", [1000, 1200])
+def test_biject_p2t_builds_a_deep_chain_tree(capsys, monkeypatch, n):
+    # Slot i holds label i, so the tree is a path n deep, past the recursion
+    # limit: building it (and validating the parking) must not recurse.
+    doc = json.dumps(
+        {"chi": "id", "seq": [{"k": "set", "labels": [i]} for i in range(1, n + 1)]
+         + [{"k": "set", "labels": []}]}
+    )
+    argv = ["biject", "--expr", "E", "--direction", "p2t"]
+    rc, out = run(capsys, argv, stdin=doc, monkeypatch=monkeypatch)
+    assert rc == 0 and out == chain_tree_text(n) + "\n"
 
 
 @pytest.mark.parametrize(

@@ -1,3 +1,5 @@
+import gc
+from contextlib import contextmanager
 from math import comb
 
 import pytest
@@ -276,3 +278,86 @@ def test_iter_set_partitions_blocks_ordered_by_min():
         mins = [min(b) for b in part]
         assert mins == sorted(mins)
         assert mins[:1] == [1]
+
+
+def refinement_partitions(labels):
+    """The classical refinement recursion, as a test-local oracle: each label
+    in turn joins every open block, then opens a new one."""
+    items = sorted(labels)
+    if not items:
+        yield ()
+        return
+
+    def rec(i, blocks):
+        if i == len(items):
+            yield tuple(frozenset(b) for b in blocks)
+            return
+        x = items[i]
+        for block in blocks:
+            block.append(x)
+            yield from rec(i + 1, blocks)
+            block.pop()
+        blocks.append([x])
+        yield from rec(i + 1, blocks)
+        blocks.pop()
+
+    yield from rec(0, [])
+
+
+@pytest.mark.parametrize("n", range(9))
+def test_iter_set_partitions_order_is_the_refinement_recursion(n):
+    labels = {3 * i + 2 for i in range(n)}  # not 1..n: positions are not labels
+    assert list(iter_set_partitions(labels)) == list(refinement_partitions(labels))
+
+
+# -- the cyclic collector ---------------------------------------------------------
+
+
+@contextmanager
+def collector(enabled: bool):
+    """Run the block with the cyclic collector on or off, then restore it."""
+    was = gc.isenabled()
+    gc.enable() if enabled else gc.disable()
+    try:
+        yield
+    finally:
+        gc.enable() if was else gc.disable()
+
+
+def test_iter_set_partitions_leaves_no_cyclic_garbage():
+    gc.collect()
+    with collector(False):
+        for _ in iter_set_partitions(canonical_labels(5)):
+            pass
+        assert gc.collect() == 0
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+@pytest.mark.parametrize("method, arg", [("generate", {1, 2}), ("raw", {1, 2}), ("count", 2)])
+def test_generation_leaves_the_collector_as_it_found_it(env, enabled, method, arg):
+    with collector(enabled):
+        getattr(Generator(env), method)(Ref("Par"), arg)
+        assert gc.isenabled() is enabled
+        with pytest.raises(InadmissibleCompositionError):
+            getattr(Generator(env), method)(Compose(E(), E()), arg)
+        assert gc.isenabled() is enabled
+
+
+def test_counting_runs_no_collection(env):
+    # 16,807 trees and their sub-results would set off many collections of
+    # the young generation, and full ones over everything built so far.
+    gen, expr = Generator(env), Tree(E())
+    started = []
+
+    def hook(phase, info):
+        if phase == "start":
+            started.append(info["generation"])
+
+    with collector(True):
+        gc.collect()  # so that nothing made before the count is due for one
+        gc.callbacks.append(hook)
+        try:
+            assert gen.count(expr, 6) == 7**5
+        finally:
+            gc.callbacks.remove(hook)
+    assert started == []

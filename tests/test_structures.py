@@ -189,3 +189,64 @@ def test_canonical_labels():
     assert canonical_labels(0) == frozenset()
     assert canonical_labels(3) == {1, 2, 3}
 
+
+
+# -- value semantics of the constructors ------------------------------------------
+
+
+def _one_of_each():
+    from parklike.chi import ChiMap
+    from parklike.structures import ParkingLike, TreeLike
+
+    leaf = TreeLike(SetVal(frozenset()), ())
+    return [
+        (SetVal({1}), "labels"),
+        (AtomVal(1), "label"),
+        (SumVal("L", UNIT), "side"),
+        (SumVal("R", UNIT), "inner"),
+        (ProdVal(UNIT, AtomVal(1)), "left"),
+        (ProdVal(UNIT, AtomVal(1)), "right"),
+        (ComposeVal(AtomVal(1), ((frozenset({1}), AtomVal(1)),)), "outer"),
+        (ComposeVal(AtomVal(1), ((frozenset({1}), AtomVal(1)),)), "blocks"),
+        (ParkingLike(ChiMap.identity(), (UNIT,)), "chi"),
+        (ParkingLike(ChiMap.identity(), (UNIT,)), "sequence"),
+        (TreeLike(SetVal({1}), ((1, leaf),)), "root"),
+        (TreeLike(SetVal({1}), ((1, leaf),)), "children"),
+    ]
+
+
+@pytest.mark.parametrize(
+    "value, field", _one_of_each(), ids=lambda v: v if isinstance(v, str) else type(v).__name__
+)
+def test_structure_fields_are_frozen(value, field):
+    import dataclasses
+
+    before = getattr(value, field)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        setattr(value, field, before)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        delattr(value, field)
+    assert getattr(value, field) is before
+
+
+def test_parking_like_from_a_list_equals_the_one_from_a_tuple():
+    from parklike.chi import ChiMap
+    from parklike.structures import ParkingLike
+
+    parts = [SetVal({1}), SetVal(frozenset())]
+    from_list = ParkingLike(ChiMap.identity(), parts)
+    from_tuple = ParkingLike(ChiMap.identity(), tuple(parts))
+    assert type(from_list.sequence) is tuple
+    assert from_list == from_tuple and hash(from_list) == hash(from_tuple)
+    assert serialize(from_list) == serialize(from_tuple)
+
+
+@pytest.mark.parametrize("order", [(1, 2, 3), (3, 1, 2), (2, 3, 1)])
+def test_tree_like_children_from_a_list_are_the_sorted_tuple(order):
+    from parklike.structures import TreeLike
+
+    leaf = TreeLike(SetVal(frozenset()), ())
+    t = TreeLike(SetVal({1, 2, 3}), [(head, leaf) for head in order])
+    assert t.children == ((1, leaf), (2, leaf), (3, leaf))
+    assert type(t.children) is tuple
+    assert t == TreeLike(SetVal({1, 2, 3}), ((1, leaf), (2, leaf), (3, leaf)))

@@ -1,7 +1,12 @@
+import sys
+
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from parklike import (
     Generator,
+    SpeciesEnv,
+    accepts,
     SetVal,
     TreeLike,
     deserialize,
@@ -127,3 +132,80 @@ def test_validate_rejects_foreign_root(env):
     t = TreeLike(AtomVal(1), ((1, TreeLike(UNIT, ())),))
     with pytest.raises(InvalidStructureError):
         validate_tree(t, base=E(), env=env)
+
+
+def recursive_validate_tree(t, base=None, env=None):
+    """The node-by-node recursion validate_tree follows, as a test-local oracle."""
+
+    def rec(node):
+        heads = node.root.underlying()
+        child_heads = [head for head, _sub in node.children]
+        if child_heads != sorted(heads):
+            raise InvalidStructureError(
+                f"children keys {child_heads} != root labels {sorted(heads)}"
+            )
+        if base is not None and not accepts(base, node.root, env):
+            raise InvalidStructureError(
+                f"root on {sorted(heads)} is not a base-species structure"
+            )
+        seen = heads
+        for head, sub in node.children:
+            below = rec(sub)
+            if below & seen:
+                raise InvalidStructureError(f"label reuse under head {head}")
+            seen |= below
+        return seen
+
+    rec(t)
+    return True
+
+
+def verdict(validate, t, *args):
+    try:
+        return validate(t, *args)
+    except InvalidStructureError as exc:
+        return str(exc)
+
+
+def node(heads, subtrees, fault):
+    """A node with a subtree per head; with fault "atom", an atom root (which
+    E rejects) when there is one head; with "short", no subtree at the last
+    head."""
+    heads = sorted(heads)
+    root = AtomVal(heads[0]) if fault == "atom" and len(heads) == 1 else SetVal(heads)
+    children = tuple(zip(heads, subtrees))
+    return TreeLike(root, children[:-1] if fault == "short" else children)
+
+
+# Trees on labels 1..3: labels reused across nodes, heads short of a subtree,
+# atom roots, often more than one fault in one tree.
+trees = st.recursive(
+    st.just(TreeLike(SetVal(frozenset()), ())),
+    lambda sub: st.builds(
+        node,
+        st.frozensets(st.integers(1, 3), min_size=1, max_size=3),
+        st.lists(sub, min_size=3, max_size=3),
+        st.sampled_from([None, None, None, None, "atom", "short"]),
+    ),
+    max_leaves=8,
+)
+
+
+# Two subtrees under the top node that both hold label 3.
+_TWICE = TreeLike(SetVal({3}), ((3, TreeLike(SetVal(frozenset()), ())),))
+
+
+@given(trees, st.booleans())
+@example(TreeLike(SetVal({1, 2}), ((1, _TWICE), (2, _TWICE))), False)
+@settings(max_examples=300, deadline=None)
+def test_validate_tree_reports_the_first_fault_the_recursion_meets(t, with_base):
+    args = (E(), SpeciesEnv.standard()) if with_base else ()
+    assert verdict(validate_tree, t, *args) == verdict(recursive_validate_tree, t, *args)
+
+
+def test_validate_tree_walks_a_path_deeper_than_the_recursion_limit():
+    n = 3 * sys.getrecursionlimit()
+    t = TreeLike(SetVal(frozenset()), ())
+    for label in range(n, 0, -1):
+        t = TreeLike(SetVal({label}), ((label, t),))
+    assert validate_tree(t, base=E())
