@@ -24,9 +24,7 @@ field of parking-like JSON.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
-from functools import cached_property
 
 from .errors import ChiTableExhaustedError, SpeciesError
 
@@ -120,9 +118,3 @@ class ChiMap:
         if self.kind == "affine":
             return f"affine({self.a},{self.b})"
         return "table({})".format(",".join(str(v) for v in self.table))
-
-    @cached_property
-    def json_key(self) -> str:
-        """key() as a JSON string, worked out once per map: canonical text
-        writes it for every parking-like structure."""
-        return json.dumps(self.key())

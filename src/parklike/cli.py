@@ -146,9 +146,8 @@ def cmd_enumerate(args, env) -> int:
         # texts dict for the whole listing, so shared parts reuse their text.
         structures = Generator(env).raw(expr, labels)
         texts = {}
-        write = sys.stdout.write
-        for text in sorted([serialize(s, texts) for s in structures]):
-            write(text + "\n")
+        for text in sorted(serialize(s, texts) for s in structures):
+            print(text)
     return 0
 
 

@@ -46,6 +46,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Union
 
 from .chi import ChiMap
@@ -346,8 +347,15 @@ def _compose_text(v):
     yield "}"
 
 
+@lru_cache(maxsize=128)
+def _chi_text(chi) -> str:
+    """The chi field's JSON text, worked out once per chi map, not once per
+    parking-like structure."""
+    return json.dumps(chi.key())
+
+
 def _parking_text(v):
-    yield '{"chi":' + v.chi.json_key + ',"seq":['
+    yield '{"chi":' + _chi_text(v.chi) + ',"seq":['
     for i, part in enumerate(v.sequence):
         if i:
             yield ","

@@ -345,16 +345,29 @@ def test_generation_leaves_the_collector_as_it_found_it(env, enabled, method, ar
 
 def test_counting_runs_no_collection(env):
     # 16,807 trees and their sub-results would set off many collections of
-    # the young generation, and full ones over everything built so far.
+    # the young generation, and full ones over everything built so far.  The
+    # hook counts only collections that start while the trees are built: the
+    # one the pause puts off runs at some allocation after the collector is
+    # back on, which this test does not pin.
     gen, expr = Generator(env), Tree(E())
-    started = []
+    build = gen._gen
+    building, started = False, []
+
+    def outermost(expr, labels):
+        nonlocal building
+        gen._gen = build  # the recursion calls the method itself
+        building = True
+        try:
+            return build(expr, labels)
+        finally:
+            building = False
 
     def hook(phase, info):
-        if phase == "start":
+        if phase == "start" and building:
             started.append(info["generation"])
 
+    gen._gen = outermost
     with collector(True):
-        gc.collect()  # so that nothing made before the count is due for one
         gc.callbacks.append(hook)
         try:
             assert gen.count(expr, 6) == 7**5
