@@ -35,7 +35,7 @@ from .expr import SpeciesEnv, expr_to_text
 from .generate import Generator
 from .membership import validate_parking, validate_tree
 from .series import egf_of_species
-from .structures import ParkingLike, TreeLike, canonical_labels, from_jsonable, serialize
+from .structures import ParkingLike, TreeLike, canonical_labels, from_jsonable, serialize, spaced
 from .verify import run_suite
 
 
@@ -134,19 +134,19 @@ def cmd_enumerate(args, env) -> int:
     labels = canonical_labels(args.n)
     # The generator and its memo go once the listing exists: the sub-results
     # on smaller label sets are freed before the listing is written.
+    structures = Generator(env).raw(expr, labels)
+    # One serialization per structure, both to sort and to print; one texts
+    # dict for the whole listing, so shared parts reuse their text.
+    texts = {}
+    lines = sorted(serialize(s, texts) for s in structures)
     if args.format == "json":
-        # The bytes of json.dumps(list, sort_keys=True), one structure at a
-        # time, so one structure's dict tree is alive at once, not all.
+        # The bytes of json.dumps(listing, sort_keys=True), a line at a time.
         print("[", end="")
-        for i, s in enumerate(Generator(env).generate(expr, labels)):
-            print(", " if i else "", json.dumps(s.to_jsonable(), sort_keys=True), sep="", end="")
+        for i, text in enumerate(lines):
+            print(", " if i else "", spaced(text), sep="", end="")
         print("]")
     else:
-        # One serialization per structure, both to sort and to print; one
-        # texts dict for the whole listing, so shared parts reuse their text.
-        structures = Generator(env).raw(expr, labels)
-        texts = {}
-        for text in sorted(serialize(s, texts) for s in structures):
+        for text in lines:
             print(text)
     return 0
 

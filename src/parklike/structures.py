@@ -25,11 +25,10 @@ class's own __setattr__ refuses every assignment.  Equality, hashing and
 repr are the dataclass ones, and assigning to a field of a built value
 raises FrozenInstanceError.
 
-Every value implements the same small protocol: underlying(),
-relabel(mapping) and to_jsonable().  Generation never relabels: it builds
-each label set from shared sub-results, and membership (membership.py)
-reads each value on its own labels.  relabel serves the tree unfolding and
-the functoriality checks.
+Every value implements the same small protocol: underlying() and
+relabel(mapping).  Generation never relabels: it builds each label set from
+shared sub-results, and membership (membership.py) reads each value on its
+own labels.  relabel serves the tree unfolding and the functoriality checks.
 
 Serialization is canonical JSON (sorted keys, no spaces), so structures are
 equal iff their serializations are byte-equal; enumeration order everywhere
@@ -37,9 +36,9 @@ is lexicographic on that string.  serialize writes that text itself from
 the _TEXT table, which gives per structure type the pieces of a value's
 text: literal strings and the parts whose texts go between them.  Within a
 listing, the text of a part met a second time is kept and reused, so a
-shared part is not written over and over.  to_jsonable gives the same value
-as a JSON tree: it is what `enumerate --format json` prints, and the tests
-hold serialize to json.dumps of it.
+shared part is not written over and over.  spaced turns the canonical text
+into json.dumps's default spacing, which `enumerate --format json` prints.
+This module is the one writer and the one reader of the format.
 """
 
 from __future__ import annotations
@@ -64,9 +63,6 @@ class UnitVal:
     def relabel(self, mapping) -> "UnitVal":
         return self
 
-    def to_jsonable(self):
-        return {"k": "unit"}
-
 
 @dataclass(frozen=True, slots=True, init=False)
 class SetVal:
@@ -81,9 +77,6 @@ class SetVal:
     def relabel(self, mapping) -> "SetVal":
         return SetVal(frozenset(map(mapping.__getitem__, self.labels)))
 
-    def to_jsonable(self):
-        return {"k": "set", "labels": sorted(self.labels)}
-
 
 @dataclass(frozen=True, slots=True, init=False)
 class AtomVal:
@@ -97,9 +90,6 @@ class AtomVal:
 
     def relabel(self, mapping) -> "AtomVal":
         return AtomVal(mapping[self.label])
-
-    def to_jsonable(self):
-        return {"k": "atom", "label": self.label}
 
 
 @dataclass(frozen=True, slots=True, init=False)
@@ -119,9 +109,6 @@ class SumVal:
     def relabel(self, mapping) -> "SumVal":
         return SumVal(self.side, self.inner.relabel(mapping))
 
-    def to_jsonable(self):
-        return {"k": "sum", "side": self.side, "in": self.inner.to_jsonable()}
-
 
 @dataclass(frozen=True, slots=True, init=False)
 class ProdVal:
@@ -137,9 +124,6 @@ class ProdVal:
 
     def relabel(self, mapping) -> "ProdVal":
         return ProdVal(self.left.relabel(mapping), self.right.relabel(mapping))
-
-    def to_jsonable(self):
-        return {"k": "prod", "l": self.left.to_jsonable(), "r": self.right.to_jsonable()}
 
 
 @dataclass(frozen=True, slots=True, init=False)
@@ -180,16 +164,6 @@ class ComposeVal:
             new_blocks.append((new_block, inner.relabel(mapping)))
         return ComposeVal(self.outer.relabel(rep_map), tuple(new_blocks))
 
-    def to_jsonable(self):
-        return {
-            "k": "comp",
-            "outer": self.outer.to_jsonable(),
-            "blocks": [
-                {"labels": sorted(block), "in": inner.to_jsonable()}
-                for block, inner in self.blocks
-            ],
-        }
-
 
 @dataclass(frozen=True, slots=True, init=False)
 class ParkingLike:
@@ -208,9 +182,6 @@ class ParkingLike:
 
     def relabel(self, mapping) -> "ParkingLike":
         return ParkingLike(self.chi, tuple(s.relabel(mapping) for s in self.sequence))
-
-    def to_jsonable(self):
-        return {"chi": self.chi.key(), "seq": [s.to_jsonable() for s in self.sequence]}
 
 
 @dataclass(frozen=True, slots=True, init=False)
@@ -244,28 +215,28 @@ class TreeLike:
                 return sub
         raise KeyError(label)
 
+    def _nodes(self) -> list:
+        """Every node of the tree, each after its parent.
+
+        A tree nests one level per label, so this is a loop over the growing
+        list, not one interpreter frame per level.
+        """
+        nodes = [self]
+        for node in nodes:
+            nodes.extend([sub for _head, sub in node.children])
+        return nodes
+
     def underlying(self) -> frozenset:
-        out = self.root.underlying()
-        for _head, sub in self.children:
-            out |= sub.underlying()
-        return out
+        return frozenset().union(*[node.root.underlying() for node in self._nodes()])
 
     def relabel(self, mapping) -> "TreeLike":
-        return TreeLike(
-            self.root.relabel(mapping),
-            tuple(
-                [(mapping[head], sub.relabel(mapping)) for head, sub in self.children]
-            ),
-        )
-
-    def to_jsonable(self):
-        return {
-            "root": self.root.to_jsonable(),
-            "children": [
-                {"label": head, "subtree": sub.to_jsonable()}
-                for head, sub in self.children
-            ],
-        }
+        moved = {}  # id(node) -> its relabeled copy, children before parents
+        for node in reversed(self._nodes()):
+            moved[id(node)] = TreeLike(
+                node.root.relabel(mapping),
+                tuple([(mapping[head], moved[id(sub)]) for head, sub in node.children]),
+            )
+        return moved[id(self)]
 
 
 # The slot setters the constructors fill values through (see the module doc).
@@ -287,8 +258,9 @@ UNIT = UnitVal()
 def serialize(s, texts=None) -> str:
     """Canonical serialization: sorted keys, no whitespace.
 
-    The text equals json.dumps(s.to_jsonable(), sort_keys=True,
-    separators=(",", ":")), written as one list of pieces and joined once.
+    The text is json.dumps(..., sort_keys=True, separators=(",", ":")) of the
+    value's JSON form (the one from_jsonable reads), written as one list of
+    pieces and joined once.
     Pass one texts dict across a listing to write a shared part once: it maps
     id(part) to None once the listing has met the part, and to the part's
     text from its second meeting on.  Parts inside a part whose text is being
@@ -388,8 +360,20 @@ _TEXT = {
 }
 
 
+def spaced(text: str) -> str:
+    """Canonical text with json.dumps's default ", " and ": " separators.
+
+    The text's strings (keys, kinds, sides and chi keys) hold no quote, so
+    every other piece between quotes lies outside a string.
+    """
+    pieces = text.split('"')
+    pieces[::2] = [p.replace(",", ", ").replace(":", ": ") for p in pieces[::2]]
+    return '"'.join(pieces)
+
+
 def from_jsonable(data) -> "Structure":
-    """Inverse of to_jsonable; raises InvalidStructureError on bad input."""
+    """The structure a JSON value stands for, the inverse of
+    json.loads(serialize(s)); raises InvalidStructureError on bad input."""
     if not isinstance(data, dict):
         raise InvalidStructureError(f"expected a JSON object, got {type(data).__name__}")
     kind = data.get("k")

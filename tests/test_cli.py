@@ -17,6 +17,8 @@ from parklike import ChiMap, Generator, Park, SpeciesEnv, expr_to_text, parse_sp
 from parklike.cli import main
 from parklike.structures import canonical_labels, from_jsonable, serialize
 
+from jsonable import to_jsonable
+
 EXAMPLE_PARKING = json.dumps(
     {
         "chi": "id",
@@ -98,10 +100,10 @@ def test_enumerate_json_bytes_are_pinned(capsys, expr, n, digest):
     assert rc == 0 and hashlib.sha256(out.encode()).hexdigest() == digest
 
 
-def test_enumerate_json_holds_one_structure_tree_at_a_time(capsys):
-    # With the dict tree of every structure alive at once the peak was
-    # about 11 times the 2.1 MB output; the output, its capture and the
-    # structures take about 3 times.
+def test_enumerate_json_listing_peak_memory_is_within_five_times_the_output(capsys):
+    # The 200 structures' sorted canonical lines, the spaced line being
+    # printed, and the captured 2.1 MB output (which a real stdout does not
+    # keep) take about 3.4 times the output.
     tracemalloc.start()
     try:
         rc, out = run(capsys, ["enumerate", "--expr", "E^200", "--n", "1", "--format", "json"])
@@ -110,6 +112,31 @@ def test_enumerate_json_holds_one_structure_tree_at_a_time(capsys):
         tracemalloc.stop()
     assert rc == 0 and len(json.loads(out)) == 200
     assert peak < 5 * len(out)
+
+
+@pytest.mark.parametrize(
+    "expr, n",
+    [
+        ("park(E, affine(2,0))", 3),
+        ("park(E, affine(2,-1))", 4),
+        ("park(E, table(1,3,4,6,8,9,11,12))", 3),
+        ("Par", 4),
+        ("tree(Comp)", 3),
+        ("E@(X+X)", 3),
+        ("0", 2),
+    ],
+)
+def test_enumerate_json_is_json_dumps_of_the_listing(capsys, env, expr, n):
+    # Chi keys such as affine(2,0) hold commas that must stay unspaced; 0
+    # lists nothing, so its listing is the empty array.
+    listing = Generator(env).generate(parse_species(expr, env), canonical_labels(n))
+    rc, out = run(capsys, ["enumerate", "--expr", expr, "--n", str(n), "--format", "json"])
+    assert rc == 0
+    want = json.dumps([to_jsonable(s) for s in listing], sort_keys=True) + "\n"
+    # Equal pieces mean equal texts; a failure shows the first unequal
+    # structure, not a diff of two long lines.
+    assert out.split("}, {") == want.split("}, {")
+    assert (expr == "0") == (out == "[]\n")
 
 
 def test_enumerate_jsonl_lines_are_sorted_json(capsys):

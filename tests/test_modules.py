@@ -71,3 +71,37 @@ def test_no_function_level_imports(path):
                 assert not isinstance(node, (ast.Import, ast.ImportFrom)), (
                     f"{path.name}:{node.lineno} imports inside {fn.name}()"
                 )
+
+
+# The keys only structure JSON uses; "k", "l", "r", "in", "label" and "chi"
+# are too short or too common to tell a JSON writer by.
+_JSON_KEYS = ("children", "subtree", "seq", "blocks", "labels", "outer", "root")
+
+
+@pytest.mark.parametrize(
+    "path",
+    sorted(p for p in SRC.glob("*.py") if p.name != "structures.py"),
+    ids=lambda p: p.name,
+)
+def test_structure_json_is_written_and_read_in_structures_only(path):
+    # A second writer of the format would spell its keys as dict-display keys,
+    # as subscripts, or quoted inside text; series.py's "outer" is the name
+    # of an expression field, which none of these is.
+    source = path.read_text()
+    assert "to_jsonable" not in source
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Dict):
+            keys = node.keys
+        elif isinstance(node, ast.Subscript):
+            keys = [node.slice]
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            assert not any(f'"{key}"' in node.value for key in _JSON_KEYS), (
+                f"{path.name}:{node.lineno} writes structure JSON"
+            )
+            continue
+        else:
+            continue
+        for key in keys:
+            assert not (isinstance(key, ast.Constant) and key.value in _JSON_KEYS), (
+                f"{path.name}:{node.lineno} reads or writes structure JSON"
+            )

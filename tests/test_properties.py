@@ -27,6 +27,8 @@ from parklike.errors import SpeciesError
 from parklike.expr import E, EPlus, One, Compose, Park, Power, Prod, Ref, Sum, Tree, X, Zero
 from parklike.structures import canonical_labels
 
+from jsonable import to_jsonable
+
 ENV = SpeciesEnv.standard()
 
 leaves = st.sampled_from(
@@ -93,7 +95,7 @@ def test_serialization_round_trip(expr, labels):
 def test_serialize_writes_the_canonical_json_of_to_jsonable(expr, labels):
     texts = {}  # one for the whole listing, as enumerate uses it
     for s in Generator(ENV).raw(expr, labels):
-        want = json.dumps(s.to_jsonable(), sort_keys=True, separators=(",", ":"))
+        want = json.dumps(to_jsonable(s), sort_keys=True, separators=(",", ":"))
         assert serialize(s) == want
         assert serialize(s, texts) == want
 
@@ -154,6 +156,25 @@ def test_parking_function_round_trip(slots):
 chi_tables = st.lists(
     st.integers(min_value=0, max_value=3), min_size=5, max_size=7
 ).map(lambda steps: ChiMap.from_table([sum(steps[: i + 1]) for i in range(len(steps))]))
+
+
+@given(
+    st.one_of(
+        st.tuples(st.integers(0, 10**30), st.integers(-(10**30), 10**30))
+        .filter(lambda ab: ab[0] + ab[1] >= 0)
+        .map(lambda ab: ChiMap.affine(*ab)),
+        st.lists(st.integers(0, 10**30), min_size=1, max_size=8).map(
+            lambda values: ChiMap.from_table(sorted(values))
+        ),
+        chi_tables.map(lambda chi: chi.shift(2)),
+    )
+)
+@settings(max_examples=200, deadline=None)
+def test_chi_key_holds_no_quote_or_backslash(chi):
+    # spaced() finds the canonical text's strings by their quotes alone.
+    key = chi.key()
+    assert '"' not in key and "\\" not in key
+    assert json.dumps(key) == '"' + key + '"'
 
 
 @given(chi_tables, st.integers(min_value=0, max_value=3))

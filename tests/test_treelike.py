@@ -209,3 +209,46 @@ def test_validate_tree_walks_a_path_deeper_than_the_recursion_limit():
     for label in range(n, 0, -1):
         t = TreeLike(SetVal({label}), ((label, t),))
     assert validate_tree(t, base=E())
+
+
+def recursive_underlying(t):
+    """TreeLike.underlying as a recursion per level, a test-local oracle."""
+    out = t.root.underlying()
+    for _head, sub in t.children:
+        out |= recursive_underlying(sub)
+    return out
+
+
+def recursive_relabel(t, mapping):
+    """TreeLike.relabel as a recursion per level, a test-local oracle."""
+    return TreeLike(
+        t.root.relabel(mapping),
+        tuple((mapping[head], recursive_relabel(sub, mapping)) for head, sub in t.children),
+    )
+
+
+@given(trees, st.permutations([1, 2, 3]))
+@example(TreeLike(SetVal({1, 2}), ((1, _TWICE), (2, _TWICE))), [3, 1, 2])
+@settings(max_examples=200, deadline=None)
+def test_underlying_and_relabel_match_the_recursion(t, image):
+    mapping = dict(zip([1, 2, 3], image))
+    assert t.underlying() == recursive_underlying(t)
+    moved = t.relabel(mapping)
+    assert moved == recursive_relabel(t, mapping)
+    assert serialize(moved) == serialize(recursive_relabel(t, mapping))
+
+
+def test_underlying_and_relabel_walk_a_path_deeper_than_the_recursion_limit():
+    n = 3 * sys.getrecursionlimit()
+
+    def path(labels):
+        t = TreeLike(SetVal(frozenset()), ())
+        for label in reversed(labels):
+            t = TreeLike(SetVal({label}), ((label, t),))
+        return t
+
+    t = path(range(1, n + 1))
+    assert t.underlying() == frozenset(range(1, n + 1))
+    # Deep values are compared by their text: dataclass equality recurses.
+    moved = t.relabel({label: label + n for label in range(1, n + 1)})
+    assert serialize(moved) == serialize(path(range(n + 1, 2 * n + 1)))
