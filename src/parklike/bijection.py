@@ -3,14 +3,12 @@
 Forward direction: a parking-like sequence (sp_1, ..., sp_{n+1}) orders its
 labels by slot first, ambient order second (the q-order).  sp_1 becomes the
 root structure; the structure sp_{i+1} becomes the node of the i-th label in
-q-order.  Backward direction: breadth-first traversal, heads sorted at each
-step, emits the slots back in q-order.  Both directions are exact inverses;
-only the identity chi is admitted.
+q-order.  Backward direction: breadth-first order, heads sorted at each node,
+is the q-order, so the roots of TreeLike.nodes() are the slots in order.  Both
+directions are exact inverses; only the identity chi is admitted.
 """
 
 from __future__ import annotations
-
-from collections import deque
 
 from .chi import ChiMap
 from .errors import ChiNotIdentityError, InvalidStructureError
@@ -47,22 +45,12 @@ def park_to_tree(p: ParkingLike) -> TreeLike:
 
 
 def tree_to_park(t: TreeLike) -> ParkingLike:
-    """Breadth-first inverse: dequeue order reproduces the q-order."""
-    sequence = [t.root]
-    queue: deque = deque()
-    subtree_at = {}
-    for head, sub in t.children:
-        subtree_at[head] = sub
-    queue.extend(head for head, _sub in t.children)
-    seen = set(subtree_at)
-    while queue:
-        label = queue.popleft()
-        node = subtree_at[label]
-        sequence.append(node.root)
-        for head, sub in node.children:
+    """Breadth-first inverse: the roots of t.nodes() in order are the slots."""
+    seen = set()
+    nodes = t.nodes()
+    for node in nodes:
+        for head, _sub in node.children:
             if head in seen:
                 raise InvalidStructureError(f"label {head} appears twice")
             seen.add(head)
-            subtree_at[head] = sub
-            queue.append(head)
-    return ParkingLike(ChiMap.identity(), tuple(sequence))
+    return ParkingLike(ChiMap.identity(), tuple([node.root for node in nodes]))

@@ -250,8 +250,8 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except RecursionError as exc:
-        # Expressions, definitions and structures are walked recursively, so
-        # deep enough nesting in any of them outruns the recursion limit.
+        # Expressions, definitions, non-tree structures and json.loads still
+        # recurse per level, so deep enough nesting outruns the recursion limit.
         print(f"error: input nests too deeply: {exc}", file=sys.stderr)
         return 1
     except MemoryError:

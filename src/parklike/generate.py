@@ -270,11 +270,9 @@ class Generator:
         heads, the subtrees on each head's share, and the base structure on W.
         """
         base = expr.base
-        if not labels:
-            return [TreeLike(root, ()) for root in self._gen(base, labels)]
         out = []
         items = sorted(labels)
-        for w in range(1, len(items) + 1):
+        for w in range(len(items) + 1):
             for heads in combinations(items, w):
                 roots = self._gen(base, frozenset(heads))
                 if not roots:

@@ -1,11 +1,12 @@
 """Memoization with a fixed-point driver for recursive definitions.
 
 Structure generation and series evaluation both solve a Ref by iterating its
-body from an empty value until two rounds agree.  While a solve runs, its
-current approximation stands in for the Ref, so any result computed from it
-is provisional: Memo caches a result only if no approximation was read while
-it was computed.  Each caller picks its own cache key, empty value, round
-bound and error text.
+body from an empty value until two rounds agree, or until a round reads no
+approximation of its own.  While a solve runs, its current approximation
+stands in for the Ref, so any result computed from it is provisional: Memo
+caches a result only if no approximation was read while it was computed, and
+a solve's result only if every approximation read during the solve was its
+own.  Each caller picks its own key, empty value, round bound and error text.
 """
 
 from __future__ import annotations
@@ -24,8 +25,7 @@ class Memo:
         self.cache: dict = {}
         self.enabled = enabled
         self.reads = 0  # approximation reads so far; see store()
-        self._approx: dict = {}
-        self._driver_reads: list = []
+        self._approx: dict = {}  # key -> [approximation, reads of it], innermost last
 
     def store(self, key, result, reads_before: int):
         """Cache result unless an approximation was read since reads_before."""
@@ -33,10 +33,11 @@ class Memo:
             self.cache[key] = result
         return result
 
-    def _note_approx_read(self, key) -> None:
+    def read_innermost(self) -> None:
+        """Count a read of the innermost solve's approximation (a result reused in its round)."""
         self.reads += 1
-        for reads in self._driver_reads:
-            reads.add(key)
+        if self._approx:
+            self._approx[next(reversed(self._approx))][1] += 1
 
     def solve(self, key, empty, rounds: int, step, error: str):
         """The fixed point of step() for key, starting from empty.
@@ -45,24 +46,26 @@ class Memo:
         approximation.  Raises DivergentRecursionError with the given text if
         rounds iterations do not stabilize.
         """
-        if key in self._approx:
-            self._note_approx_read(key)
-            return self._approx[key]
-        self._approx[key] = empty
-        reads: set = set()
-        self._driver_reads.append(reads)
+        entry = self._approx.get(key)
+        if entry is not None:
+            self.reads += 1
+            entry[1] += 1
+            return entry[0]
+        entry = self._approx[key] = [empty, 0]
+        reads_before = self.reads
         try:
             for _ in range(rounds):
+                own_before = entry[1]
                 result = step()
-                if result == self._approx[key]:
+                # A round that read no approximation of key's has nothing to improve.
+                if result == entry[0] or entry[1] == own_before:
                     break
-                self._approx[key] = result
+                entry[0] = result
             else:
                 raise DivergentRecursionError(error)
         finally:
             del self._approx[key]
-            self._driver_reads.pop()
-        # Final only if no *other* recursion was mid-iteration.
-        if self.enabled and not (reads - {key}):
+        # Final only if every approximation read during the solve was key's.
+        if self.enabled and self.reads - reads_before == entry[1]:
             self.cache[key] = result
         return result

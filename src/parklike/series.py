@@ -195,7 +195,7 @@ class _Evaluator:
             return cached
         cached = self._round.get(expr)
         if cached is not None:
-            self._memo.reads += 1  # so what is built on it stays provisional
+            self._memo.read_innermost()  # so what is built on it stays provisional
             return cached
         rule = _RULES.get(type(expr))
         if rule is None:

@@ -29,6 +29,8 @@ Every value implements the same small protocol: underlying() and
 relabel(mapping).  Generation never relabels: it builds each label set from
 shared sub-results, and membership (membership.py) reads each value on its
 own labels.  relabel serves the tree unfolding and the functoriality checks.
+No walk of a TreeLike recurses per level: each reads TreeLike.nodes(), and
+the tree JSON reader walks its input in the same breadth-first order.
 
 Serialization is canonical JSON (sorted keys, no spaces), so structures are
 equal iff their serializations are byte-equal; enumeration order everywhere
@@ -215,23 +217,21 @@ class TreeLike:
                 return sub
         raise KeyError(label)
 
-    def _nodes(self) -> list:
-        """Every node of the tree, each after its parent.
-
-        A tree nests one level per label, so this is a loop over the growing
-        list, not one interpreter frame per level.
-        """
+    def nodes(self) -> list:
+        """Every node, each after its parent: breadth-first, children in head
+        order.  A loop over the growing list, not one interpreter frame per
+        level (a tree nests one level per label); reversed, children come first."""
         nodes = [self]
         for node in nodes:
             nodes.extend([sub for _head, sub in node.children])
         return nodes
 
     def underlying(self) -> frozenset:
-        return frozenset().union(*[node.root.underlying() for node in self._nodes()])
+        return frozenset().union(*[node.root.underlying() for node in self.nodes()])
 
     def relabel(self, mapping) -> "TreeLike":
         moved = {}  # id(node) -> its relabeled copy, children before parents
-        for node in reversed(self._nodes()):
+        for node in reversed(self.nodes()):
             moved[id(node)] = TreeLike(
                 node.root.relabel(mapping),
                 tuple([(mapping[head], moved[id(sub)]) for head, sub in node.children]),
@@ -415,12 +415,16 @@ def _chi(text) -> ChiMap:
 
 
 def _tree_from_jsonable(data) -> TreeLike:
-    root = from_jsonable(data["root"])
-    children = tuple(
-        (_label(child["label"]), _tree_from_jsonable(child["subtree"]))
-        for child in data["children"]
-    )
-    return TreeLike(root, children)
+    nodes = [data]  # the JSON of every node, each after its parent, as nodes()
+    for node in nodes:
+        nodes.extend([child["subtree"] for child in node["children"]])
+    built = {}  # id(node JSON) -> its TreeLike, children before parents
+    for node in reversed(nodes):
+        built[id(node)] = TreeLike(
+            from_jsonable(node["root"]),
+            [(_label(child["label"]), built[id(child["subtree"])]) for child in node["children"]],
+        )
+    return built[id(data)]
 
 
 def _label(value) -> int:

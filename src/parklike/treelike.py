@@ -11,7 +11,8 @@ included, in membership.py; this module holds the unfolding bridge.
 The unfolding bridge (tree_to_core / tree_from_core) converts between this
 node representation and the plain composition structure of base@(X*T),
 which the generic generator can also produce; the two routes must agree and
-the test suite holds them to that.
+the test suite holds them to that.  Both loop over a node list in reverse,
+children first, and look built children up by id: generated trees share subtrees.
 """
 
 from __future__ import annotations
@@ -28,26 +29,28 @@ from .structures import (
 
 def tree_to_core(t: TreeLike):
     """Unfold a TreeLike into the composition structure of base@(X*T)."""
-    blocks = []
-    head_to_rep = {}
-    for head, sub in t.children:
-        inner = ProdVal(AtomVal(head), tree_to_core(sub))
-        block = inner.underlying()
-        head_to_rep[head] = min(block)
-        blocks.append((block, inner))
-    return ComposeVal(t.root.relabel(head_to_rep), tuple(blocks))
+    core = {}  # id(node) -> its unfolding, children before parents
+    for node in reversed(t.nodes()):
+        inners = [ProdVal(AtomVal(head), core[id(sub)]) for head, sub in node.children]
+        blocks = tuple([(inner.underlying(), inner) for inner in inners])
+        head_to_rep = {inner.left.label: min(block) for block, inner in blocks}
+        core[id(node)] = ComposeVal(node.root.relabel(head_to_rep), blocks)
+    return core[id(t)]
 
 
 def tree_from_core(s) -> TreeLike:
     """Fold a base@(X*T) composition structure back into a TreeLike."""
-    if not isinstance(s, ComposeVal):
-        raise InvalidStructureError("expected a composition structure")
-    children = []
-    rep_to_head = {}
-    for block, inner in s.blocks:
-        if not isinstance(inner, ProdVal) or not isinstance(inner.left, AtomVal):
-            raise InvalidStructureError("block is not an (atom, subtree) pair")
-        head = inner.left.label
-        rep_to_head[min(block)] = head
-        children.append((head, tree_from_core(inner.right)))
-    return TreeLike(s.outer.relabel(rep_to_head), tuple(children))
+    nodes = [s]  # every composition node, each after its parent, as in nodes()
+    for node in nodes:
+        if not isinstance(node, ComposeVal):
+            raise InvalidStructureError("expected a composition structure")
+        for _block, inner in node.blocks:
+            if not isinstance(inner, ProdVal) or not isinstance(inner.left, AtomVal):
+                raise InvalidStructureError("block is not an (atom, subtree) pair")
+            nodes.append(inner.right)
+    folded = {}  # id(node) -> its TreeLike, children before parents
+    for node in reversed(nodes):
+        children = [(inner.left.label, folded[id(inner.right)]) for _block, inner in node.blocks]
+        rep_to_head = {min(block): inner.left.label for block, inner in node.blocks}
+        folded[id(node)] = TreeLike(node.outer.relabel(rep_to_head), children)
+    return folded[id(s)]

@@ -105,3 +105,44 @@ def test_structure_json_is_written_and_read_in_structures_only(path):
             assert not (isinstance(key, ast.Constant) and key.value in _JSON_KEYS), (
                 f"{path.name}:{node.lineno} reads or writes structure JSON"
             )
+
+
+def _calls_itself(fn, method: bool) -> bool:
+    """Whether fn calls its own name; a method, also as an attribute of
+    anything but a node's root (a base structure's method of that name)."""
+    for node in ast.walk(fn):
+        if not isinstance(node, ast.Call):
+            continue
+        f = node.func
+        if isinstance(f, ast.Name) and f.id == fn.name:
+            return True
+        if method and isinstance(f, ast.Attribute) and f.attr == fn.name:
+            if not (isinstance(f.value, ast.Attribute) and f.value.attr == "root"):
+                return True
+    return False
+
+
+def _tree_walks():
+    """Every function of treelike.py and bijection.py, nested ones included,
+    every TreeLike method, and the tree JSON reader, as (name, node, method)."""
+    for name in ("treelike.py", "bijection.py"):
+        for fn in ast.walk(ast.parse((SRC / name).read_text())):
+            if isinstance(fn, ast.FunctionDef):
+                yield f"{name}:{fn.name}", fn, False
+    for top in ast.parse((SRC / "structures.py").read_text()).body:
+        if isinstance(top, ast.ClassDef) and top.name == "TreeLike":
+            for fn in ast.walk(top):
+                if isinstance(fn, ast.FunctionDef):
+                    yield f"TreeLike.{fn.name}", fn, True
+        elif isinstance(top, ast.FunctionDef) and top.name == "_tree_from_jsonable":
+            yield "structures._tree_from_jsonable", top, False
+
+
+_TREE_WALKS = list(_tree_walks())
+
+
+@pytest.mark.parametrize("name, fn, method", _TREE_WALKS, ids=[w[0] for w in _TREE_WALKS])
+def test_tree_walks_do_not_recurse(name, fn, method):
+    # A tree nests one level per label, so a walk that calls itself per level
+    # runs out of interpreter frames on a deep enough tree.
+    assert not _calls_itself(fn, method), f"{name} calls itself"
