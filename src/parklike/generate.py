@@ -31,7 +31,7 @@ from __future__ import annotations
 import gc
 from itertools import combinations, product
 
-from .errors import InadmissibleCompositionError, InvalidStructureError
+from .errors import InadmissibleCompositionError
 from .expr import (
     E,
     EPlus,
@@ -74,35 +74,24 @@ def iter_subsets(labels):
 def iter_set_partitions(labels):
     """All partitions into non-empty blocks, each a tuple of frozensets.
 
-    Blocks come out ordered by minimum element; the whole iteration is
-    deterministic: the restricted-growth strings of the sorted labels in
-    lexicographic order, which is the order of the classical refinement
-    recursion (each label joins every open block in turn, then opens a new
-    one).  A loop, so no self-referencing closure is left for the cyclic
-    collector.
+    Blocks come out ordered by minimum element, in the order of the classical
+    refinement recursion: each sorted label joins every open block in turn,
+    then opens a new one.  A stack of (labels placed, partition of the sorted
+    prefix) pairs drives it; a popped prefix pushes its next label's choices
+    in reverse, so joining the first block pops first.  A lazy loop, so no
+    self-referencing closure is left for the cyclic collector.
     """
     items = sorted(labels)
-    n = len(items)
-    if not n:
-        yield ()
-        return
-    # block[i]: the block index of items[i]; top[i]: max(block[:i + 1]).
-    # block[i] may grow up to top[i - 1] + 1, a new block.
-    block, top = [0] * n, [0] * n
-    while True:
-        blocks = [[] for _ in range(top[-1] + 1)]
-        for x, b in zip(items, block):
-            blocks[b].append(x)
-        yield tuple(map(frozenset, blocks))
-        i = n - 1
-        while i and block[i] > top[i - 1]:
-            i -= 1
-        if not i:
-            return
-        block[i] += 1
-        top[i] = max(top[i - 1], block[i])
-        for j in range(i + 1, n):
-            block[j], top[j] = 0, top[i]
+    stack = [(0, ())]
+    while stack:
+        i, blocks = stack.pop()
+        if i == len(items):
+            yield blocks
+            continue
+        x = items[i]
+        stack.append((i + 1, (*blocks, frozenset((x,)))))
+        for j in reversed(range(len(blocks))):
+            stack.append((i + 1, (*blocks[:j], blocks[j] | {x}, *blocks[j + 1:])))
 
 
 class Generator:
@@ -292,15 +281,11 @@ class Generator:
 
 
 def flatten_power(s, k: int) -> tuple:
-    """Split a k-fold power structure (nested pairs ending in unit) into a tuple."""
+    """The k factors of a power structure _compute_park built: no shape check."""
     out = []
     for _ in range(k):
-        if not isinstance(s, ProdVal):
-            raise InvalidStructureError(f"expected a {k}-fold power structure")
         out.append(s.left)
         s = s.right
-    if s != UNIT:
-        raise InvalidStructureError(f"expected a {k}-fold power structure")
     return tuple(out)
 
 

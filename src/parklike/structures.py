@@ -196,12 +196,13 @@ class TreeLike:
             children = tuple(children)
         # Generation and order-preserving relabeling already build these
         # sorted, so only pay for a sort when the order is actually broken.
+        # By head alone: validate_tree names a head listed twice.
         if len(children) > 1:
             prev = children[0][0]
             for pair in children:
                 head = pair[0]
                 if head < prev:
-                    children = tuple(sorted(children))
+                    children = tuple(sorted(children, key=lambda pair: pair[0]))
                     break
                 prev = head
         _tree_root(self, root)

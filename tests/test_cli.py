@@ -502,6 +502,17 @@ def test_biject_rejects_wrong_kind(capsys, monkeypatch):
     assert rc == 1
 
 
+def test_biject_t2p_names_a_head_listed_twice_out_of_order(capsys, monkeypatch):
+    other = {"root": {"k": "set", "labels": [3]}, "children": [{"label": 3, "subtree": LEAF}]}
+    children = [{"label": 2, "subtree": LEAF}, {"label": 1, "subtree": LEAF}, {"label": 2, "subtree": other}]
+    doc = json.dumps({"root": {"k": "set", "labels": [1, 2]}, "children": children})
+    monkeypatch.setattr(sys, "stdin", io.StringIO(doc))
+    rc = main(["biject", "--expr", "E", "--direction", "t2p"])
+    captured = capsys.readouterr()
+    assert rc == 1 and captured.out == ""
+    assert captured.err.splitlines() == ["error: children keys [1, 2, 2] != root labels [1, 2]"]
+
+
 def forbid_listing(monkeypatch):
     """Make any generation over a non-empty label set fail."""
     original = Generator._gen

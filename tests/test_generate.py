@@ -8,8 +8,11 @@ from parklike import (
     Generator,
     SpeciesEnv,
     accepts,
+    park_to_tree,
     parse_species,
     serialize,
+    validate_parking,
+    validate_tree,
 )
 from parklike.errors import (
     DivergentRecursionError,
@@ -32,7 +35,7 @@ from parklike.expr import (
     Zero,
 )
 from parklike.generate import iter_set_partitions, iter_subsets
-from parklike.structures import UNIT, ProdVal, SetVal, canonical_labels
+from parklike.structures import UNIT, ComposeVal, ProdVal, SetVal, canonical_labels
 from parklike.verify import BASES
 
 
@@ -240,6 +243,53 @@ def test_accepts_deep_powers(env):
     assert not accepts(Power(E(), 2999), s, env)
 
 
+def test_accepts_raises_generations_admissibility_error(env):
+    expr = Compose(E(), E())
+    with pytest.raises(InadmissibleCompositionError) as generated:
+        Generator(env).count(expr, 1)
+    s = ComposeVal(SetVal({1}), ((frozenset({1}), SetVal({1})),))
+    with pytest.raises(InadmissibleCompositionError) as accepted:
+        accepts(expr, s, env)
+    assert str(accepted.value) == str(generated.value)
+
+
+def several_slot_parking(env, labels):
+    """A park(Par) parking on labels with a slot on more than one label."""
+    parks = Generator(env).raw(Park(Ref("Par"), ChiMap.identity()), labels)
+    return next(p for p in parks if any(len(s.underlying()) > 1 for s in p.sequence))
+
+
+@pytest.mark.parametrize(
+    "check",
+    [
+        lambda p, env: validate_parking(p, Ref("Par"), env),
+        lambda p, env: validate_tree(park_to_tree(p), Ref("Par"), env),
+        lambda p, env: accepts(Park(Ref("Par"), ChiMap.identity()), p, env),
+        lambda p, env: accepts(Tree(Ref("Par")), park_to_tree(p), env),
+    ],
+    ids=["validate_parking", "validate_tree", "accepts-park", "accepts-tree"],
+)
+def test_one_validation_builds_one_generator(env, monkeypatch, check):
+    p = several_slot_parking(env, {1, 2, 3, 4})
+    assert len(p.sequence) == 5
+    built = []
+    init = Generator.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(Generator, "__init__", counted)
+    assert check(p, env)
+    assert len(built) == 1
+
+
+def test_validation_without_a_base_builds_no_generator(env, monkeypatch):
+    p = several_slot_parking(env, {1, 2, 3})
+    monkeypatch.setattr(Generator, "__init__", None)  # any construction fails
+    assert validate_parking(p) and validate_tree(park_to_tree(p))
+
+
 def test_equal_substructures_are_one_object(gen):
     # Each label set is built from the memoized lists of its subsets, so an
     # equal substructure anywhere in a listing is the same Python object.
@@ -302,6 +352,11 @@ def refinement_partitions(labels):
         blocks.pop()
 
     yield from rec(0, [])
+
+
+def test_iter_set_partitions_is_lazy():
+    # All 40-label partitions would never finish; the first is one block.
+    assert next(iter_set_partitions(range(1, 41))) == (frozenset(range(1, 41)),)
 
 
 @pytest.mark.parametrize("n", range(9))

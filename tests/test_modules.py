@@ -146,3 +146,18 @@ def test_tree_walks_do_not_recurse(name, fn, method):
     # A tree nests one level per label, so a walk that calls itself per level
     # runs out of interpreter frames on a deep enough tree.
     assert not _calls_itself(fn, method), f"{name} calls itself"
+
+
+def test_membership_builds_generators_only_in_its_entry_points():
+    # A check carries one generator through every rule; a rule that built its
+    # own would build one per node of the value.
+    entry_points = {"accepts", "validate_parking", "validate_tree"}
+    for top in ast.parse((SRC / "membership.py").read_text()).body:
+        owner = top.name if isinstance(top, ast.FunctionDef) else "module scope"
+        for node in ast.walk(top):
+            if isinstance(node, ast.Call):
+                f = node.func
+                name = f.id if isinstance(f, ast.Name) else getattr(f, "attr", None)
+                assert name != "Generator" or owner in entry_points, (
+                    f"membership.py:{node.lineno} builds a Generator in {owner}"
+                )

@@ -56,6 +56,17 @@ def test_children_sorted_regardless_of_input_order(env):
     assert [h for h, _ in t.children] == [1, 2]
 
 
+def test_repeated_head_out_of_order_constructs_and_fails_validation():
+    # Children 2, 1, 2 with unequal subtrees: the sort is by head alone, so
+    # the two subtrees under head 2 are never compared.
+    leaf = TreeLike(SetVal(frozenset()), ())
+    other = TreeLike(SetVal({3}), ((3, leaf),))
+    t = TreeLike(SetVal({1, 2}), ((2, leaf), (1, leaf), (2, other)))
+    assert t.children == ((1, leaf), (2, leaf), (2, other))
+    with pytest.raises(InvalidStructureError, match=r"^children keys \[1, 2, 2\] != root labels \[1, 2\]$"):
+        validate_tree(t)
+
+
 def test_every_label_used_exactly_once(env):
     for n in range(5):
         for t in Generator(env).generate(Tree(E()), canonical_labels(n)):
