@@ -21,6 +21,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import sys
 
 from .bijection import park_to_tree, tree_to_park
@@ -158,6 +159,61 @@ def cmd_count(args, env) -> int:
     return 0
 
 
+_BLANK = re.compile(r"[ \t\n\r]*")
+
+
+def _loads(text: str):
+    """json.loads; a document nested too deeply for it is read by a loop."""
+    try:
+        return json.loads(text)
+    except RecursionError:
+        pass
+    # Arrays and objects go on an explicit stack; raw_decode reads the
+    # scalars and keys.  Each open container is [value, key of the next item].
+    decoder, blank = json.JSONDecoder(), _BLANK.match
+    stack = []
+
+    def key(i: int) -> int:
+        if not text.startswith('"', i):
+            raise json.JSONDecodeError("Expecting property name enclosed in double quotes", text, i)
+        stack[-1][1], i = decoder.raw_decode(text, i)
+        i = blank(text, i).end()
+        if not text.startswith(":", i):
+            raise json.JSONDecodeError("Expecting ':' delimiter", text, i)
+        return blank(text, i + 1).end()
+
+    i = blank(text).end()
+    while True:
+        opener = text[i : i + 1]
+        if opener in ("[", "{"):  # open a container; an empty one is a value
+            stack.append([[] if opener == "[" else {}, None])
+            i = blank(text, i + 1).end()
+            if not text.startswith("]" if opener == "[" else "}", i):
+                i = key(i) if opener == "{" else i
+                continue
+            value, i = stack.pop()[0], i + 1
+        else:
+            value, i = decoder.raw_decode(text, i)
+        while True:  # place the value; close what it completes
+            i = blank(text, i).end()
+            if not stack:
+                if i != len(text):
+                    raise json.JSONDecodeError("Extra data", text, i)
+                return value
+            container, name = stack[-1]
+            if type(container) is list:
+                container.append(value)
+            else:
+                container[name] = value
+            if text.startswith(",", i):
+                i = blank(text, i + 1).end()
+                i = key(i) if type(container) is dict else i
+                break
+            if not text.startswith("]" if type(container) is list else "}", i):
+                raise json.JSONDecodeError("Expecting ',' delimiter", text, i)
+            value, i = stack.pop()[0], i + 1
+
+
 def _read_documents(source: str):
     """One JSON document, or one per non-blank line (JSON Lines)."""
     try:
@@ -167,10 +223,10 @@ def _read_documents(source: str):
             with open(source) as f:
                 text = f.read()
         try:
-            return [json.loads(text)]
+            return [_loads(text)]
         except json.JSONDecodeError:
-            return [json.loads(line) for line in text.splitlines() if line.strip()]
-    except (OSError, RecursionError, json.JSONDecodeError) as exc:
+            return [_loads(line) for line in text.splitlines() if line.strip()]
+    except (OSError, json.JSONDecodeError) as exc:
         raise SpeciesError(f"cannot read JSON input: {exc}") from exc
 
 
@@ -250,8 +306,8 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except RecursionError as exc:
-        # Expressions, definitions, non-tree structures and json.loads still
-        # recurse per level, so deep enough nesting outruns the recursion limit.
+        # Expressions, definitions and non-tree structures still recurse per
+        # level, so deep enough nesting outruns the recursion limit.
         print(f"error: input nests too deeply: {exc}", file=sys.stderr)
         return 1
     except MemoryError:

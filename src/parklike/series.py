@@ -21,10 +21,11 @@ definition settles in O(log N) rounds (Pivoteau-Salvy-Soria, JCTA 119,
 parking, trees, restriction, a composition other than a set's) or J_0 is not
 0, the round is the plain one, H(y).
 
-Tree-like series go through Lagrange inversion.  The parking-like series
-follows the slot-peeling recursion, which is the route that stays valid for
-non-identity chi; every chi map it reaches is filled at once, coefficient
-by coefficient.
+Tree-like series go through Lagrange inversion, and so do parking-like
+series over an affine chi, by Lagrange-Buermann (Flajolet-Sedgewick, Thm
+A.2).  A table chi takes the slot-peeling recursion, which fills every chi
+map it reaches at once and names the entry a table runs out at;
+park_by_peeling runs it on any chi, so verify can compare the two routes.
 """
 
 from __future__ import annotations
@@ -112,15 +113,15 @@ def _mul(a: list, b: list) -> list:
 
 
 def _pow(a: list, k: int) -> list:
-    """a^k by square-and-multiply: about 2 log2(k) products."""
-    out = [1] + [0] * (len(a) - 1)
+    """a^k by square-and-multiply: about 2 log2(k) products, none by 1."""
+    out = None
     while k:
         if k & 1:
-            out = _mul(out, a)
+            out = a if out is None else _mul(out, a)
         k >>= 1
         if k:
             a = _mul(a, a)
-    return out
+    return [1] + [0] * (len(a) - 1) if out is None else out
 
 
 def _recurrence(head: list, terms: list, lag: int) -> list:
@@ -145,31 +146,110 @@ def _recurrence(head: list, terms: list, lag: int) -> list:
     return out
 
 
-def _lagrange(a: list) -> list:
-    """Counts of T = A(X*T): T_n = (A^(n+1))_n / (n+1), one dot product of
-    A^(qs) and A^(r+1) for n = qs + r: about 2s products, O(N^2.5) in all."""
+def _lagrange(b: list, a: int = 1, s: int = 1) -> list:
+    """Counts of B(T)^s, T = X*B(T)^a: p_n = s (B^(s+an))_n / (s+an), B^s if
+    a = 0 or s = 0.  This is park(B, chi) for chi(m) = am + s - a; a = s = 1
+    is tree(B).  For n = qm + r, m = ceil(sqrt(N+1)), B^(s+an) is (B^a)^(qm)
+    times B^s (B^a)^r: one dot product, about 2m products, O(N^2.5) in all."""
+    if not a or not s:
+        return _pow(b, s)
     out, row = [], [1]  # C(n, k), k = 0..n
-    s = isqrt(len(a) - 1) + 1 if a else 0  # ceil(sqrt(N+1))
-    giant, baby = [1] + [0] * (len(a) - 1), [a]  # A^(qs); A^(r+1), r = 0..s-1
-    while len(baby) < s:
-        baby.append(_mul(baby[-1], a))
-    for n in range(len(a)):
-        q, r = divmod(n, s)
+    m = isqrt(len(b) - 1) + 1  # ceil(sqrt(N+1))
+    step = _pow(b, a)
+    baby = [step if s == a else _pow(b, s)]  # B^s (B^a)^r, r = 0..m-1
+    while len(baby) < m:
+        baby.append(_mul(baby[-1], step))
+    leap = baby[-1] if s == a else _pow(step, m)  # (B^a)^m
+    giant = [1] + [0] * (len(b) - 1)  # (B^a)^(qm)
+    for n in range(len(b)):
+        q, r = divmod(n, m)
         if q and not r:  # next giant step
-            giant = _mul(giant, baby[-1])
+            giant = _mul(giant, leap)
         total = sum(c * g * baby[r][n - k] for k, (c, g) in enumerate(zip(row, giant)) if g)
-        out.append(_exact(total, n + 1, n))
+        out.append(_exact(s * total, s + a * n, n))
         row = [1] + [row[k - 1] + row[k] for k in range(1, n + 1)] + [1]
     return out
 
 
+def _peel(counts: list, chi: ChiMap) -> list:
+    """The parking-like series over base counts by slot peeling, any chi.
+
+    With p = base^chi(1), P_chi[0] = p_0 and, for m >= 1,
+    P_chi[m] = sum_(n=1..m) C(m,n) p_n P_(chi.shift(n))[m-n]: the first
+    chi(1) slots form a power structure on n of the labels, the rest is
+    the shifted parking-like series.  Coefficient m reads only coefficients
+    below m, so every chi map reached fills at once, index by index, and
+    id.shift(1) == id is no cycle.
+    """
+    order = len(counts) - 1
+    powers = [[1] + [0] * order]  # base^j, one product per new j
+
+    def power(j: int) -> list:
+        while len(powers) <= j:
+            powers.append(_mul(powers[-1], counts))
+        return powers[j]
+
+    # Find every map and the highest index it needs, depth-first in the
+    # order of the recursion, so that a table which runs out names the
+    # same chi(m) as the recursion would.  A table map fixes its index
+    # bound; an affine map met again with a higher bound is walked again.
+    need: dict = {}
+    shifts: dict = {}  # (map, n) -> map.shift(n), each taken once
+
+    def enter(at: ChiMap, bound: int):
+        if need.get(at, -1) >= bound:
+            return None
+        need[at] = bound
+        p = power(at(1))
+        return at, bound, (n for n in range(1, bound + 1) if p[n])
+
+    stack = [enter(chi, order)]
+    while stack:
+        at, bound, ns = stack[-1]
+        for n in ns:
+            shifted = shifts.get((at, n))
+            if shifted is None:
+                shifted = shifts[at, n] = at.shift(n)
+            frame = enter(shifted, bound - n)
+            if frame is not None:
+                stack.append(frame)
+                break
+        else:
+            stack.pop()
+
+    series = {at: [power(at(1))[0]] for at in need}
+    terms = {}  # map -> [(n, p_n, shifted map's series)]
+    for at, bound in need.items():
+        p = power(at(1))
+        terms[at] = [(n, p[n], series[shifts[at, n]]) for n in range(1, bound + 1) if p[n]]
+    row = [1]  # C(m, n), n = 0..m
+    for m in range(1, order + 1):
+        row = [1] + [row[n - 1] + row[n] for n in range(1, m)] + [1]
+        for at, bound in need.items():
+            if m <= bound:
+                series[at].append(
+                    sum(row[n] * pn * tail[m - n] for n, pn, tail in terms[at] if n <= m)
+                )
+    return series[chi]
+
+
+def _prefix(base: EgfSeries, order: int) -> list:
+    """The counts a_0..a_order of a base series, for a route to that order."""
+    if order < 0:
+        raise SpeciesError(f"series order must be >= 0, got {order}")
+    if base.order < order:
+        raise SpeciesError(f"base series order {base.order} too short for requested order {order}")
+    return list(base.counts[: order + 1])
+
+
 def lagrange_solve(base: EgfSeries, order: int) -> EgfSeries:
     """The tree-like series over a base series, by Lagrange inversion."""
-    if base.order < order:
-        raise SpeciesError(
-            f"base series order {base.order} too short for requested order {order}"
-        )
-    return EgfSeries(order, _lagrange(list(base.counts[: order + 1])))
+    return EgfSeries(order, _lagrange(_prefix(base, order)))
+
+
+def park_by_peeling(base: EgfSeries, chi: ChiMap, order: int) -> EgfSeries:
+    """The parking-like series over a base series, by slot peeling."""
+    return EgfSeries(order, _peel(_prefix(base, order), chi))
 
 
 # -- species evaluation --------------------------------------------------------
@@ -274,65 +354,11 @@ class _Evaluator:
         return out
 
     def _park(self, expr: Park) -> list:
-        """Slot-peeling on count vectors, for every chi map reached at once.
-
-        With p = base^chi(1), P_chi[0] = p_0 and, for m >= 1,
-        P_chi[m] = sum_(n=1..m) C(m,n) p_n P_(chi.shift(n))[m-n]: the first
-        chi(1) slots form a power structure on n of the labels, the rest is
-        the shifted parking-like series.  Coefficient m reads only
-        coefficients below m, so all maps fill together, index by index,
-        and id.shift(1) == id is no cycle.
-        """
-        counts = self.eval(expr.base)
-        powers = [[1] + [0] * self.order]  # base^j, one product per new j
-
-        def power(j: int) -> list:
-            while len(powers) <= j:
-                powers.append(_mul(powers[-1], counts))
-            return powers[j]
-
-        # Find every map and the highest index it needs, depth-first in the
-        # order of the recursion, so that a table which runs out names the
-        # same chi(m) as the recursion would.  A table map fixes its index
-        # bound; an affine map met again with a higher bound is walked again.
-        need: dict = {}
-        shifts: dict = {}  # (map, n) -> map.shift(n), each taken once
-
-        def enter(chi: ChiMap, bound: int):
-            if need.get(chi, -1) >= bound:
-                return None
-            need[chi] = bound
-            p = power(chi(1))
-            return chi, bound, (n for n in range(1, bound + 1) if p[n])
-
-        stack = [enter(expr.chi, self.order)]
-        while stack:
-            chi, bound, ns = stack[-1]
-            for n in ns:
-                shifted = shifts.get((chi, n))
-                if shifted is None:
-                    shifted = shifts[chi, n] = chi.shift(n)
-                frame = enter(shifted, bound - n)
-                if frame is not None:
-                    stack.append(frame)
-                    break
-            else:
-                stack.pop()
-
-        series = {chi: [power(chi(1))[0]] for chi in need}
-        terms = {}  # map -> [(n, p_n, shifted map's series)]
-        for chi, bound in need.items():
-            p = power(chi(1))
-            terms[chi] = [(n, p[n], series[shifts[chi, n]]) for n in range(1, bound + 1) if p[n]]
-        row = [1]  # C(m, n), n = 0..m
-        for m in range(1, self.order + 1):
-            row = [1] + [row[n - 1] + row[n] for n in range(1, m)] + [1]
-            for chi, bound in need.items():
-                if m <= bound:
-                    series[chi].append(
-                        sum(row[n] * pn * tail[m - n] for n, pn, tail in terms[chi] if n <= m)
-                    )
-        return series[expr.chi]
+        """Lagrange-Buermann for an affine chi, slot peeling for a table."""
+        counts, chi = self.eval(expr.base), expr.chi
+        if chi.kind == "affine":
+            return _lagrange(counts, chi.a, chi(1))
+        return _peel(counts, chi)
 
     # -- derivative of a definition's body by one of its names ---------------
 

@@ -22,8 +22,8 @@ normalises and checks its arguments (a set becomes a frozenset, a sequence a
 tuple, blocks and children are sorted), then fills the slots through the
 slot descriptors' setters, bound once after the classes, since a frozen
 class's own __setattr__ refuses every assignment.  Equality, hashing and
-repr are the dataclass ones, and assigning to a field of a built value
-raises FrozenInstanceError.
+repr are the dataclass ones, except TreeLike's, which loop over its nodes,
+and assigning to a field of a built value raises FrozenInstanceError.
 
 Every value implements the same small protocol: underlying() and
 relabel(mapping).  Generation never relabels: it builds each label set from
@@ -186,7 +186,7 @@ class ParkingLike:
         return ParkingLike(self.chi, tuple(s.relabel(mapping) for s in self.sequence))
 
 
-@dataclass(frozen=True, slots=True, init=False)
+@dataclass(frozen=True, slots=True, init=False, eq=False, repr=False)
 class TreeLike:
     root: object  # base structure on the set of head labels
     children: tuple  # tuple of (head label, TreeLike), sorted by label
@@ -226,6 +226,35 @@ class TreeLike:
         for node in nodes:
             nodes.extend([sub for _head, sub in node.children])
         return nodes
+
+    # Equality and hash read nodes() too, and repr is a loop, so none of them
+    # takes a frame per level.  Trees are equal iff their nodes, in nodes()
+    # order, have equal roots and equal child heads.
+    def _shape(self) -> list:
+        return [(node.root, tuple([head for head, _sub in node.children])) for node in self.nodes()]
+
+    def __eq__(self, other):
+        if other.__class__ is not TreeLike:
+            return NotImplemented
+        return self is other or self._shape() == other._shape()
+
+    def __hash__(self):
+        return hash(tuple(self._shape()))
+
+    def __repr__(self) -> str:
+        """The dataclass text, written from a stack of pieces and subtrees."""
+        out, stack = [], [self]
+        while stack:
+            item = stack.pop()
+            if type(item) is str:
+                out.append(item)
+                continue
+            pieces = [f"TreeLike(root={item.root!r}, children=("]
+            for i, (head, sub) in enumerate(item.children):
+                pieces += [", " if i else "", f"({head!r}, ", sub, ")"]
+            pieces.append(",))" if len(item.children) == 1 else "))")
+            stack.extend(reversed(pieces))
+        return "".join(out)
 
     def underlying(self) -> frozenset:
         return frozenset().union(*[node.root.underlying() for node in self.nodes()])

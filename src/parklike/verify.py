@@ -27,7 +27,7 @@ from .expr import Compose, E, Park, Power, Prod, Ref, Restrict, SpeciesEnv, Tree
 from .generate import Generator
 from .membership import validate_parking
 from .parking import is_parking_blocks
-from .series import egf_of_species, lagrange_solve, series_equal_prefix
+from .series import egf_of_species, lagrange_solve, park_by_peeling, series_equal_prefix
 from .structures import ParkingLike, SetVal, from_jsonable, serialize
 
 BASES = (
@@ -148,6 +148,31 @@ def check_series_three_routes(max_n=None, golden_dir=None, env=None, order=12):
         del gen
         details.append(f"{name}:{lag.counts[hi]}")
     return True, f"order {order} series + counts to n<={hi} agree ({', '.join(details)})"
+
+
+def check_parking_three_routes(max_n=None, golden_dir=None, env=None):
+    """Lagrange-Buermann == slot peeling == generation counts, for affine chi."""
+    hi, order = _cap(4, max_n), 12
+    environment = _env(env)
+    chis = (_ID, ChiMap.affine(2, 0), ChiMap.affine(1, 2), ChiMap.affine(0, 3))
+    for name, base in BASES:
+        base_series = egf_of_species(base, environment, order)
+        gen = Generator(environment)
+        for chi in chis:
+            expr = Park(base, chi)
+            counts = egf_of_species(expr, environment, order).counts
+            if counts != park_by_peeling(base_series, chi, order).counts:
+                return False, f"base {name}, chi {chi.key()}: Buermann and slot peeling disagree"
+            for n in range(hi + 1):
+                got = gen.count(expr, n)
+                if got != counts[n]:
+                    return False, (
+                        f"base {name}, chi {chi.key()}, n={n}: generation {got} != series {counts[n]}"
+                    )
+    return True, (
+        f"{len(BASES)} bases under {len(chis)} chi maps: order {order} series "
+        f"+ counts to n<={hi} agree"
+    )
 
 
 def check_reference_tables(max_n=None, golden_dir=None, env=None):
@@ -389,6 +414,7 @@ REFERENCE_CHECKS = (
     ("worked-bijection", check_worked_bijection),
     ("bijection-exhaustive", check_bijection_exhaustive),
     ("series-three-routes", check_series_three_routes),
+    ("parking-three-routes", check_parking_three_routes),
     ("reference-tables", check_reference_tables),
     ("closed-forms", check_closed_forms),
     ("kary-correspondence", check_kary),

@@ -568,6 +568,40 @@ def test_biject_round_trips_a_300_label_chain(capsys, monkeypatch):
     assert rc == 0 and json.loads(back) == doc
 
 
+def test_biject_round_trips_a_2000_label_chain(capsys, monkeypatch):
+    # The tree text nests 3 levels per label, 6000 in all: json.loads gives up
+    # on it, and the reader that takes over holds its open containers itself.
+    n = 2000
+    seq = [{"k": "set", "labels": [label]} for label in range(1, n + 1)]
+    doc = {"chi": "id", "seq": seq + [{"k": "set", "labels": []}]}
+    argv = ["biject", "--expr", "E", "--direction"]
+    rc, tree = run(capsys, argv + ["p2t"], stdin=json.dumps(doc), monkeypatch=monkeypatch)
+    assert rc == 0 and tree == chain_tree_text(n) + "\n"
+    rc, back = run(capsys, argv + ["t2p"], stdin=tree, monkeypatch=monkeypatch)
+    assert rc == 0 and json.loads(back) == doc
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        chain_tree_text(2000)[:-1],  # one closing brace short
+        chain_tree_text(2000) + "}",
+        chain_tree_text(2000).replace(',"root"', '"root"', 1),  # at the leaf
+        "".join(chain_tree_text(2000).rsplit(":", 1)),  # at the top, read last
+        "[" * 10_000,
+        "[" * 5_000 + "1," + "]" * 5_000,
+    ],
+    ids=["short", "extra", "no-comma", "no-colon", "unclosed", "trailing-comma"],
+)
+def test_biject_deep_malformed_json_is_one_error_line(capsys, monkeypatch, text):
+    monkeypatch.setattr(sys, "stdin", io.StringIO(text))
+    rc = main(["biject", "--expr", "E", "--direction", "t2p"])
+    captured = capsys.readouterr()
+    assert rc == 1 and captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: cannot read JSON input: ")
+
+
 def test_biject_is_not_bound_by_the_generation_budget(capsys, monkeypatch):
     empty = {"k": "set", "labels": []}
     doc = json.dumps({"chi": "id", "seq": [{"k": "set", "labels": list(range(1, 13))}] + [empty] * 12})

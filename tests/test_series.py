@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from parklike import (
+    ChiMap,
     EgfSeries,
     Generator,
     egf_of_species,
@@ -187,9 +188,10 @@ def test_counts_validate_length():
     [
         lambda: EgfSeries(-1, ()),
         lambda: lagrange_solve(EgfSeries(2, (1, 1, 1)), -1),
+        lambda: series.park_by_peeling(EgfSeries(2, (1, 1, 1)), ChiMap.identity(), -1),
         lambda: egf_of_species(E(), None, -1),
     ],
-    ids=["EgfSeries", "lagrange_solve", "egf_of_species"],
+    ids=["EgfSeries", "lagrange_solve", "park_by_peeling", "egf_of_species"],
 )
 def test_negative_order_is_rejected(make):
     with pytest.raises(SpeciesError) as info:
@@ -305,6 +307,8 @@ def test_newton_rounds_agree_with_plain_rounds(defined):
         ("Forest", 100, cayley),
         ("Ary(2)", 150, lambda n: factorial(2 * n) // factorial(n + 1)),
         ("park(E)", 60, cayley),
+        ("park(E)", 300, cayley),
+        ("park(E, affine(3,1))", 60, lambda n: 4 * (4 + 3 * n) ** (n - 1) if n else 1),
         ("park(L)", 40, lambda n: factorial(2 * n) // factorial(n + 1)),
         ("park(E, affine(2,0))", 40, lambda n: 2 * (2 * n + 2) ** (n - 1) if n else 1),
         ("tree(E)", 200, cayley),
@@ -364,6 +368,73 @@ def test_two_routes_to_doubled_parking(env):
     assert series_equal_prefix(
         egf("park(E, affine(2,0))", env, 5), egf("park(Sub)", env, 5), 5
     )
+
+
+# -- parking series: Lagrange-Buermann for affine chi against slot peeling ---------
+
+PARK_BASES = [
+    "E", "E+", "X", "0", "1", "1+X", "X^2", "restrict(L,2)+1", "L", "Par", "Sub",
+    "Comp", "Ary(2)", "E@(X+X)", "park(E)", "tree(L)", "Forest",
+]
+# chi = affine(a, c) for every a in 0..3 and c >= -a, so that chi(1) = a + c >= 0.
+AFFINE = [(a, c) for a in range(4) for c in range(-a, 6)]
+
+
+@pytest.mark.parametrize("index, text", enumerate(PARK_BASES), ids=PARK_BASES)
+def test_buermann_agrees_with_slot_peeling(env, index, text):
+    order = 9 + index % 6  # orders 9..14 across the bases
+    base = egf(text, env, order)
+    for a, c in AFFINE:
+        chi = ChiMap.affine(a, c)
+        peeled = series.park_by_peeling(base, chi, order).counts
+        assert tuple(series._lagrange(list(base.counts), a, a + c)) == peeled, (a, c)
+        assert egf(f"park({text}, {chi.key()})", env, order).counts == peeled, (a, c)
+
+
+@pytest.mark.parametrize("text", ["E", "1+X", "X^2", "L", "Par", "tree(L)"])
+def test_affine_parking_series_match_generation(env, text):
+    gen = Generator(env)
+    for a in range(4):
+        for c in (-a, 0, 2):
+            expr = parse_species(f"park({text}, {ChiMap.affine(a, c).key()})", env)
+            counts = egf_of_species(expr, env, 3).counts
+            assert counts == tuple(gen.count(expr, n) for n in range(4)), (a, c)
+
+
+def test_parking_with_no_first_slots_is_the_unit_series(env):
+    # chi(1) = 0: the empty structure only.
+    for text in ("park(E, affine(1,-1))", "park(L, affine(3,-3))", "park(Par, affine(0,0))"):
+        assert egf(text, env, 8).counts == (1,) + (0,) * 8
+
+
+def test_constant_chi_parks_a_power(env):
+    # chi(m) = 3 for every m: three slots, whatever the label count.
+    assert egf("park(L, affine(0,3))", env, 10).counts == egf("L^3", env, 10).counts
+    assert egf("park(E, affine(0,3))", env, 10).counts == tuple(3**n for n in range(11))
+
+
+@pytest.mark.parametrize("order", [34, 99, 150])
+@pytest.mark.parametrize("a, c", [(1, 0), (2, 0), (3, 1), (1, 2), (0, 3)])
+def test_affine_parking_takes_about_two_root_n_products(env, monkeypatch, order, a, c):
+    # Slot peeling would take order + 1 full products and an O(order^2) fill
+    # per shifted map.
+    s, m = a + c, isqrt(order) + 1
+    calls = []
+    mul = series._mul
+    monkeypatch.setattr(series, "_mul", lambda x, y: calls.append(1) or mul(x, y))
+    counts = egf(f"park(E, {ChiMap.affine(a, c).key()})", env, order).counts
+    assert counts == tuple(s * (s + a * n) ** (n - 1) if n else 1 for n in range(order + 1))
+    # k^j by squaring takes at most 2 (j.bit_length() - 1) products.  With
+    # a = 0 the series is B^s alone; else _lagrange's bound, plus B^a, and
+    # B^s and (B^a)^m unless s == a.
+    if not a:
+        bound = 2 * (s.bit_length() - 1)
+    else:
+        powers = a.bit_length() - 1
+        if s != a:
+            powers += s.bit_length() - 1 + m.bit_length() - 1
+        bound = 2 * m + 1 + 2 * powers
+    assert len(calls) <= bound
 
 
 def test_series_match_generation(env):

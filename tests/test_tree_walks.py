@@ -324,8 +324,8 @@ def path(n):
 def test_core_round_trip_of_a_path_deeper_than_the_recursion_limit():
     n = 3 * sys.getrecursionlimit()
     t = path(n)
-    # Deep values are compared by their text: dataclass equality recurses.
-    assert serialize(tree_from_core(tree_to_core(t))) == serialize(t)
+    back = tree_from_core(tree_to_core(t))
+    assert back == t and serialize(back) == serialize(t)
 
 
 def test_json_reader_reads_a_path_deeper_than_the_recursion_limit():
@@ -337,3 +337,43 @@ def test_json_reader_reads_a_path_deeper_than_the_recursion_limit():
             "root": {"k": "set", "labels": [label]},
         }
     assert serialize(from_jsonable(data)) == serialize(path(n))
+
+
+# -- equality, hash and repr -------------------------------------------------------
+
+
+@pytest.mark.parametrize("name, base", BASES, ids=[name for name, _ in BASES])
+def test_equality_is_equal_text_and_equal_trees_hash_alike(name, base):
+    gen = Generator(SpeciesEnv.standard())
+    trees = [t for n in range(4) for t in gen.generate(Tree(base), canonical_labels(n))]
+    texts = [serialize(t) for t in trees]
+    copies = [from_jsonable(json.loads(text)) for text in texts]
+    for t, text in zip(trees, texts):
+        for u, other in zip(copies, texts):
+            assert (t == u) == (text == other)
+            assert t != u or hash(t) == hash(u)
+    assert len(set(trees) | set(copies)) == len(set(texts))
+
+
+def test_a_path_deeper_than_the_recursion_limit_compares_hashes_and_prints():
+    n = 3000
+    assert n > sys.getrecursionlimit()
+    t, u = path(n), path(n)
+    v = TreeLike(SetVal({n + 1}), ())  # the same path but for its last root
+    for label in range(n, 0, -1):
+        v = TreeLike(SetVal({label}), ((label, v),))
+    assert t == u and hash(t) == hash(u)
+    assert t != path(n - 1) and t != v
+    text = repr(t)
+    assert text.startswith("TreeLike(root=SetVal(labels=frozenset({1})), children=((1, TreeLike(")
+    assert text.count("TreeLike(") == n + 1 and text == repr(u)
+
+
+def test_repr_is_the_dataclass_text():
+    leaf = "TreeLike(root=SetVal(labels=frozenset()), children=())"
+    t = TreeLike(SetVal({1, 2}), ((1, LEAF), (2, TreeLike(SetVal({3}), ((3, LEAF),)))))
+    assert repr(LEAF) == leaf
+    assert repr(t) == (
+        f"TreeLike(root=SetVal(labels=frozenset({{1, 2}})), children=((1, {leaf}), "
+        f"(2, TreeLike(root=SetVal(labels=frozenset({{3}})), children=((3, {leaf}),)))))"
+    )

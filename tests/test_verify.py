@@ -1,8 +1,14 @@
 import pytest
 
-from parklike import run_suite
+from parklike import run_suite, series
 from parklike.errors import SpeciesError
-from parklike.verify import BASES, REFERENCE_CHECKS, PROPERTY_CHECKS, check_series_three_routes
+from parklike.verify import (
+    BASES,
+    PROPERTY_CHECKS,
+    REFERENCE_CHECKS,
+    check_parking_three_routes,
+    check_series_three_routes,
+)
 
 
 def test_reference_suite_at_reduced_scale():
@@ -55,3 +61,20 @@ def test_three_routes_agree_at_order_60():
     ok, detail = check_series_three_routes(max_n=2, order=60)
     assert ok, detail
     assert detail.count(":") == len(BASES)
+
+
+def test_parking_three_routes_at_full_scale():
+    # Lagrange-Buermann and slot peeling at order 12 and generation to n = 4,
+    # for every base under id, affine(2,0), affine(1,2) and affine(0,3).
+    ok, detail = check_parking_three_routes()
+    assert ok, detail
+    assert detail == "6 bases under 4 chi maps: order 12 series + counts to n<=4 agree"
+
+
+def test_parking_three_routes_catch_a_wrong_exponent(monkeypatch):
+    # Read with s = 1 always, Buermann still gives the id and tree series.
+    lagrange = series._lagrange
+    monkeypatch.setattr(series, "_lagrange", lambda b, a=1, s=1: lagrange(b, a, 1))
+    ok, detail = check_parking_three_routes(max_n=2)
+    assert not ok
+    assert detail == "base E, chi affine(2,0): Buermann and slot peeling disagree"
