@@ -5,14 +5,14 @@ labels by slot first, ambient order second (the q-order).  sp_1 becomes the
 root structure; the structure sp_{i+1} becomes the node of the i-th label in
 q-order.  Backward direction: breadth-first order, heads sorted at each node,
 is the q-order, so the roots of TreeLike.nodes() are the slots in order.  Both
-directions are exact inverses; only the identity chi is admitted.
+directions validate their input and are exact inverses, for the identity chi only.
 """
 
 from __future__ import annotations
 
 from .chi import ChiMap
 from .errors import ChiNotIdentityError, InvalidStructureError
-from .membership import validate_parking
+from .membership import validate_parking, validate_tree
 from .structures import ParkingLike, TreeLike
 
 
@@ -53,4 +53,5 @@ def tree_to_park(t: TreeLike) -> ParkingLike:
             if head in seen:
                 raise InvalidStructureError(f"label {head} appears twice")
             seen.add(head)
+    validate_tree(t)
     return ParkingLike(ChiMap.identity(), tuple([node.root for node in nodes]))

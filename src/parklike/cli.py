@@ -3,7 +3,8 @@
 Commands:
     enumerate    list (or count) all structures on {1..n}
     count        structure count by exhaustive generation
-    biject       convert parking-like JSON <-> tree-like JSON
+    biject       convert parking-like JSON <-> tree-like JSON: one document
+                 in any layout, or several, each starting on a new line
     series       structure counts by generating-series evaluation
     verify       run the built-in verification suites
     define-dump  print the active species definitions
@@ -21,7 +22,6 @@ from __future__ import annotations
 import argparse
 import json
 import os
-import re
 import sys
 
 from .bijection import park_to_tree, tree_to_park
@@ -36,7 +36,9 @@ from .expr import SpeciesEnv, expr_to_text
 from .generate import Generator
 from .membership import validate_parking, validate_tree
 from .series import egf_of_species
-from .structures import ParkingLike, TreeLike, canonical_labels, from_jsonable, serialize, spaced
+from .structures import (
+    ParkingLike, TreeLike, canonical_labels, from_jsonable, read_json, serialize, spaced,
+)
 from .verify import run_suite
 
 
@@ -159,74 +161,16 @@ def cmd_count(args, env) -> int:
     return 0
 
 
-_BLANK = re.compile(r"[ \t\n\r]*")
-
-
-def _loads(text: str):
-    """json.loads; a document nested too deeply for it is read by a loop."""
-    try:
-        return json.loads(text)
-    except RecursionError:
-        pass
-    # Arrays and objects go on an explicit stack; raw_decode reads the
-    # scalars and keys.  Each open container is [value, key of the next item].
-    decoder, blank = json.JSONDecoder(), _BLANK.match
-    stack = []
-
-    def key(i: int) -> int:
-        if not text.startswith('"', i):
-            raise json.JSONDecodeError("Expecting property name enclosed in double quotes", text, i)
-        stack[-1][1], i = decoder.raw_decode(text, i)
-        i = blank(text, i).end()
-        if not text.startswith(":", i):
-            raise json.JSONDecodeError("Expecting ':' delimiter", text, i)
-        return blank(text, i + 1).end()
-
-    i = blank(text).end()
-    while True:
-        opener = text[i : i + 1]
-        if opener in ("[", "{"):  # open a container; an empty one is a value
-            stack.append([[] if opener == "[" else {}, None])
-            i = blank(text, i + 1).end()
-            if not text.startswith("]" if opener == "[" else "}", i):
-                i = key(i) if opener == "{" else i
-                continue
-            value, i = stack.pop()[0], i + 1
-        else:
-            value, i = decoder.raw_decode(text, i)
-        while True:  # place the value; close what it completes
-            i = blank(text, i).end()
-            if not stack:
-                if i != len(text):
-                    raise json.JSONDecodeError("Extra data", text, i)
-                return value
-            container, name = stack[-1]
-            if type(container) is list:
-                container.append(value)
-            else:
-                container[name] = value
-            if text.startswith(",", i):
-                i = blank(text, i + 1).end()
-                i = key(i) if type(container) is dict else i
-                break
-            if not text.startswith("]" if type(container) is list else "}", i):
-                raise json.JSONDecodeError("Expecting ',' delimiter", text, i)
-            value, i = stack.pop()[0], i + 1
-
-
-def _read_documents(source: str):
-    """One JSON document, or one per non-blank line (JSON Lines)."""
+def _read_documents(source: str) -> list:
+    """The JSON values of the documents in the input file or stdin (read_json)."""
     try:
         if source == "-":
             text = sys.stdin.read()
         else:
             with open(source) as f:
                 text = f.read()
-        try:
-            return [_loads(text)]
-        except json.JSONDecodeError:
-            return [_loads(line) for line in text.splitlines() if line.strip()]
-    except (OSError, json.JSONDecodeError) as exc:
+        return read_json(text)
+    except (OSError, ValueError) as exc:  # ValueError: bad JSON, or bytes that are not text
         raise SpeciesError(f"cannot read JSON input: {exc}") from exc
 
 

@@ -46,10 +46,10 @@ def validate_parking(p: ParkingLike, base: SpeciesExpr | None = None, env=None) 
     With a base species, also checks that every slot is a base structure
     on its own labels (names resolve in env, the standard one by default).
     """
-    return _parking(p, base, lambda: Generator(env))
+    return _parking(p, base, None if base is None else Generator(env))
 
 
-def _parking(p: ParkingLike, base, generator) -> bool:
+def _parking(p: ParkingLike, base, gen) -> bool:
     seen: set = set()
     sets = []
     for s in p.sequence:
@@ -66,7 +66,6 @@ def _parking(p: ParkingLike, base, generator) -> bool:
     if not is_parking_blocks([len(v) for v in sets], p.chi, u):
         raise InvalidStructureError("block sizes violate the parking condition")
     if base is not None:
-        gen = generator()  # only once the invariants hold
         for s, v in zip(p.sequence, sets):
             if not _accepts(base, s, gen, set()):
                 raise InvalidStructureError(
@@ -81,10 +80,10 @@ def validate_tree(t: TreeLike, base: SpeciesExpr | None = None, env=None) -> boo
     Every head carries exactly one subtree, and no label occurs twice.  With
     a base species, also checks that every node's root is a base structure.
     """
-    return _tree(t, base, lambda: Generator(env))
+    return _tree(t, base, None if base is None else Generator(env))
 
 
-def _tree(t: TreeLike, base, generator) -> bool:
+def _tree(t: TreeLike, base, gen) -> bool:
     def enter(node) -> list:
         heads = node.root.underlying()
         child_heads = [head for head, _sub in node.children]  # sorted by head
@@ -98,7 +97,6 @@ def _tree(t: TreeLike, base, generator) -> bool:
             )
         return [heads, iter(node.children), None]
 
-    gen = None if base is None else generator()
     # Depth-first with a stack of [labels seen so far, children left, head
     # being visited] per open node, in the order a recursion would take.
     stack = [enter(t)]
@@ -163,7 +161,7 @@ def _ref(e: Ref, s, gen, unfolding) -> bool:
 
 def _holds(validate, s, base, gen) -> bool:
     try:
-        return validate(s, base, lambda: gen)
+        return validate(s, base, gen)
     except InvalidStructureError:
         return False
 

@@ -40,12 +40,14 @@ text: literal strings and the parts whose texts go between them.  Within a
 listing, the text of a part met a second time is kept and reused, so a
 shared part is not written over and over.  spaced turns the canonical text
 into json.dumps's default spacing, which `enumerate --format json` prints.
-This module is the one writer and the one reader of the format.
+This module is the one writer of the format and, by read_json, the one reader
+of JSON text: each document is decoded once, at any depth.
 """
 
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Union
@@ -464,11 +466,67 @@ def _label(value) -> int:
 
 
 def deserialize(text: str) -> "Structure":
+    """The structure of a text holding one JSON document, in any layout."""
     try:
-        data = json.loads(text)
-    except (json.JSONDecodeError, RecursionError) as exc:
+        documents = read_json(text)
+    except json.JSONDecodeError as exc:
         raise InvalidStructureError(f"bad JSON: {exc}") from exc
-    return from_jsonable(data)
+    if len(documents) != 1:
+        raise InvalidStructureError(f"bad JSON: expected one document, got {len(documents)}")
+    return from_jsonable(documents[0])
+
+
+_DECODER = json.JSONDecoder()
+_blank = re.compile(r"[ \t\n\r]*").match
+
+
+def read_json(text: str) -> list:
+    """The values of the JSON documents in text, each starting on a new line:
+    one document in any layout, or JSON Lines.  Each is decoded once, by
+    raw_decode, or by _read_deep if it nests too deeply for raw_decode.
+    Raises json.JSONDecodeError, with line and column in the whole text."""
+    documents, i = [], _blank(text).end()
+    while i < len(text):
+        try:
+            value, end = _DECODER.raw_decode(text, i)
+        except RecursionError:
+            value, end = _read_deep(text, i)
+        documents.append(value)
+        i = _blank(text, end).end()
+        if i < len(text) and "\n" not in text[end:i]:
+            raise json.JSONDecodeError("Extra data", text, i)
+    return documents
+
+
+def _read_deep(text: str, i: int):
+    """raw_decode's (value, end), by a loop: arrays and objects go on an
+    explicit stack, and raw_decode reads the scalars and keys."""
+    stack = []  # each open container as [its closing bracket, its items]
+    while True:  # i is at a value, or at a key where an object has even items
+        if stack and stack[-1][0] == "}" and not len(stack[-1][1]) % 2 and text[i : i + 1] != '"':
+            raise json.JSONDecodeError("Expecting property name enclosed in double quotes", text, i)
+        if text.startswith("[", i) or text.startswith("{", i):
+            stack.append(["]" if text[i] == "[" else "}", []])
+            i = _blank(text, i + 1).end()
+            if not text.startswith(stack[-1][0], i):
+                continue
+            value, i = [] if stack.pop()[0] == "]" else {}, i + 1
+        else:
+            value, i = _DECODER.raw_decode(text, i)
+        while stack:  # place the value; close what it completes
+            closer, items = stack[-1]
+            items.append(value)
+            i = _blank(text, i).end()
+            after = ":" if closer == "}" and len(items) % 2 else ","  # after a key, or an item
+            if text.startswith(after, i):
+                i = _blank(text, i + 1).end()
+                break
+            if after == ":" or not text.startswith(closer, i):
+                raise json.JSONDecodeError(f"Expecting '{after}' delimiter", text, i)
+            stack.pop()
+            value, i = items if closer == "]" else dict(zip(items[::2], items[1::2])), i + 1
+        else:
+            return value, i
 
 
 # -- label-set helpers -------------------------------------------------------

@@ -14,7 +14,6 @@ fixtures (or to prove that corrupted fixtures are caught).
 
 from __future__ import annotations
 
-import json
 from importlib import resources
 from itertools import combinations
 from math import comb, factorial
@@ -28,7 +27,7 @@ from .generate import Generator
 from .membership import validate_parking
 from .parking import is_parking_blocks
 from .series import egf_of_species, lagrange_solve, park_by_peeling, series_equal_prefix
-from .structures import ParkingLike, SetVal, from_jsonable, serialize
+from .structures import ParkingLike, SetVal, deserialize, serialize
 
 BASES = (
     ("E", E()),
@@ -88,8 +87,8 @@ def check_golden_listings(max_n=None, golden_dir=None, env=None):
 
 def check_worked_bijection(max_n=None, golden_dir=None, env=None):
     """The worked six-label example maps to its forest and back."""
-    parking = from_jsonable(json.loads(_read_golden(golden_dir, "six_label_parking.json")))
-    forest = from_jsonable(json.loads(_read_golden(golden_dir, "six_label_forest.json")))
+    parking = deserialize(_read_golden(golden_dir, "six_label_parking.json"))
+    forest = deserialize(_read_golden(golden_dir, "six_label_forest.json"))
     validate_parking(parking, E(), _env(env))
     forward = park_to_tree(parking)
     if serialize(forward) != serialize(forest):
@@ -125,9 +124,9 @@ def check_bijection_exhaustive(max_n=None, golden_dir=None, env=None):
     return True, f"{checked} structures round-tripped across {len(BASES)} bases, n<={hi}"
 
 
-def check_series_three_routes(max_n=None, golden_dir=None, env=None, order=12):
+def check_series_three_routes(max_n=None, golden_dir=None, env=None):
     """Lagrange inversion == recursive fixed point == generation counts."""
-    hi = _cap(6, max_n)
+    hi, order = _cap(6, max_n), 12
     environment = _env(env)
     details = []
     for name, base in BASES:

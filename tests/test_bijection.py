@@ -156,6 +156,13 @@ def test_tree_to_park_rejects_label_reuse():
         tree_to_park(dup)
 
 
+def test_tree_to_park_rejects_a_child_head_its_root_does_not_hold():
+    # Head 2 is no label of the root, so no parking carries this tree.
+    t = TreeLike(SetVal({1}), ((2, TreeLike(SetVal(frozenset()), ())),))
+    with pytest.raises(InvalidStructureError, match=r"^children keys \[2\] != root labels \[1\]$"):
+        tree_to_park(t)
+
+
 def test_bijection_and_validation_leave_no_cyclic_garbage():
     # Only reference counting frees what they build: no self-referencing
     # closure keeps a document's structures alive until a collection.

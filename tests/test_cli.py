@@ -658,6 +658,74 @@ def test_biject_streams_multiple_lines(capsys, monkeypatch):
     assert rc == 0 and len(out.splitlines()) == 2
 
 
+ONE_SLOT = '{"chi":"id","seq":[{"k":"set","labels":[1]},{"k":"set","labels":[]}]}'
+ONE_SLOT_TREE = (
+    '{"children":[{"label":1,"subtree":{"children":[],"root":{"k":"set","labels":[]}}}],'
+    '"root":{"k":"set","labels":[1]}}'
+)
+
+
+def biject_p2t(capsys, monkeypatch, text):
+    monkeypatch.setattr(sys, "stdin", io.StringIO(text))
+    rc = main(["biject", "--expr", "E", "--direction", "p2t"])
+    captured = capsys.readouterr()
+    return rc, captured.out, captured.err
+
+
+def test_biject_decodes_each_document_once(capsys, monkeypatch):
+    starts = []
+    raw_decode = json.JSONDecoder.raw_decode
+
+    def counted(self, s, idx=0):
+        starts.append(idx)
+        return raw_decode(self, s, idx)
+
+    monkeypatch.setattr(json.JSONDecoder, "raw_decode", counted)
+    rc, out, err = biject_p2t(capsys, monkeypatch, (ONE_SLOT + "\n") * 4)
+    assert (rc, out, err) == (0, (ONE_SLOT_TREE + "\n") * 4, "")
+    assert starts == [i * (len(ONE_SLOT) + 1) for i in range(4)]
+
+
+def test_biject_reads_pretty_printed_documents_one_after_another(capsys, monkeypatch):
+    pretty = json.dumps(json.loads(ONE_SLOT), indent=2)
+    rc, out, err = biject_p2t(capsys, monkeypatch, pretty + "\n" + pretty)
+    assert (rc, out, err) == (0, (ONE_SLOT_TREE + "\n") * 2, "")
+
+
+@pytest.mark.parametrize("text", ["", "\n", " \t\r\n\n  "])
+def test_biject_on_blank_input_prints_nothing(capsys, monkeypatch, text):
+    assert biject_p2t(capsys, monkeypatch, text) == (0, "", "")
+
+
+@pytest.mark.parametrize(
+    "text, where",
+    [
+        # One pretty-printed document, broken on its third line.
+        ('{\n "chi": "id",\n "seq": [,]\n}', "Expecting value: line 3 column 10 (char 25)"),
+        # JSON Lines, broken on the third line.
+        (
+            ONE_SLOT + "\n" + ONE_SLOT + '\n{"chi":"id","seq":[,]}\n' + ONE_SLOT + "\n",
+            "Expecting value: line 3 column 20 (char 159)",
+        ),
+        # Two documents on one line.
+        (ONE_SLOT + " " + ONE_SLOT, "Extra data: line 1 column 71 (char 70)"),
+    ],
+    ids=["pretty", "jsonl", "one-line"],
+)
+def test_biject_names_where_the_json_input_breaks(capsys, monkeypatch, text, where):
+    rc, out, err = biject_p2t(capsys, monkeypatch, text)
+    assert (rc, out, err) == (1, "", f"error: cannot read JSON input: {where}\n")
+
+
+def test_biject_on_a_file_that_is_not_text_is_one_error_line(capsys, tmp_path):
+    source = tmp_path / "parking.json"
+    source.write_bytes(b"\xff" + ONE_SLOT.encode())
+    rc = main(["biject", "--expr", "E", "--direction", "p2t", "--input", str(source)])
+    captured = capsys.readouterr()
+    assert rc == 1 and captured.out == ""
+    assert captured.err.startswith("error: cannot read JSON input: ") and captured.err.count("\n") == 1
+
+
 # -- verify ----------------------------------------------------------------------------
 
 

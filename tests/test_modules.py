@@ -107,6 +107,22 @@ def test_structure_json_is_written_and_read_in_structures_only(path):
             )
 
 
+@pytest.mark.parametrize(
+    "path",
+    sorted(p for p in SRC.glob("*.py") if p.name != "structures.py"),
+    ids=lambda p: p.name,
+)
+def test_json_text_is_decoded_in_structures_only(path):
+    # structures.read_json is the one reader of JSON text, so every input
+    # meets the same depth handling and the same error positions.
+    for node in ast.walk(ast.parse(path.read_text())):
+        # An attribute, a name, or an imported or defined name.
+        name = getattr(node, "attr", None) or getattr(node, "id", None) or getattr(node, "name", None)
+        assert name not in ("loads", "load", "JSONDecoder", "raw_decode"), (
+            f"{path.name}:{getattr(node, 'lineno', '?')} decodes JSON text"
+        )
+
+
 def _calls_itself(fn, method: bool) -> bool:
     """Whether fn calls its own name; a method, also as an attribute of
     anything but a node's root (a base structure's method of that name)."""

@@ -25,7 +25,7 @@ from parklike import (
 from parklike.cli import main
 from parklike.errors import SpeciesError
 from parklike.expr import E, EPlus, One, Compose, Park, Power, Prod, Ref, Sum, Tree, X, Zero
-from parklike.structures import canonical_labels
+from parklike.structures import _read_deep, canonical_labels
 
 from jsonable import to_jsonable
 
@@ -237,6 +237,31 @@ def test_deserialize_reads_or_raises_species_error(text):
         deserialize(text)
     except SpeciesError:
         pass
+
+
+def _decoded(read, text):
+    """read(text, 0) as (value text, end), or its error as (message, position)."""
+    try:
+        value, end = read(text, 0)
+    except json.JSONDecodeError as exc:
+        return exc.msg, exc.pos
+    return json.dumps(value), end
+
+
+json_tokens = st.lists(st.sampled_from([*"[]{},: ", '"k"', "1", "null"]), max_size=12).map("".join)
+
+
+@given(json_values.map(lambda v: json.dumps(v, indent=1)) | json_tokens)
+@example('{"k"}')
+@example('{1: 2}')
+@example('{"k": 1,}')
+@example('{"k": [1, {}] "j"}')
+@example('[[], {"k": null, "k": 1}, 2')
+@settings(deadline=None)
+def test_deep_reader_reads_as_raw_decode_does(text):
+    # The loop that reads a document too deep for raw_decode gives the same
+    # value and end, or the same error, on documents and on token soup.
+    assert _decoded(_read_deep, text) == _decoded(json.JSONDecoder().raw_decode, text)
 
 
 def _first(expr, n: int):

@@ -1,4 +1,5 @@
 import json
+import sys
 
 import pytest
 
@@ -10,13 +11,14 @@ from parklike import (
     ProdVal,
     SetVal,
     SumVal,
+    TreeLike,
     deserialize,
     from_jsonable,
     parse_species,
     serialize,
 )
 from parklike.errors import InvalidStructureError
-from parklike.structures import canonical_labels
+from parklike.structures import canonical_labels, read_json
 from parklike.verify import BASES
 
 from jsonable import to_jsonable
@@ -185,6 +187,53 @@ def test_deserialize_rejects_bad_json():
 def test_deserialize_rejects_deep_nesting():
     with pytest.raises(InvalidStructureError):
         deserialize("[" * 100_000)
+
+
+def test_deserialize_reads_a_path_deeper_than_the_recursion_limit():
+    # 3,000 labels at the default limit, which nest 9,000 JSON containers:
+    # too deep for raw_decode alone.
+    t = TreeLike(SetVal(frozenset()), ())
+    for label in range(3 * sys.getrecursionlimit(), 0, -1):
+        t = TreeLike(SetVal({label}), ((label, t),))
+    assert deserialize(serialize(t)) == t
+
+
+@pytest.mark.parametrize("text", ["", " \n", "{}\n{}", '{"k":"unit"}\n{"k":"unit"}'])
+def test_deserialize_reads_exactly_one_document(text):
+    with pytest.raises(InvalidStructureError, match="^bad JSON: expected one document, got [02]$"):
+        deserialize(text)
+
+
+def test_deserialize_reads_one_document_in_any_layout():
+    s = ProdVal(AtomVal(1), SetVal({2, 3}))
+    assert deserialize(json.dumps(to_jsonable(s), indent=4) + "\n\n") == s
+
+
+@pytest.mark.parametrize(
+    "text, documents",
+    [
+        ("", []),
+        (" \t\r\n\n", []),
+        ('{"a": [1,\n 2]}\n\n  [3]\r\n4', [{"a": [1, 2]}, [3], 4]),
+        ('"x"\n', ["x"]),
+    ],
+)
+def test_read_json_reads_each_document_starting_on_a_new_line(text, documents):
+    assert read_json(text) == documents
+
+
+@pytest.mark.parametrize(
+    "text, error",
+    [
+        ("[1]\n[2] 3", "Extra data: line 2 column 5 (char 8)"),
+        ("[]\n" + "[" * 5000, "Expecting value: line 2 column 5001 (char 5003)"),
+    ],
+    ids=["extra-data", "deep"],
+)
+def test_read_json_places_an_error_in_the_whole_text(text, error):
+    with pytest.raises(json.JSONDecodeError) as exc:
+        read_json(text)
+    assert str(exc.value) == error
 
 
 def test_canonical_labels():

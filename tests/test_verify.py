@@ -1,13 +1,15 @@
 import pytest
 
-from parklike import run_suite, series
+from parklike import (
+    Generator, SpeciesEnv, egf_of_species, lagrange_solve, run_suite, series, series_equal_prefix,
+)
 from parklike.errors import SpeciesError
+from parklike.expr import Compose, Prod, Ref, Tree, X
 from parklike.verify import (
     BASES,
     PROPERTY_CHECKS,
     REFERENCE_CHECKS,
     check_parking_three_routes,
-    check_series_three_routes,
 )
 
 
@@ -55,12 +57,19 @@ def test_crashed_check_reports_as_failure(tmp_path):
 
 
 def test_three_routes_agree_at_order_60():
+    # check_series_three_routes's routes at order 60 instead of its 12:
     # Lagrange inversion against the fixed point of TreeFix := base@(X*TreeFix),
     # which takes the exp rule and Newton rounds over E, plain rounds and the
-    # general composition over the other bases.
-    ok, detail = check_series_three_routes(max_n=2, order=60)
-    assert ok, detail
-    assert detail.count(":") == len(BASES)
+    # general composition over the other bases, and generation to n = 2.
+    env = SpeciesEnv.standard()
+    for name, base in BASES:
+        lag = lagrange_solve(egf_of_species(base, env, 60), 60)
+        fix_env = env.copy()
+        fix_env.bind("TreeFix", Compose(base, Prod(X(), Ref("TreeFix"))))
+        fixed = egf_of_species(Ref("TreeFix"), fix_env, 60)
+        assert series_equal_prefix(lag, fixed, 60), name
+        gen = Generator(env)
+        assert tuple(gen.count(Tree(base), n) for n in range(3)) == lag.counts[:3], name
 
 
 def test_parking_three_routes_at_full_scale():
