@@ -24,40 +24,35 @@ field of parking-like JSON.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from .errors import ChiTableExhaustedError, SpeciesError
+from .frozen import Keyed
 
 
-@dataclass(frozen=True)
-class ChiMap:
-    kind: str  # "affine" | "table"
-    a: int = 0
-    b: int = 0
-    table: tuple[int, ...] = ()
-    # A table made by shift() keeps (unshifted table, total shift) so that
-    # running out of entries is reported on the map that was written.  Not
-    # part of the value: equal tables are equal whatever their origin.
-    origin: tuple | None = field(default=None, compare=False, repr=False)
+class ChiMap(Keyed):
+    # kind is "affine" or "table".  A table made by shift() keeps origin =
+    # (unshifted table, total shift) so that running out of entries is
+    # reported on the map that was written.  origin is not part of the
+    # value: equal tables are equal whatever their origin.
+    __slots__ = ("kind", "a", "b", "table", "origin")
+    _fields = ("kind", "a", "b", "table")
 
-    def __post_init__(self):
-        if self.kind == "affine":
-            if self.a < 0:
-                raise SpeciesError(f"affine chi needs a >= 0, got a={self.a}")
-            if self.a + self.b < 0:
-                raise SpeciesError(
-                    f"affine chi needs chi(1) = a + b >= 0, got {self.a + self.b}"
-                )
-        elif self.kind == "table":
-            values = self.table
-            if not values:
+    def __init__(self, kind: str, a: int = 0, b: int = 0, table: tuple = (), origin=None):
+        if kind == "affine":
+            if a < 0:
+                raise SpeciesError(f"affine chi needs a >= 0, got a={a}")
+            if a + b < 0:
+                raise SpeciesError(f"affine chi needs chi(1) = a + b >= 0, got {a + b}")
+        elif kind == "table":
+            if not table:
                 raise SpeciesError("chi table needs at least the value chi(1)")
-            if any(v < 0 for v in values):
-                raise SpeciesError(f"chi values must be non-negative: {values}")
-            if any(values[i] > values[i + 1] for i in range(len(values) - 1)):
-                raise SpeciesError(f"chi must be non-decreasing: {values}")
+            if any(v < 0 for v in table):
+                raise SpeciesError(f"chi values must be non-negative: {table}")
+            if any(table[i] > table[i + 1] for i in range(len(table) - 1)):
+                raise SpeciesError(f"chi must be non-decreasing: {table}")
         else:
-            raise SpeciesError(f"unknown chi kind {self.kind!r}")
+            raise SpeciesError(f"unknown chi kind {kind!r}")
+        Keyed.__init__(self, kind, a, b, table)
+        object.__setattr__(self, "origin", origin)
 
     @staticmethod
     def identity() -> "ChiMap":

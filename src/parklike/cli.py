@@ -23,6 +23,7 @@ import argparse
 import json
 import os
 import sys
+from functools import partial
 
 from .bijection import park_to_tree, tree_to_park
 from .dsl import parse_species
@@ -34,7 +35,7 @@ from .errors import (
 )
 from .expr import SpeciesEnv, expr_to_text
 from .generate import Generator
-from .membership import validate_parking, validate_tree
+from .membership import validate_parking, validate_tree  # unused: bench/tracing.py patches them
 from .series import egf_of_species
 from .structures import (
     ParkingLike, TreeLike, canonical_labels, from_jsonable, read_json, serialize, spaced,
@@ -67,14 +68,36 @@ def _add_shared_flags(parser) -> None:
     )
 
 
+class _Formatter(argparse.HelpFormatter):
+    """argparse's formatter at its own width (shutil.get_terminal_size's
+    columns less 2), worked out without the shutil, bz2 and lzma imports that
+    argparse makes for it as each parser is built, which here is at import."""
+
+    def __init__(self, prog):
+        try:
+            columns = int(os.environ["COLUMNS"])
+        except (KeyError, ValueError):
+            columns = 0
+        if columns <= 0:
+            try:
+                columns = os.get_terminal_size(sys.__stdout__.fileno()).columns or 80
+            except (AttributeError, ValueError, OSError):
+                columns = 80
+        super().__init__(prog, width=columns - 2)
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="parklike",
         description="Exact enumeration of parking-like and tree-like structures.",
+        formatter_class=_Formatter,
     )
     _add_shared_flags(parser)
     parser.set_defaults(define=[], format="text", budget=8)
-    sub = parser.add_subparsers(dest="command", required=True)
+    sub = parser.add_subparsers(
+        dest="command", required=True,
+        parser_class=partial(argparse.ArgumentParser, formatter_class=_Formatter),
+    )
 
     p_enum = sub.add_parser("enumerate", help="list all structures on {1..n}")
     p_enum.add_argument("--expr", required=True)
@@ -181,14 +204,12 @@ def cmd_biject(args, env) -> int:
         if args.direction == "p2t":
             if not isinstance(value, ParkingLike):
                 raise SpeciesError("p2t input must be a parking-like structure")
-            validate_parking(value, base, env)
-            convert = park_to_tree
+            converted = park_to_tree(value, base, env)
         else:
             if not isinstance(value, TreeLike):
                 raise SpeciesError("t2p input must be a tree-like structure")
-            validate_tree(value, base, env)
-            convert = tree_to_park
-        print(serialize(convert(value)))
+            converted = tree_to_park(value, base, env)
+        print(serialize(converted))
     return 0
 
 

@@ -34,7 +34,7 @@ also the reader of the ``chi`` field of parking-like JSON (``parse_chi_text``).
 from __future__ import annotations
 
 import re
-from typing import NamedTuple
+from collections import namedtuple
 
 from .chi import ChiMap
 from .errors import ParseError, UnboundNameError
@@ -48,10 +48,8 @@ _TOKEN = re.compile(
 )
 
 
-class _Token(NamedTuple):
-    kind: str  # "int" | "name" | "eplus" | "end" | a symbol
-    value: object
-    pos: int
+# kind is "int", "name", "eplus", "end" or a symbol.
+_Token = namedtuple("_Token", ("kind", "value", "pos"))
 
 
 def _tokenize(text: str) -> list:

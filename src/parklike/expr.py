@@ -25,95 +25,74 @@ Ary(k) bindings are synthesized on demand, one per arity.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, fields
-from typing import Union
 
-from .chi import ChiMap
 from .errors import SpeciesError, UnboundNameError
+from .frozen import Keyed
 
 
-@dataclass(frozen=True)
-class Zero:
-    pass
+class Zero(Keyed):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class One:
-    pass
+class One(Keyed):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class X:
-    pass
+class X(Keyed):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class E:
-    pass
+class E(Keyed):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class EPlus:
-    pass
+class EPlus(Keyed):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Sum:
-    left: "SpeciesExpr"
-    right: "SpeciesExpr"
+class Sum(Keyed):
+    __slots__ = ("left", "right")
 
 
-@dataclass(frozen=True)
-class Prod:
-    left: "SpeciesExpr"
-    right: "SpeciesExpr"
+class Prod(Keyed):
+    __slots__ = ("left", "right")
 
 
-@dataclass(frozen=True)
-class Power:
-    base: "SpeciesExpr"
-    exponent: int
+class Power(Keyed):
+    __slots__ = ("base", "exponent")
 
-    def __post_init__(self):
-        if self.exponent < 0:
-            raise SpeciesError(f"power exponent must be >= 0, got {self.exponent}")
-
-
-@dataclass(frozen=True)
-class Restrict:
-    base: "SpeciesExpr"
-    card: int
-
-    def __post_init__(self):
-        if self.card < 0:
-            raise SpeciesError(f"restriction cardinality must be >= 0, got {self.card}")
+    def __init__(self, base, exponent: int):
+        if exponent < 0:
+            raise SpeciesError(f"power exponent must be >= 0, got {exponent}")
+        Keyed.__init__(self, base, exponent)
 
 
-@dataclass(frozen=True)
-class Compose:
-    outer: "SpeciesExpr"
-    inner: "SpeciesExpr"
+class Restrict(Keyed):
+    __slots__ = ("base", "card")
+
+    def __init__(self, base, card: int):
+        if card < 0:
+            raise SpeciesError(f"restriction cardinality must be >= 0, got {card}")
+        Keyed.__init__(self, base, card)
 
 
-@dataclass(frozen=True)
-class Ref:
-    name: str
+class Compose(Keyed):
+    __slots__ = ("outer", "inner")
 
 
-@dataclass(frozen=True)
-class Park:
-    base: "SpeciesExpr"
-    chi: ChiMap
+class Ref(Keyed):
+    __slots__ = ("name",)
 
 
-@dataclass(frozen=True)
-class Tree:
-    base: "SpeciesExpr"
+class Park(Keyed):
+    __slots__ = ("base", "chi")
 
 
-SpeciesExpr = Union[
-    Zero, One, X, E, EPlus, Sum, Prod, Power, Restrict, Compose, Ref, Park, Tree
-]
+class Tree(Keyed):
+    __slots__ = ("base",)
+
+
+SpeciesExpr = Zero | One | X | E | EPlus | Sum | Prod | Power | Restrict | Compose | Ref | Park | Tree
 
 # The primitive species by token; these tokens can never be rebound by
 # user definitions.
@@ -217,7 +196,7 @@ def _binary_rule(op: str, node_type, level: int):
     # Left-associative: the right operand must bind strictly tighter.  "+"
     # is spaced because "E+X" would lex as the token "E+" followed by "X".
     sep = " + " if op == "+" else op
-    left, right = (f.name for f in fields(node_type))
+    left, right = node_type._fields
     return lambda e: (
         f"{_wrap(getattr(e, left), level)}{sep}{_wrap(getattr(e, right), level + 1)}",
         level,

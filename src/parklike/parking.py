@@ -16,10 +16,9 @@ module holds the parking condition and the classical parking functions.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .chi import ChiMap
 from .errors import BlockLengthMismatchError, InvalidStructureError
+from .frozen import Frozen
 from .structures import (
     ParkingLike,
     SetVal,
@@ -47,18 +46,16 @@ def is_parking_blocks(sizes, chi: ChiMap, n: int) -> bool:
     return all(prefix[min(chi(k), len(sizes))] >= k for k in range(1, n + 1))
 
 
-@dataclass(frozen=True)
-class ParkingFunction:
+class ParkingFunction(Frozen):
     """A map from labels to positive slot numbers satisfying the classical
     condition: at least k labels map into the first k slots, for every k."""
 
-    mapping: tuple  # tuple of (label, slot) pairs sorted by label
+    __slots__ = ("mapping",)  # tuple of (label, slot) pairs sorted by label
 
-    def __post_init__(self):
-        pairs = self.mapping
-        if isinstance(pairs, dict):
-            pairs = pairs.items()
-        object.__setattr__(self, "mapping", tuple(sorted(pairs)))
+    def __init__(self, mapping):
+        if isinstance(mapping, dict):
+            mapping = mapping.items()
+        Frozen.__init__(self, tuple(sorted(mapping)))
 
     @property
     def domain(self) -> frozenset:

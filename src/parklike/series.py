@@ -31,7 +31,6 @@ park_by_peeling runs it on any chi, so verify can compare the two routes.
 from __future__ import annotations
 
 import sys
-from dataclasses import dataclass, fields
 from math import isqrt
 
 from .chi import ChiMap
@@ -52,23 +51,21 @@ from .expr import (
     X,
     Zero,
 )
+from .frozen import Frozen
 from .memo import Memo
 
 
-@dataclass(frozen=True)
-class EgfSeries:
-    order: int
-    counts: tuple  # a_0 .. a_order as exact integers
+class EgfSeries(Frozen):
+    __slots__ = ("order", "counts")  # counts: a_0 .. a_order as exact integers
 
-    def __post_init__(self):
-        if self.order < 0:
-            raise SpeciesError(f"series order must be >= 0, got {self.order}")
-        if not isinstance(self.counts, tuple):
-            object.__setattr__(self, "counts", tuple(self.counts))
-        if len(self.counts) != self.order + 1:
-            raise SpeciesError(
-                f"expected {self.order + 1} counts, got {len(self.counts)}"
-            )
+    def __init__(self, order: int, counts):
+        if order < 0:
+            raise SpeciesError(f"series order must be >= 0, got {order}")
+        if not isinstance(counts, tuple):
+            counts = tuple(counts)
+        if len(counts) != order + 1:
+            raise SpeciesError(f"expected {order + 1} counts, got {len(counts)}")
+        Frozen.__init__(self, order, counts)
 
     def count(self, n: int) -> int:
         return self.counts[n]
@@ -380,7 +377,7 @@ class _Evaluator:
                     seen.add(e.name)
                     todo.append(self.env.lookup(e.name))
             else:
-                todo.extend(getattr(e, f.name) for f in fields(e) if f.name in _PARTS)
+                todo.extend(getattr(e, name) for name in e._fields if name in _PARTS)
         return False
 
     def _slope_prod(self, expr: Prod, name: str) -> list:

@@ -17,13 +17,14 @@ A structure is a finite labeled object of one of eight shapes:
 The representative of a block is its minimum label; ComposeVal keeps blocks
 sorted by representative so every structure has exactly one form.
 
-Values are frozen dataclasses with slots.  Each class's own __init__ first
-normalises and checks its arguments (a set becomes a frozenset, a sequence a
-tuple, blocks and children are sorted), then fills the slots through the
-slot descriptors' setters, bound once after the classes, since a frozen
-class's own __setattr__ refuses every assignment.  Equality, hashing and
-repr are the dataclass ones, except TreeLike's, which loop over its nodes,
-and assigning to a field of a built value raises FrozenInstanceError.
+Values are Frozen (frozen.py): slotted classes whose base states the value
+protocol once.  Each class's own __init__ first normalises and checks its
+arguments (a set becomes a frozenset, a sequence a tuple, blocks and children
+are sorted), then fills the slots through the slot descriptors' setters,
+bound once after the classes, since Frozen's __setattr__ refuses every
+assignment.  Equality (same class, equal fields), hashing and the repr
+Name(field=value, ...) are Frozen's, except TreeLike's, which loop over its
+nodes, and assigning to a field of a built value raises FrozenInstanceError.
 
 Every value implements the same small protocol: underlying() and
 relabel(mapping).  Generation never relabels: it builds each label set from
@@ -48,19 +49,19 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass
 from functools import lru_cache
-from typing import Union
 
 from .chi import ChiMap
 from .dsl import parse_chi_text
 from .errors import InvalidStructureError, ParseError, SpeciesError
+from .frozen import Frozen
 
 _EMPTY = frozenset()
 
 
-@dataclass(frozen=True, slots=True)
-class UnitVal:
+class UnitVal(Frozen):
+    __slots__ = ()
+
     def underlying(self) -> frozenset:
         return _EMPTY
 
@@ -68,9 +69,8 @@ class UnitVal:
         return self
 
 
-@dataclass(frozen=True, slots=True, init=False)
-class SetVal:
-    labels: frozenset
+class SetVal(Frozen):
+    __slots__ = ("labels",)
 
     def __init__(self, labels):
         _set_labels(self, labels if isinstance(labels, frozenset) else frozenset(labels))
@@ -82,9 +82,8 @@ class SetVal:
         return SetVal(frozenset(map(mapping.__getitem__, self.labels)))
 
 
-@dataclass(frozen=True, slots=True, init=False)
-class AtomVal:
-    label: int
+class AtomVal(Frozen):
+    __slots__ = ("label",)
 
     def __init__(self, label):
         _atom_label(self, label)
@@ -96,10 +95,8 @@ class AtomVal:
         return AtomVal(mapping[self.label])
 
 
-@dataclass(frozen=True, slots=True, init=False)
-class SumVal:
-    side: str  # "L" or "R"
-    inner: "Structure"
+class SumVal(Frozen):
+    __slots__ = ("side", "inner")  # side: "L" or "R"
 
     def __init__(self, side, inner):
         if side not in ("L", "R"):
@@ -114,10 +111,8 @@ class SumVal:
         return SumVal(self.side, self.inner.relabel(mapping))
 
 
-@dataclass(frozen=True, slots=True, init=False)
-class ProdVal:
-    left: "Structure"
-    right: "Structure"
+class ProdVal(Frozen):
+    __slots__ = ("left", "right")
 
     def __init__(self, left, right):
         _prod_left(self, left)
@@ -130,10 +125,8 @@ class ProdVal:
         return ProdVal(self.left.relabel(mapping), self.right.relabel(mapping))
 
 
-@dataclass(frozen=True, slots=True, init=False)
-class ComposeVal:
-    outer: "Structure"
-    blocks: tuple  # tuple of (frozenset, Structure), sorted by min label
+class ComposeVal(Frozen):
+    __slots__ = ("outer", "blocks")  # blocks: (frozenset, Structure) pairs, sorted by min label
 
     def __init__(self, outer, blocks):
         if not isinstance(blocks, tuple) or not all(
@@ -169,10 +162,8 @@ class ComposeVal:
         return ComposeVal(self.outer.relabel(rep_map), tuple(new_blocks))
 
 
-@dataclass(frozen=True, slots=True, init=False)
-class ParkingLike:
-    chi: ChiMap
-    sequence: tuple  # tuple of Structure
+class ParkingLike(Frozen):
+    __slots__ = ("chi", "sequence")  # sequence: a tuple of Structure
 
     def __init__(self, chi, sequence):
         _parking_chi(self, chi)
@@ -188,10 +179,10 @@ class ParkingLike:
         return ParkingLike(self.chi, tuple(s.relabel(mapping) for s in self.sequence))
 
 
-@dataclass(frozen=True, slots=True, init=False, eq=False, repr=False)
-class TreeLike:
-    root: object  # base structure on the set of head labels
-    children: tuple  # tuple of (head label, TreeLike), sorted by label
+class TreeLike(Frozen):
+    # root: a base structure on the set of head labels; children: a tuple of
+    # (head label, TreeLike) pairs, sorted by label.
+    __slots__ = ("root", "children")
 
     def __init__(self, root, children):
         if type(children) is not tuple:
@@ -244,7 +235,7 @@ class TreeLike:
         return hash(tuple(self._shape()))
 
     def __repr__(self) -> str:
-        """The dataclass text, written from a stack of pieces and subtrees."""
+        """Frozen's text, written from a stack of pieces and subtrees."""
         out, stack = [], [self]
         while stack:
             item = stack.pop()
@@ -280,9 +271,7 @@ _compose_outer, _compose_blocks = ComposeVal.outer.__set__, ComposeVal.blocks.__
 _parking_chi, _parking_sequence = ParkingLike.chi.__set__, ParkingLike.sequence.__set__
 _tree_root, _tree_children = TreeLike.root.__set__, TreeLike.children.__set__
 
-Structure = Union[
-    UnitVal, SetVal, AtomVal, SumVal, ProdVal, ComposeVal, ParkingLike, TreeLike
-]
+Structure = UnitVal | SetVal | AtomVal | SumVal | ProdVal | ComposeVal | ParkingLike | TreeLike
 
 UNIT = UnitVal()
 

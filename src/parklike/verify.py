@@ -14,10 +14,9 @@ fixtures (or to prove that corrupted fixtures are caught).
 
 from __future__ import annotations
 
-from importlib import resources
+import os
 from itertools import combinations
 from math import comb, factorial
-from pathlib import Path
 
 from .bijection import park_to_tree, tree_to_park
 from .chi import ChiMap
@@ -49,10 +48,12 @@ def _env(env) -> SpeciesEnv:
     return env if env is not None else SpeciesEnv.standard()
 
 
+_GOLDEN = os.path.join(os.path.dirname(__file__), "data", "golden")
+
+
 def _read_golden(golden_dir, name: str) -> str:
-    if golden_dir is not None:
-        return (Path(golden_dir) / name).read_text()
-    return resources.files("parklike").joinpath(f"data/golden/{name}").read_text()
+    with open(os.path.join(_GOLDEN if golden_dir is None else golden_dir, name), encoding="utf-8") as f:
+        return f.read()
 
 
 def _cayley(n: int) -> int:

@@ -13,7 +13,7 @@ from pathlib import Path
 
 import pytest
 
-from parklike import ChiMap, Generator, Park, SpeciesEnv, expr_to_text, parse_species
+from parklike import ChiMap, Generator, Park, SpeciesEnv, expr_to_text, membership, parse_species
 from parklike.cli import main
 from parklike.structures import canonical_labels, from_jsonable, serialize
 
@@ -511,6 +511,77 @@ def test_biject_t2p_names_a_head_listed_twice_out_of_order(capsys, monkeypatch):
     captured = capsys.readouterr()
     assert rc == 1 and captured.out == ""
     assert captured.err.splitlines() == ["error: children keys [1, 2, 2] != root labels [1, 2]"]
+
+
+def set_json(*labels) -> dict:
+    return {"k": "set", "labels": list(labels)}
+
+
+def tree_json(labels, children=()) -> dict:
+    return {"root": set_json(*labels), "children": [{"label": h, "subtree": s} for h, s in children]}
+
+
+# Each document biject rejects by validation, with the one error line it
+# prints; a structure that breaks several rules is named by the first check.
+BIJECT_ERRORS = [
+    ("E", "p2t", {"chi": "id", "seq": [set_json(1), set_json(1), set_json()]},
+     "slot underlying sets are not disjoint"),
+    ("E", "p2t", {"chi": "id", "seq": [set_json(1)]}, "sequence length 1 != chi(u+1) = 2"),
+    ("E", "p2t", {"chi": "id", "seq": [set_json(), set_json(1)]},
+     "block sizes violate the parking condition"),
+    ("E", "p2t", {"chi": "id", "seq": [{"k": "atom", "label": 1}, set_json()]},
+     "entry on [1] is not a base-species structure"),
+    ("E", "p2t", {"chi": "affine(1,1)", "seq": [set_json(1), set_json(), set_json()]},
+     "the bijection is defined for the identity chi"),
+    # A structure that is neither valid nor on the identity chi: the validation names it.
+    ("E", "p2t", {"chi": "affine(1,1)", "seq": [set_json(1)]},
+     "sequence length 1 != chi(u+1) = 3"),
+    ("X", "p2t", {"chi": "affine(1,1)", "seq": [set_json(1), set_json(), set_json()]},
+     "entry on [1] is not a base-species structure"),
+    ("E", "p2t", {"chi": "table(1)", "seq": [set_json(1)]}, "chi table(1) has 1 entries, needed chi(2)"),
+    # A head listed twice, and a child head that is no root label.
+    ("E", "t2p", tree_json([1], [(1, LEAF), (1, LEAF)]), "children keys [1, 1] != root labels [1]"),
+    ("E", "t2p", tree_json([1], [(2, LEAF)]), "children keys [2] != root labels [1]"),
+    ("E", "t2p", tree_json([1], [(1, tree_json([1], [(1, LEAF)]))]), "label reuse under head 1"),
+    ("E", "t2p", tree_json([1, 2], [(1, tree_json([3], [(3, LEAF)])), (2, tree_json([3], [(3, LEAF)]))]),
+     "label reuse under head 2"),
+    ("X", "t2p", tree_json([1], [(1, LEAF)]), "root on [1] is not a base-species structure"),
+    ("X", "t2p", tree_json([1, 2], [(1, LEAF), (2, LEAF)]), "root on [1, 2] is not a base-species structure"),
+]
+
+
+@pytest.mark.parametrize("base, direction, doc, error", BIJECT_ERRORS)
+def test_biject_names_each_invalid_document_in_one_line(capsys, monkeypatch, base, direction, doc, error):
+    monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps(doc)))
+    rc = main(["biject", "--expr", base, "--direction", direction])
+    captured = capsys.readouterr()
+    assert (rc, captured.out, captured.err) == (1, "", f"error: {error}\n")
+
+
+@pytest.mark.parametrize("base", ["E", "Par"])
+def test_biject_validates_each_document_once(capsys, monkeypatch, base):
+    env = SpeciesEnv.standard()
+    park = Park(parse_species(base, env), ChiMap.identity())
+    parks = [serialize(p) for n in range(4) for p in Generator(env).raw(park, canonical_labels(n))]
+    entries = []
+
+    def counting(name):
+        original = getattr(membership, name)
+
+        def counted(*args):
+            entries.append(name)
+            return original(*args)
+
+        return counted
+
+    for name in ("_parking", "_tree"):
+        monkeypatch.setattr(membership, name, counting(name))
+    argv = ["biject", "--expr", base, "--direction"]
+    rc, trees = run(capsys, argv + ["p2t"], stdin="\n".join(parks), monkeypatch=monkeypatch)
+    assert rc == 0 and entries == ["_parking"] * len(parks)
+    entries.clear()
+    rc, back = run(capsys, argv + ["t2p"], stdin=trees, monkeypatch=monkeypatch)
+    assert rc == 0 and back.splitlines() == parks and entries == ["_tree"] * len(parks)
 
 
 def forbid_listing(monkeypatch):

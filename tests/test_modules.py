@@ -1,6 +1,9 @@
 """Module-level invariants: one rule table per evaluator, no deferred imports."""
 
 import ast
+import os
+import subprocess
+import sys
 import typing
 from pathlib import Path
 
@@ -177,3 +180,34 @@ def test_membership_builds_generators_only_in_its_entry_points():
                 assert name != "Generator" or owner in entry_points, (
                     f"membership.py:{node.lineno} builds a Generator in {owner}"
                 )
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_no_dataclass_decorators_or_typing(path):
+    # Values are Frozen subclasses (frozen.py): nothing generates code for a
+    # class at import, and no module pays for importing typing.
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.ClassDef):
+            for decorator in node.decorator_list:
+                target = decorator.func if isinstance(decorator, ast.Call) else decorator
+                name = getattr(target, "id", None) or getattr(target, "attr", None)
+                assert name != "dataclass", f"{path.name}:{node.lineno} {node.name} is a dataclass"
+        elif isinstance(node, ast.Import):
+            assert "typing" not in {a.name for a in node.names}, f"{path.name}:{node.lineno}"
+        elif isinstance(node, ast.ImportFrom):
+            assert node.module != "typing", f"{path.name}:{node.lineno}"
+
+
+_IMPORT_ONLY = ("typing", "importlib.resources", "tempfile", "shutil", "pathlib")
+
+
+def test_a_clean_interpreter_runs_the_cli_without_import_only_modules():
+    # -S: no site-packages, as a bare interpreter starts; -X importtime lists
+    # every module the run imports, on stderr.
+    env = {**os.environ, "PYTHONPATH": str(SRC.parent)}
+    argv = [sys.executable, "-S", "-X", "importtime", "-m", "parklike.cli", "count", "--expr", "L", "--n", "5"]
+    proc = subprocess.run(argv, env=env, capture_output=True, text=True, timeout=60)
+    assert (proc.returncode, proc.stdout) == (0, "120\n"), proc.stderr[-2000:]
+    imported = {line.rsplit("|", 1)[1].strip() for line in proc.stderr.splitlines() if line.startswith("import time:")}
+    assert "parklike.frozen" in imported and "argparse" in imported
+    assert not imported & set(_IMPORT_ONLY)
