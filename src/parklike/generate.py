@@ -7,9 +7,11 @@ parking-like and tree-like operators included.  Results are memoized per
 memoized results on its subsets; no result is ever copied onto other labels.
 So equal substructures are one shared object, and a list costs one new
 top-level node per structure — large runs (millions of structures) stay
-affordable.  Generation answers which structures there are; whether one
-given value is among them is read off the value by membership.accepts,
-which lists nothing.
+affordable.  The Park rule memoizes its slot sequences as plain tuples
+under (base, chi, labels) keys, which never equal an (expression, labels)
+key, and wraps only those of the map asked for as ParkingLike values.
+Generation answers which structures there are; whether one given value is
+among them is read off the value by membership.accepts, which lists nothing.
 
 Recursive definitions (Ref nodes) are solved by fixed point: within a fixed
 label count n, iterate the defining equation starting from the empty
@@ -185,14 +187,17 @@ class Generator:
         if k == 0:
             return [UNIT] if not labels else []
         parts = list(iter_subsets(labels))
+        prev = Power(base, 0)
         for j in range(1, k):
+            node = Power(base, j)  # one node per step: the next step's lookups hit by identity
             for part in parts:
-                key = (Power(base, j), part)
+                key = (node, part)
                 if key not in self._cache:
                     reads_before = self._memo.reads
-                    result = self._compute_prod(base, Power(base, j - 1), part)
+                    result = self._compute_prod(base, prev, part)
                     self._memo.store(key, result, reads_before)
-        return self._compute_prod(base, Power(base, k - 1), labels)
+            prev = node
+        return self._compute_prod(base, prev, labels)
 
     def _compute_compose(self, expr: Compose, labels: frozenset) -> list:
         self.check_admissible(expr)
@@ -219,38 +224,34 @@ class Generator:
             f"{n} labels after {n + 2} rounds",
         )
 
-    def _compute_park(self, expr: Park, labels: frozenset) -> list:
-        """Parking-like structures by slot peeling.
-
-        The first chi(1) slots form a power structure on a non-empty subset
-        of n labels (or on nothing, when labels is empty); the remaining
-        slots are a parking-like structure on the other labels for the
-        shifted map rho_n(m) = chi(n+m) - chi(1).
-        """
-        base, chi = expr.base, expr.chi
+    def _sequences(self, base, chi, labels: frozenset) -> list:
+        """The slot sequences of park(base, chi) on labels, by slot peeling:
+        the first chi(1) slots are a power structure on a non-empty subset of
+        n labels (or on nothing, when labels is empty), and the rest a slot
+        sequence on the other labels for rho_n(m) = chi(n+m) - chi(1)."""
+        key = (base, chi, labels)
+        cached = self._cache.get(key)
+        if cached is not None:
+            return cached
+        reads_before = self._memo.reads
         k1 = chi(1)
         power = Power(base, k1)
-        if not labels:
-            return [
-                ParkingLike(chi, flatten_power(pw, k1)) for pw in self._gen(power, labels)
-            ]
-        out = []
+        out = [] if labels else [flatten_power(pw, k1) for pw in self._gen(power, labels)]
         items = sorted(labels)
         for n in range(1, len(items) + 1):
-            tail_expr = Park(base, chi.shift(n))
+            shifted = chi.shift(n)
             for combo in combinations(items, n):
                 first = frozenset(combo)
                 heads = self._gen(power, first)
                 if not heads:
                     continue
-                tails = self._gen(tail_expr, labels - first)
+                tails = self._sequences(base, shifted, labels - first)
                 if not tails:
                     continue
                 for pw in heads:
                     prefix = flatten_power(pw, k1)
-                    for tail in tails:
-                        out.append(ParkingLike(chi, prefix + tail.sequence))
-        return out
+                    out.extend([prefix + tail for tail in tails])
+        return self._memo.store(key, out, reads_before)
 
     def _compute_tree(self, expr: Tree, labels: frozenset) -> list:
         """Tree-like structures, T = base(X * T).
@@ -302,6 +303,6 @@ _RULES = {
     Restrict: lambda g, e, labels: g._gen(e.base, labels) if len(labels) == e.card else [],
     Compose: Generator._compute_compose,
     Ref: Generator._compute_ref,
-    Park: Generator._compute_park,
+    Park: lambda g, e, labels: [ParkingLike(e.chi, q) for q in g._sequences(e.base, e.chi, labels)],
     Tree: Generator._compute_tree,
 }

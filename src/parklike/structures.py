@@ -39,8 +39,9 @@ is lexicographic on that string.  serialize writes that text itself from
 the _TEXT table, which gives per structure type the pieces of a value's
 text: literal strings and the parts whose texts go between them.  Within a
 listing, the text of a part met a second time is kept and reused, so a
-shared part is not written over and over.  spaced turns the canonical text
-into json.dumps's default spacing, which `enumerate --format json` prints.
+shared part is not written over and over, and a parking-like value whose
+slots all have kept texts is one join.  spaced turns the canonical text into
+json.dumps's default spacing, which `enumerate --format json` prints.
 This module is the one writer of the format and, by read_json, the one reader
 of JSON text: each document is decoded once, at any depth.
 """
@@ -287,12 +288,18 @@ def serialize(s, texts=None) -> str:
     text from its second meeting on.  Parts inside a part whose text is being
     kept are not kept, so the kept texts add up to at most the listing's
     output.  The caller keeps every value in the listing alive while the dict
-    is in use, since ids are reused once a value is freed.  The walk is a loop
+    is in use, since ids are reused once a value is freed.  A ParkingLike
+    whose slots all have kept texts is written by one join.  The walk is a loop
     over a stack of iterators over _TEXT pieces, not recursion, so nesting
     depth costs no interpreter frames.  s itself is not recorded.
     """
     if texts is None:
         texts = {}
+    elif type(s) is ParkingLike:
+        try:
+            return _parking_head(s.chi) + ",".join(map(texts.__getitem__, map(id, s.sequence))) + "]}"
+        except (KeyError, TypeError):  # a slot unmet (KeyError) or met once (None)
+            pass
     pieces = []
     stack = [iter(_TEXT[type(s)](s))]
     kept = None  # the part whose text is being kept, while it is written
@@ -341,14 +348,14 @@ def _compose_text(v):
 
 
 @lru_cache(maxsize=128)
-def _chi_text(chi) -> str:
-    """The chi field's JSON text, worked out once per chi map, not once per
-    parking-like structure."""
-    return json.dumps(chi.key())
+def _parking_head(chi) -> str:
+    """A parking-like value's text up to its first slot, worked out once per
+    chi map, not once per structure."""
+    return '{"chi":' + json.dumps(chi.key()) + ',"seq":['
 
 
 def _parking_text(v):
-    yield '{"chi":' + _chi_text(v.chi) + ',"seq":['
+    yield _parking_head(v.chi)
     for i, part in enumerate(v.sequence):
         if i:
             yield ","
