@@ -239,12 +239,13 @@ class Generator:
         out = [] if labels else [flatten_power(pw, k1) for pw in self._gen(power, labels)]
         items = sorted(labels)
         for n in range(1, len(items) + 1):
-            shifted = chi.shift(n)
+            shifted = None  # taken once some head exists, as series slot peeling does
             for combo in combinations(items, n):
                 first = frozenset(combo)
                 heads = self._gen(power, first)
                 if not heads:
                     continue
+                shifted = shifted or chi.shift(n)
                 tails = self._sequences(base, shifted, labels - first)
                 if not tails:
                     continue

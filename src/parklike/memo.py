@@ -7,9 +7,13 @@ stands in for the Ref, so any result computed from it is provisional: Memo
 caches a result only if no approximation was read while it was computed, and
 a solve's result only if every approximation read during the solve was its
 own.  Each caller picks its own key, empty value, round bound and error text.
+reuse() counts a provisional result used again, as a read of the innermost
+solve's own if it read that one; `solving` views the solves in progress.
 """
 
 from __future__ import annotations
+
+from types import MappingProxyType
 
 from .errors import DivergentRecursionError
 
@@ -26,6 +30,7 @@ class Memo:
         self.enabled = enabled
         self.reads = 0  # approximation reads so far; see store()
         self._approx: dict = {}  # key -> [approximation, reads of it], innermost last
+        self.solving = MappingProxyType(self._approx)  # read-only view of _approx
 
     def store(self, key, result, reads_before: int):
         """Cache result unless an approximation was read since reads_before."""
@@ -33,10 +38,11 @@ class Memo:
             self.cache[key] = result
         return result
 
-    def read_innermost(self) -> None:
-        """Count a read of the innermost solve's approximation (a result reused in its round)."""
+    def reuse(self, innermost: bool) -> None:
+        """Count the reuse of a result built on an approximation, as a read of
+        the innermost solve's own if the result read that one."""
         self.reads += 1
-        if self._approx:
+        if innermost:
             self._approx[next(reversed(self._approx))][1] += 1
 
     def solve(self, key, empty, rounds: int, step, error: str):

@@ -14,12 +14,12 @@ f_(n+1) = sum_k C(n,k) g_(k+1) f_(n-k), one quadratic recurrence
 
 Recursive definitions iterate from the zero series to a fixed point (same
 contract as structure generation: error after N+2 non-stabilizing rounds).
-A round is a Newton step y + (H(y) - y)(1 - J)^(-1), with J = dH/dy read
-off the definition by one derivative rule per node type, so a well-founded
+A round is a Newton step y + (H(y) - y)(1 - J)^(-1), so a well-founded
 definition settles in O(log N) rounds (Pivoteau-Salvy-Soria, JCTA 119,
-2012).  Where the definition has no such derivative (mutual recursion,
-parking, trees, restriction, a composition other than a set's) or J_0 is not
-0, the round is the plain one, H(y).
+2012).  Each rule returns its counts with their slope by y, the innermost
+solve's approximation, so J comes with H(y); an outer solve's approximation
+is fixed meanwhile.  Where y is read through restriction, parking, trees, a
+non-set composition or a finished solve, or J_0 is not 0, the round is H(y).
 
 Tree-like series go through Lagrange inversion, and so do parking-like
 series over an affine chi, by Lagrange-Buermann (Flajolet-Sedgewick, Thm
@@ -254,47 +254,94 @@ def park_by_peeling(base: EgfSeries, chi: ChiMap, order: int) -> EgfSeries:
 
 _SETS = (E, EPlus)  # outer species whose composition takes the exp rule
 
+# The slope of a node that reads the innermost approximation where no rule
+# gives a derivative; a round whose body has it is a plain one.
+_UNKNOWN = object()
+
+
+def _add(a, b):
+    """The slope of a sum of nodes with slopes a and b."""
+    if a is None or b is _UNKNOWN:
+        return b
+    if b is None or a is _UNKNOWN:
+        return a
+    return [x + y for x, y in zip(a, b)]
+
+
+def _times(slope, counts: list):
+    """The slope of a node with the given slope times a fixed factor."""
+    return slope if slope is None or slope is _UNKNOWN else _mul(slope, counts)
+
+
+def _opaque(slope):
+    """The slope of a node with no derivative rule over a part with this slope."""
+    return None if slope is None else _UNKNOWN
+
 
 class _Evaluator:
-    """Species-to-count-vector evaluation at a fixed truncation order."""
+    """Species-to-count-vector evaluation at a fixed truncation order.
+
+    Every rule returns (counts, slope), the slope by y, the approximation of
+    the innermost solve: None where the node does not read y, a count vector
+    from the sum, product, power and set-composition rules, and _UNKNOWN
+    through a restriction, a parking, a tree, a non-set composition or a
+    finished solve that read y.  Final results read none.
+    """
 
     def __init__(self, env: SpeciesEnv, order: int):
         self.env = env
         self.order = order
         self._memo = Memo()
-        # Results read off approximations in the current fixed-point round:
-        # valid until the round ends, so its derivative reuses them.
+        # (counts, slope) of the nodes read off approximations in the current
+        # fixed-point round: valid until the round ends.
         self._round: dict = {}
 
-    def eval(self, expr) -> list:
+    def eval(self, expr) -> tuple:
         cached = self._memo.cache.get(expr)
         if cached is not None:
-            return cached
-        cached = self._round.get(expr)
-        if cached is not None:
-            self._memo.read_innermost()  # so what is built on it stays provisional
-            return cached
+            return cached, None
+        pair = self._round.get(expr)
+        if pair is not None:
+            self._memo.reuse(pair[1] is not None)  # so what is built on it stays provisional
+            return pair
         rule = _RULES.get(type(expr))
         if rule is None:
             raise TypeError(f"not a species expression: {expr!r}")
         reads_before = self._memo.reads
-        result = self._memo.store(expr, rule(self, expr), reads_before)
+        pair = rule(self, expr)
+        self._memo.store(expr, pair[0], reads_before)
         if self._memo.reads != reads_before:
-            self._round[expr] = result
-        return result
+            self._round[expr] = pair
+        return pair
 
     # -- rules, one per node type (see _RULES) -------------------------------
 
-    def _restrict(self, expr: Restrict) -> list:
-        out = [0] * (self.order + 1)
-        if expr.card <= self.order:
-            out[expr.card] = self.eval(expr.base)[expr.card]
-        return out
+    def _sum(self, expr: Sum) -> tuple:
+        left, d_left = self.eval(expr.left)
+        right, d_right = self.eval(expr.right)
+        return [x + y for x, y in zip(left, right)], _add(d_left, d_right)
 
-    def _ref(self, expr: Ref) -> list:
+    def _prod(self, expr: Prod) -> tuple:
+        left, d_left = self.eval(expr.left)
+        right, d_right = self.eval(expr.right)
+        return _mul(left, right), _add(_times(d_left, right), _times(d_right, left))
+
+    def _restrict(self, expr: Restrict) -> tuple:
+        out = [0] * (self.order + 1)
+        if expr.card > self.order:
+            return out, None
+        counts, slope = self.eval(expr.base)
+        out[expr.card] = counts[expr.card]
+        return out, _opaque(slope)
+
+    def _ref(self, expr: Ref) -> tuple:
         N = self.order
+        solving = self._memo.solving
+        innermost = next(reversed(solving), None)
+        entry = solving.get(innermost)  # [approximation, reads of it]
+        reads = entry and entry[1]
         body = self.env.lookup(expr.name)
-        return self._memo.solve(
+        counts = self._memo.solve(
             expr,
             [0] * (N + 1),
             N + 2,
@@ -302,18 +349,21 @@ class _Evaluator:
             f"series for {expr.name!r} did not stabilize at order "
             f"{N} after {N + 2} rounds",
         )
+        if expr == innermost:
+            return counts, [1] + [0] * N
+        # An outer solve's approximation is fixed for the inner round; a
+        # finished solve read y if it counted a read of the innermost's.
+        return counts, None if entry is None or entry[1] == reads else _UNKNOWN
 
     def _newton(self, ref: Ref, body) -> list:
-        """One round for ref := body: y + (H(y) - y)(1 - J)^(-1), else H(y)."""
+        """One round for ref := body: y + (H(y) - y)(1 - J)^(-1), J the slope
+        of body, else H(y)."""
         outer_round, self._round = self._round, {}
         try:
-            value = self.eval(body)
-            slope = self.slope(body, ref.name)
-            if slope[0] or not any(slope):  # with J = 0 the step is H(y) too
-                return value
-            y = self.eval(ref)  # the approximation this round improves
-        except _NoSlope:
-            return value
+            value, slope = self.eval(body)
+            if slope is None or slope is _UNKNOWN or slope[0] or not any(slope):
+                return value  # with J = 0 the step is H(y) too
+            y = self.eval(ref)[0]  # the approximation this round improves
         finally:
             self._round = outer_round
         # step = (H(y) - y) + J*step, the difference taken first.
@@ -321,12 +371,19 @@ class _Evaluator:
         step = _recurrence([h - a for h, a in zip(value, y)], terms, 0)
         return [a + b for a, b in zip(y, step)]
 
-    def _power(self, expr: Power) -> list:
-        return _pow(self.eval(expr.base), expr.exponent)
+    def _power(self, expr: Power) -> tuple:
+        base, slope = self.eval(expr.base)
+        k = expr.exponent
+        if not k:
+            return _pow(base, 0), None
+        if slope is None or slope is _UNKNOWN:
+            return _pow(base, k), slope
+        lower = _pow(base, k - 1)  # d b^k = k b^(k-1) db
+        return _mul(lower, base), [k * c for c in _mul(slope, lower)]
 
-    def _compose(self, expr: Compose) -> list:
+    def _compose(self, expr: Compose) -> tuple:
         """sum_k f_k (g^k)_n / k!: k-sets of inner structures, outer on the k blocks."""
-        inner = self.eval(expr.inner)
+        inner, d_inner = self.eval(expr.inner)
         if inner[0]:
             raise InadmissibleCompositionError(
                 "series composition requires a zero constant term inside"
@@ -335,9 +392,10 @@ class _Evaluator:
             # F = E(G) solves F' = G'F: f_(n+1) = sum_k C(n,k) g_(k+1) f_(n-k).
             terms = [(k, g) for k, g in enumerate(inner[1:]) if g]
             out = _recurrence([1] + [0] * self.order, terms, 1)
+            slope = _times(d_inner, out)  # d E(G) = E(G) dG, and E+ = E - 1
             out[0] = int(type(expr.outer) is E)  # E+ has no empty set
-            return out
-        outer = self.eval(expr.outer)
+            return out, slope
+        outer, d_outer = self.eval(expr.outer)
         out = [0] * (self.order + 1)
         power = [1] + [0] * self.order  # inner^k
         k_factorial = 1
@@ -348,101 +406,35 @@ class _Evaluator:
             if f:
                 for n in range(k, self.order + 1):
                     out[n] += f * _exact(power[n], k_factorial, n)
-        return out
+        return out, _opaque(d_outer if d_inner is None else d_inner)
 
-    def _park(self, expr: Park) -> list:
+    def _park(self, expr: Park) -> tuple:
         """Lagrange-Buermann for an affine chi, slot peeling for a table."""
-        counts, chi = self.eval(expr.base), expr.chi
+        (counts, slope), chi = self.eval(expr.base), expr.chi
         if chi.kind == "affine":
-            return _lagrange(counts, chi.a, chi(1))
-        return _peel(counts, chi)
+            return _lagrange(counts, chi.a, chi(1)), _opaque(slope)
+        return _peel(counts, chi), _opaque(slope)
 
-    # -- derivative of a definition's body by one of its names ---------------
-
-    def slope(self, expr, name: str) -> list:
-        """d expr / d Ref(name) as counts; raises _NoSlope where no rule gives one."""
-        if not self._mentions(expr, name):
-            return [0] * (self.order + 1)
-        return _SLOPES[type(expr)](self, expr, name)
-
-    def _mentions(self, expr, name: str) -> bool:
-        """Whether expr refers to name, directly or through definitions."""
-        seen, todo = set(), [expr]
-        while todo:
-            e = todo.pop()
-            if type(e) is Ref:
-                if e.name == name:
-                    return True
-                if e.name not in seen and self.env.knows(e.name):
-                    seen.add(e.name)
-                    todo.append(self.env.lookup(e.name))
-            else:
-                todo.extend(getattr(e, name) for name in e._fields if name in _PARTS)
-        return False
-
-    def _slope_prod(self, expr: Prod, name: str) -> list:
-        left = _mul(self.slope(expr.left, name), self.eval(expr.right))
-        right = _mul(self.slope(expr.right, name), self.eval(expr.left))
-        return [x + y for x, y in zip(left, right)]
-
-    def _slope_power(self, expr: Power, name: str) -> list:
-        k = expr.exponent
-        if not k:
-            return [0] * (self.order + 1)
-        base = self.slope(expr.base, name)
-        return [k * c for c in _mul(base, self.eval(Power(expr.base, k - 1)))]
-
-    def _slope_compose(self, expr: Compose, name: str) -> list:
-        # d E(G) = E(G) dG, and E+ differs from E by a constant.
-        if type(expr.outer) not in _SETS:
-            raise _NoSlope
-        return _mul(self.slope(expr.inner, name), self.eval(Compose(E(), expr.inner)))
+    def _tree(self, expr: Tree) -> tuple:
+        counts, slope = self.eval(expr.base)
+        return _lagrange(counts), _opaque(slope)
 
 
-class _NoSlope(Exception):
-    """No derivative rule applies; the round is a plain one."""
-
-
-def _no_slope(ev, e, name):
-    raise _NoSlope
-
-
-def _slope_ref(ev, e, name):
-    if e.name != name:
-        raise _NoSlope  # a definition that leads back to name: mutual recursion
-    return [1] + [0] * ev.order
-
-
-# Fields of a node that hold subexpressions.
-_PARTS = frozenset({"left", "right", "base", "outer", "inner"})
-
-# Series rule of every node type: rule(evaluator, expr) -> count vector.
+# Series rule of every node type: rule(evaluator, expr) -> (counts, slope).
 _RULES = {
-    Zero: lambda ev, e: [0] * (ev.order + 1),
-    One: lambda ev, e: [1] + [0] * ev.order,
-    X: lambda ev, e: ([0, 1] + [0] * ev.order)[: ev.order + 1],
-    E: lambda ev, e: [1] * (ev.order + 1),
-    EPlus: lambda ev, e: [0] + [1] * ev.order,
-    Sum: lambda ev, e: [x + y for x, y in zip(ev.eval(e.left), ev.eval(e.right))],
-    Prod: lambda ev, e: _mul(ev.eval(e.left), ev.eval(e.right)),
+    Zero: lambda ev, e: ([0] * (ev.order + 1), None),
+    One: lambda ev, e: ([1] + [0] * ev.order, None),
+    X: lambda ev, e: (([0, 1] + [0] * ev.order)[: ev.order + 1], None),
+    E: lambda ev, e: ([1] * (ev.order + 1), None),
+    EPlus: lambda ev, e: ([0] + [1] * ev.order, None),
+    Sum: _Evaluator._sum,
+    Prod: _Evaluator._prod,
     Power: _Evaluator._power,
     Restrict: _Evaluator._restrict,
     Compose: _Evaluator._compose,
     Ref: _Evaluator._ref,
     Park: _Evaluator._park,
-    Tree: lambda ev, e: _lagrange(ev.eval(e.base)),
-}
-
-# Derivative rule of every node type, for a node that mentions the name:
-# rule(evaluator, expr, name) -> count vector, or raise _NoSlope.  The
-# primitives mention no name, so their rule is never reached.
-_SLOPES = {
-    **{t: _no_slope for t in (Zero, One, X, E, EPlus, Restrict, Park, Tree)},
-    Sum: lambda ev, e, name: [x + y for x, y in zip(ev.slope(e.left, name), ev.slope(e.right, name))],
-    Prod: _Evaluator._slope_prod,
-    Power: _Evaluator._slope_power,
-    Compose: _Evaluator._slope_compose,
-    Ref: _slope_ref,
+    Tree: _Evaluator._tree,
 }
 
 
@@ -454,4 +446,4 @@ def egf_of_species(expr, env: SpeciesEnv | None = None, order: int = 8) -> EgfSe
         raise SpeciesError(f"series order {order} is too large to index a count vector")
     if env is None:
         env = SpeciesEnv.standard()
-    return EgfSeries(order, _Evaluator(env, order).eval(expr))
+    return EgfSeries(order, _Evaluator(env, order).eval(expr)[0])

@@ -60,6 +60,13 @@ def test_count_command(capsys):
     assert rc == 0 and out.strip() == "15"
 
 
+def test_count_reads_no_chi_entry_that_no_structure_needs(capsys):
+    # X has no structure on two labels, so nothing peels a block of two and
+    # chi(2) is never read; series answers the same.
+    rc, out = run(capsys, ["count", "--expr", "park(X, table(2))", "--n", "1"])
+    assert rc == 0 and out.strip() == "0"
+
+
 @pytest.mark.parametrize(
     "expr, n, expected", [("E^3000", 0, "1"), ("E^600", 1, "600"), ("X*E^600", 2, "1200")]
 )

@@ -27,13 +27,12 @@ SRC = Path(__file__).resolve().parents[1] / "src" / "parklike"
 
 @pytest.mark.parametrize(
     "table",
-    [generate._RULES, series._RULES, expr._RENDER, membership._RULES, series._SLOPES],
+    [generate._RULES, series._RULES, expr._RENDER, membership._RULES],
     ids=[
         "parklike.generate",
         "parklike.series",
         "parklike.expr",
         "parklike.membership",
-        "parklike.series-slopes",
     ],
 )
 def test_rule_table_covers_every_node_type(table):
