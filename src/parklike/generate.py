@@ -1,66 +1,48 @@
-"""Exhaustive generation of labeled structures.
+"""Exhaustive generation and counting of labeled structures.
 
-The Generator walks a species expression and produces every structure on a
-given label set, by one rule per node type (the _RULES table), the
-parking-like and tree-like operators included.  Results are memoized per
-(expression, label set), and every label set is built on its own from the
-memoized results on its subsets; no result is ever copied onto other labels.
-So equal substructures are one shared object, and a list costs one new
-top-level node per structure — large runs (millions of structures) stay
-affordable.  The Park rule memoizes its slot sequences as plain tuples
-under (base, chi, labels) keys, which never equal an (expression, labels)
-key, and wraps only those of the map asked for as ParkingLike values.
-Generation answers which structures there are; whether one given value is
-among them is read off the value by membership.accepts, which lists nothing.
+The generation rule of each node type (the _RULES table, the parking-like
+and tree-like operators included) yields the *terms* of an expression on a
+label set.  A term (make, factors) stands for make(*choice) for every choice
+in the Cartesian product of its factors, in construction order; a factor is
+the same fold's result for a sub-expression on a subset of the labels, or
+for a term of its own (the tuples of a tree's children, or of a composition's
+blocks), and a leaf is one term with no factors.  The list fold (raw,
+generate) makes the structures; the count fold (count) sums the products of
+the factor counts, so it builds no structure and keeps no list.  A factor is
+empty exactly when its count is 0, so both folds visit the same subsets,
+partitions, head sets and chi shifts in the same order, read the same chi
+entries, raise the same errors and run the same fixed-point rounds.
 
-Recursive definitions (Ref nodes) are solved by fixed point: within a fixed
-label count n, iterate the defining equation starting from the empty
-structure set until it stabilizes, erroring after n + 2 non-stabilizing
-rounds.  Structures on fewer labels are final and cached normally.  Results
-computed against a provisional approximation are never memoized.
+Each fold memoizes its results per (expression, label set), and builds every
+label set from its results on the subsets: equal substructures are one
+shared object, and a list costs one new top-level node per structure.  The
+Park rule memoizes slot sequences as plain tuples and wraps only those of the
+map asked for.  One Power node per (base, exponent) and one shifted chi map
+per (value, origin) serve both folds, so their lookups hit by identity.
 
-generate, raw and count pause the cyclic garbage collector while they build
-and restore the caller's setting afterwards.  Every full collection would
-re-walk the whole memo, and there is nothing for it to find: values are
-immutable and built bottom-up from existing ones, so the structure graph is
-acyclic, and generation makes no reference cycles of its own (no
-self-referencing closures).  Reference counting frees every structure,
-paused or not.
+A Ref is solved by fixed point: on n labels, iterate its body from the empty
+result (no structure, count 0) until it stabilizes, erroring after n + 2
+rounds.  Results computed against a provisional approximation are never
+memoized.  generate, raw and count pause the cyclic garbage collector and
+restore the caller's setting: a full collection would re-walk the whole memo
+and find nothing, since values are built bottom-up from existing ones and
+no fold makes a cycle (it holds no reference to its Generator).
 """
 
 from __future__ import annotations
 
 import gc
-from itertools import combinations, product
+from functools import cached_property, partial
+from itertools import combinations, product, starmap
+from math import prod
 
 from .errors import InadmissibleCompositionError
 from .expr import (
-    E,
-    EPlus,
-    Compose,
-    One,
-    Park,
-    Power,
-    Prod,
-    Ref,
-    Restrict,
-    SpeciesEnv,
-    Sum,
-    Tree,
-    X,
-    Zero,
+    E, EPlus, Compose, One, Park, Power, Prod, Ref, Restrict, SpeciesEnv, Sum, Tree, X, Zero,
 )
 from .memo import Memo
 from .structures import (
-    UNIT,
-    AtomVal,
-    ComposeVal,
-    ParkingLike,
-    ProdVal,
-    SetVal,
-    SumVal,
-    TreeLike,
-    canonical_labels,
+    UNIT, AtomVal, ComposeVal, ParkingLike, ProdVal, SetVal, SumVal, TreeLike, canonical_labels,
     serialize,
 )
 
@@ -97,193 +79,180 @@ def iter_set_partitions(labels):
 
 
 class Generator:
-    """Structure generator over a fixed environment.
+    """Structure generator and counter over a fixed environment.
 
     The environment must not be mutated once generation has started; cache
     entries are keyed by expression only.  ``memoize=False`` disables all
-    caching (slower, used to exercise the raw recursion in tests).
+    caching (slower, used to exercise the raw recursion in tests).  The count
+    fold is made on the first count: membership's Generators never make it.
     """
 
     def __init__(self, env: SpeciesEnv | None = None, *, memoize: bool = True):
         self.env = env if env is not None else SpeciesEnv.standard()
-        self._memo = Memo(memoize)
-        self._cache = self._memo.cache
+        # Power nodes and shifted maps, shared by both folds (_Fold.power, _Fold.shift)
+        self._nodes = ({}, {})
+        self._lists = _Fold(self.env, _listing, memoize, self._nodes)
+
+    @cached_property
+    def _counts(self):
+        return _Fold(self.env, _counting, self._lists.memo.enabled, self._nodes)
 
     # -- public API ----------------------------------------------------------
 
     def generate(self, expr, labels) -> list:
-        """All structures of expr on labels, sorted by canonical serialization."""
-        result = self._build(expr, labels)
-        texts = {}  # one for the whole listing, so shared parts reuse their text
-        return sorted(result, key=lambda s: serialize(s, texts))
+        """All structures of expr on labels, sorted by canonical serialization
+        (one texts dict for the whole listing, so shared parts reuse their text)."""
+        return sorted(self.raw(expr, labels), key=partial(serialize, texts={}))
 
     def raw(self, expr, labels) -> list:
-        """Same set as generate(), in deterministic construction order.
-
-        Skips the serialization sort — use for counting large spaces.
-        """
-        return self._build(expr, labels)
+        """Same set as generate(), in construction order: the list fold of
+        expr's terms.  Skips the serialization sort."""
+        return _paused(self._lists, expr, frozenset(labels))
 
     def count(self, expr, n: int) -> int:
-        return len(self._build(expr, canonical_labels(n)))
+        """The number of expr's structures on n labels: the count fold of the
+        same terms, which builds no structure."""
+        return _paused(self._counts, expr, canonical_labels(n))
 
     def check_admissible(self, expr: Compose) -> None:
         """Raise unless expr's inner species has no structure on the empty set."""
-        if self._gen(expr.inner, frozenset()):
-            raise InadmissibleCompositionError(
-                "composition requires the inner species to have no structure "
-                "on the empty set"
-            )
+        _check_admissible(self._lists, expr)
 
-    # -- dispatch ------------------------------------------------------------
 
-    def _build(self, expr, labels) -> list:
-        """_gen on labels with the cyclic collector paused; see the module doc."""
-        enabled = gc.isenabled()
-        gc.disable()
-        try:
-            return self._gen(expr, frozenset(labels))
-        finally:
-            if enabled:
-                gc.enable()
+def _paused(fold, expr, labels: frozenset):
+    """fold(expr, labels) with the cyclic collector paused; see the module doc."""
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        return fold(expr, labels)
+    finally:
+        if enabled:
+            gc.enable()
 
-    def _gen(self, expr, labels: frozenset) -> list:
+
+def _listing(terms) -> list:
+    """The list fold: every structure the terms stand for, in order."""
+    out = []
+    for make, factors in terms:
+        out.extend(starmap(make, product(*factors)))
+    return out
+
+
+def _counting(terms) -> int:
+    """The count fold: how many structures the terms stand for."""
+    return sum(prod(factors) for _make, factors in terms)
+
+
+class _Fold:
+    """The memoized results of one fold (_listing or _counting) of the rules'
+    terms.  It holds no reference to its Generator: no cycle keeps the memo."""
+
+    def __init__(self, env, combine, memoize: bool, nodes):
+        self.env = env
+        self.combine = combine
+        self.memo = Memo(memoize)
+        self.cache = self.memo.cache
+        self._powers, self._maps = nodes
+
+    def __call__(self, expr, labels: frozenset):
         key = (expr, labels)
-        cached = self._cache.get(key)
+        cached = self.cache.get(key)
         if cached is not None:
             return cached
         rule = _RULES.get(type(expr))
         if rule is None:
             raise TypeError(f"not a species expression: {expr!r}")
-        reads_before = self._memo.reads
-        return self._memo.store(key, rule(self, expr, labels), reads_before)
+        return self.memoized(rule, expr, labels, key=key)
 
-    # -- rules, one per node type (see _RULES) -------------------------------
-
-    def _compute_sum(self, expr: Sum, labels: frozenset) -> list:
-        out = [SumVal("L", s) for s in self._gen(expr.left, labels)]
-        out.extend(SumVal("R", s) for s in self._gen(expr.right, labels))
-        return out
-
-    def _compute_prod(self, left, right, labels: frozenset) -> list:
-        out = []
-        for part in iter_subsets(labels):
-            lefts = self._gen(left, part)
-            if not lefts:
-                continue
-            rights = self._gen(right, labels - part)
-            out.extend(
-                ProdVal(l, r) for l in lefts for r in rights
-            )
-        return out
-
-    def _compute_power(self, base, k: int, labels: frozenset) -> list:
-        """b^k as b * b^(k-1), with every b^j (j < k) built upward beforehand.
-
-        A loop, not recursion: exponents in the thousands must not hit the
-        interpreter's recursion limit.  Round j stores b^j on every subset of
-        labels, so round j + 1 finds its right factors cached.
-        """
-        if k == 0:
-            return [UNIT] if not labels else []
-        parts = list(iter_subsets(labels))
-        prev = Power(base, 0)
-        for j in range(1, k):
-            node = Power(base, j)  # one node per step: the next step's lookups hit by identity
-            for part in parts:
-                key = (node, part)
-                if key not in self._cache:
-                    reads_before = self._memo.reads
-                    result = self._compute_prod(base, prev, part)
-                    self._memo.store(key, result, reads_before)
-            prev = node
-        return self._compute_prod(base, prev, labels)
-
-    def _compute_compose(self, expr: Compose, labels: frozenset) -> list:
-        self.check_admissible(expr)
-        out = []
-        for blocks in iter_set_partitions(labels):
-            inner_lists = [self._gen(expr.inner, b) for b in blocks]
-            if not all(inner_lists):
-                continue
-            reps = frozenset(min(b) for b in blocks)
-            for outer in self._gen(expr.outer, reps):
-                for choice in product(*inner_lists):
-                    out.append(ComposeVal(outer, tuple(zip(blocks, choice))))
-        return out
-
-    def _compute_ref(self, expr: Ref, labels: frozenset) -> list:
-        n = len(labels)
-        body = self.env.lookup(expr.name)
-        return self._memo.solve(
-            (expr, labels),
-            [],
-            n + 2,
-            lambda: self._gen(body, labels),
-            f"recursion for {expr.name!r} did not stabilize on "
-            f"{n} labels after {n + 2} rounds",
-        )
-
-    def _sequences(self, base, chi, labels: frozenset) -> list:
-        """The slot sequences of park(base, chi) on labels, by slot peeling:
-        the first chi(1) slots are a power structure on a non-empty subset of
-        n labels (or on nothing, when labels is empty), and the rest a slot
-        sequence on the other labels for rho_n(m) = chi(n+m) - chi(1)."""
-        key = (base, chi, labels)
-        cached = self._cache.get(key)
+    def memoized(self, rule, *args, key=None):
+        """The fold of the terms of rule(self, *args), cached under key, by
+        default (rule, *args), which never equals an (expression, labels) key.
+        Not cached if an approximation was read while it was folded."""
+        key = key or (rule, *args)
+        cached = self.cache.get(key)
         if cached is not None:
             return cached
-        reads_before = self._memo.reads
-        k1 = chi(1)
-        power = Power(base, k1)
-        out = [] if labels else [flatten_power(pw, k1) for pw in self._gen(power, labels)]
-        items = sorted(labels)
-        for n in range(1, len(items) + 1):
-            shifted = None  # taken once some head exists, as series slot peeling does
-            for combo in combinations(items, n):
-                first = frozenset(combo)
-                heads = self._gen(power, first)
-                if not heads:
-                    continue
-                shifted = shifted or chi.shift(n)
-                tails = self._sequences(base, shifted, labels - first)
-                if not tails:
-                    continue
-                for pw in heads:
-                    prefix = flatten_power(pw, k1)
-                    out.extend([prefix + tail for tail in tails])
-        return self._memo.store(key, out, reads_before)
+        reads_before = self.memo.reads
+        return self.memo.store(key, self.combine(rule(self, *args)), reads_before)
 
-    def _compute_tree(self, expr: Tree, labels: frozenset) -> list:
-        """Tree-like structures, T = base(X * T).
+    def power(self, base, k: int) -> Power:
+        """The one Power(base, k) node of this Generator."""
+        return self._powers.get((base, k)) or self._powers.setdefault((base, k), Power(base, k))
 
-        Enumerates the head set W, the assignment of the remaining labels to
-        heads, the subtrees on each head's share, and the base structure on W.
-        """
-        base = expr.base
-        out = []
-        items = sorted(labels)
-        for w in range(len(items) + 1):
-            for heads in combinations(items, w):
-                roots = self._gen(base, frozenset(heads))
-                if not roots:
-                    continue
-                rest = sorted(labels - frozenset(heads))
-                for assignment in product(heads, repeat=len(rest)):
-                    shares = {h: [] for h in heads}
-                    for label, h in zip(rest, assignment):
-                        shares[h].append(label)
-                    sub_lists = [self._gen(expr, frozenset(shares[h])) for h in heads]
-                    if not all(sub_lists):
-                        continue
-                    for choice in product(*sub_lists):
-                        children = tuple(zip(heads, choice))
-                        out.extend(TreeLike(root, children) for root in roots)
-        return out
+    def shift(self, chi, n: int):
+        """The one map equal to chi.shift(n) of this Generator, found by its
+        value and origin, so no two equal maps key the memo and an exhausted
+        table is named by its own origin."""
+        shifted = chi.shift(n)
+        return self._maps.setdefault((shifted.key(), shifted.origin), shifted)
+
+
+# -- rules, one per node type (see _RULES): each yields terms ------------------
+
+
+def _same(s):
+    return s
+
+
+_unit = partial(_same, UNIT)  # make of the empty structure
+
+
+def _check_admissible(fold, expr: Compose) -> None:
+    if fold(expr.inner, frozenset()):
+        raise InadmissibleCompositionError(
+            "composition requires the inner species to have no structure on the empty set")
+
+
+def _prod(fold, left, right, labels: frozenset):
+    for part in iter_subsets(labels):
+        lefts = fold(left, part)
+        if lefts:
+            yield ProdVal, [lefts, fold(right, labels - part)]
+
+
+def _power(fold, expr: Power, labels: frozenset):
+    """b^k as b * b^(k-1), with every b^j (j < k) built upward beforehand: a
+    loop, not recursion, so exponents in the thousands stay within the
+    interpreter's recursion limit.  Round j keeps b^j on every subset of
+    labels, so round j + 1 finds its right factors cached."""
+    base, k = expr.base, expr.exponent
+    if k == 0:
+        yield from _RULES[One](fold, expr, labels)  # b^0 = 1
+        return
+    parts = list(iter_subsets(labels))
+    prev = fold.power(base, 0)
+    for j in range(1, k):
+        node = fold.power(base, j)
+        for part in parts:
+            fold.memoized(_prod, base, prev, part, key=(node, part))
+        prev = node
+    yield from _prod(fold, base, prev, labels)
+
+
+def _pairs(keys, *values) -> tuple:
+    return tuple(zip(keys, values))
+
+
+def _compose(fold, expr: Compose, labels: frozenset):
+    """The outer structure varies slowest, then the inner ones, block by block."""
+    _check_admissible(fold, expr)
+    for blocks in iter_set_partitions(labels):
+        inner = [fold(expr.inner, b) for b in blocks]
+        if all(inner):
+            outer = fold(expr.outer, frozenset(min(b) for b in blocks))
+            yield ComposeVal, [outer, fold.combine([(partial(_pairs, blocks), inner)])]
+
+
+def _ref(fold, expr: Ref, labels: frozenset):
+    n = len(labels)
+    body = fold.env.lookup(expr.name)
+    error = f"recursion for {expr.name!r} did not stabilize on {n} labels after {n + 2} rounds"
+    step = partial(fold, body, labels)
+    yield _same, [fold.memo.solve((expr, labels), fold.combine(()), n + 2, step, error)]
 
 
 def flatten_power(s, k: int) -> tuple:
-    """The k factors of a power structure _compute_park built: no shape check."""
+    """The k factors of a power structure the Park rule built: no shape check."""
     out = []
     for _ in range(k):
         out.append(s.left)
@@ -291,19 +260,79 @@ def flatten_power(s, k: int) -> tuple:
     return tuple(out)
 
 
-# Generation rule of every node type: rule(generator, expr, labels) -> list.
+def _heads(fold, power: Power, labels: frozenset):
+    """The power's structures on labels as tuples of their factors, flattened
+    once per structure, not once per slot sequence that starts with it."""
+    yield partial(flatten_power, k=power.exponent), [fold(power, labels)]
+
+
+def _sequences(fold, base, chi, labels: frozenset):
+    """The slot sequences of park(base, chi) on labels, by slot peeling:
+    the first chi(1) slots are a power structure on a non-empty subset of
+    n labels (or on nothing, when labels is empty), and the rest a slot
+    sequence on the other labels for rho_n(m) = chi(n+m) - chi(1)."""
+    power = fold.power(base, chi(1))
+    if not labels:
+        yield _same, [fold.memoized(_heads, power, labels)]
+    items = sorted(labels)
+    for n in range(1, len(items) + 1):
+        shifted = None  # taken once some head exists, as series slot peeling does
+        for combo in combinations(items, n):
+            first = frozenset(combo)
+            heads = fold.memoized(_heads, power, first)
+            if not heads:
+                continue
+            shifted = shifted or fold.shift(chi, n)
+            tails = fold.memoized(_sequences, base, shifted, labels - first)
+            if tails:
+                yield tuple.__add__, [heads, tails]
+
+
+def _tree_val(children, root):
+    return TreeLike(root, children)
+
+
+def _tree(fold, expr: Tree, labels: frozenset):
+    """Tree-like structures, T = base(X * T): the head set W, the assignment
+    of the other labels to heads, the subtrees on each head's share, and the
+    base structure on W, which varies fastest."""
+    items = sorted(labels)
+    for w in range(len(items) + 1):
+        for heads in combinations(items, w):
+            roots = fold(expr.base, frozenset(heads))
+            if not roots:
+                continue
+            rest = sorted(labels - frozenset(heads))
+            for assignment in product(heads, repeat=len(rest)):
+                shares = {h: [] for h in heads}
+                for label, h in zip(rest, assignment):
+                    shares[h].append(label)
+                subtrees = [fold(expr, frozenset(shares[h])) for h in heads]
+                if all(subtrees):
+                    children = fold.combine([(partial(_pairs, heads), subtrees)])
+                    yield _tree_val, [children, roots]
+
+
+# Generation rule of every node type: rule(fold, expr, labels) -> terms.
 _RULES = {
-    Zero: lambda g, e, labels: [],
-    One: lambda g, e, labels: [] if labels else [UNIT],
-    X: lambda g, e, labels: [AtomVal(next(iter(labels)))] if len(labels) == 1 else [],
-    E: lambda g, e, labels: [SetVal(labels)],
-    EPlus: lambda g, e, labels: [SetVal(labels)] if labels else [],
-    Sum: Generator._compute_sum,
-    Prod: lambda g, e, labels: g._compute_prod(e.left, e.right, labels),
-    Power: lambda g, e, labels: g._compute_power(e.base, e.exponent, labels),
-    Restrict: lambda g, e, labels: g._gen(e.base, labels) if len(labels) == e.card else [],
-    Compose: Generator._compute_compose,
-    Ref: Generator._compute_ref,
-    Park: lambda g, e, labels: [ParkingLike(e.chi, q) for q in g._sequences(e.base, e.chi, labels)],
-    Tree: Generator._compute_tree,
+    Zero: lambda fold, e, labels: (),
+    One: lambda fold, e, labels: () if labels else ((_unit, ()),),
+    X: lambda fold, e, labels: ((partial(AtomVal, *labels), ()),) if len(labels) == 1 else (),
+    E: lambda fold, e, labels: ((partial(SetVal, labels), ()),),
+    EPlus: lambda fold, e, labels: ((partial(SetVal, labels), ()),) if labels else (),
+    Sum: lambda fold, e, labels: (
+        (partial(SumVal, "L"), [fold(e.left, labels)]),
+        (partial(SumVal, "R"), [fold(e.right, labels)]),
+    ),
+    Prod: lambda fold, e, labels: _prod(fold, e.left, e.right, labels),
+    Power: _power,
+    Restrict: lambda fold, e, labels: (
+        ((_same, [fold(e.base, labels)]),) if len(labels) == e.card else ()
+    ),
+    Compose: _compose,
+    Ref: _ref,
+    Park: lambda fold, e, labels: (
+        (partial(ParkingLike, e.chi), [fold.memoized(_sequences, e.base, e.chi, labels)]),
+    ),
+    Tree: _tree,
 }

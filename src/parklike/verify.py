@@ -56,6 +56,15 @@ def _read_golden(golden_dir, name: str) -> str:
         return f.read()
 
 
+def _counted(gen: Generator, expr, n: int) -> int:
+    """gen.count(expr, n), checked against the length of the listing: every
+    count a check compares is also listed, and the two folds agree."""
+    count, listed = gen.count(expr, n), len(gen.raw(expr, range(1, n + 1)))
+    if count != listed:
+        raise AssertionError(f"{expr!r} on {n} labels: {listed} listed, {count} counted")
+    return count
+
+
 def _cayley(n: int) -> int:
     return 1 if n == 0 else (n + 1) ** (n - 1)
 
@@ -67,7 +76,7 @@ def check_classical_counts(max_n=None, golden_dir=None, env=None):
     """Parking over the set species counts (n+1)^(n-1), by generation."""
     hi = _cap(7, max_n)
     gen = Generator(_env(env))
-    got = [gen.count(Park(E(), _ID), n) for n in range(hi + 1)]
+    got = [_counted(gen, Park(E(), _ID), n) for n in range(hi + 1)]
     want = [_cayley(n) for n in range(hi + 1)]
     return got == want, f"n<={hi}: generated {got}, expected {want}"
 
@@ -140,7 +149,7 @@ def check_series_three_routes(max_n=None, golden_dir=None, env=None):
             return False, f"base {name}: Lagrange and fixed point disagree"
         gen = Generator(environment)
         for n in range(hi + 1):
-            got = gen.count(Tree(base), n)
+            got = _counted(gen, Tree(base), n)
             if got != lag.counts[n]:
                 return False, (
                     f"base {name}, n={n}: generation {got} != series {lag.counts[n]}"
@@ -164,7 +173,7 @@ def check_parking_three_routes(max_n=None, golden_dir=None, env=None):
             if counts != park_by_peeling(base_series, chi, order).counts:
                 return False, f"base {name}, chi {chi.key()}: Buermann and slot peeling disagree"
             for n in range(hi + 1):
-                got = gen.count(expr, n)
+                got = _counted(gen, expr, n)
                 if got != counts[n]:
                     return False, (
                         f"base {name}, chi {chi.key()}, n={n}: generation {got} != series {counts[n]}"
@@ -204,9 +213,9 @@ def check_closed_forms(max_n=None, golden_dir=None, env=None):
     hi = _cap(4, max_n)
     gen = Generator(environment)
     for n in range(hi + 1):
-        if gen.count(Park(Ref("L"), _ID), n) != want_l[n]:
+        if _counted(gen, Park(Ref("L"), _ID), n) != want_l[n]:
             return False, f"park(L) generation disagrees at n={n}"
-        if gen.count(Park(Ref("Sub"), _ID), n) != want_sub[n]:
+        if _counted(gen, Park(Ref("Sub"), _ID), n) != want_sub[n]:
             return False, f"park(Sub) generation disagrees at n={n}"
     return True, (
         f"park(L)={got_l}, park(Sub)={got_sub}, generation agrees to n<={hi}"
@@ -220,14 +229,14 @@ def check_kary(max_n=None, golden_dir=None, env=None):
     gen = Generator(environment)
     for k in (1, 2, 3):
         for n in range(hi + 1):
-            parked = gen.count(Park(Ref(f"Ary({k})"), _ID), n)
-            plain = gen.count(Ref(f"Ary({k + 1})"), n)
+            parked = _counted(gen, Park(Ref(f"Ary({k})"), _ID), n)
+            plain = _counted(gen, Ref(f"Ary({k + 1})"), n)
             if parked != plain:
                 return False, f"k={k}, n={n}: park {parked} != {k + 1}-ary {plain}"
     hi1 = _cap(5, max_n)
     for n in range(hi1 + 1):
-        a = gen.count(Park(Ref("Ary(1)"), _ID), n)
-        b = gen.count(Park(Ref("L"), _ID), n)
+        a = _counted(gen, Park(Ref("Ary(1)"), _ID), n)
+        b = _counted(gen, Park(Ref("L"), _ID), n)
         if a != b:
             return False, f"park(Ary(1)) {a} != park(L) {b} at n={n}"
     return True, f"k=1..3 to n<={hi}; park(Ary(1)) == park(L) to n<={hi1}"
@@ -331,9 +340,9 @@ def check_prop_binomial(max_n=None, golden_dir=None, env=None):
     pairs = ((Ref("L"), Ref("Par")), (E(), Ref("Comp")), (Ref("Sub"), Ref("L")))
     for left, right in pairs:
         for n in range(hi + 1):
-            direct = gen.count(Prod(left, right), n)
+            direct = _counted(gen, Prod(left, right), n)
             conv = sum(
-                comb(n, k) * gen.count(left, k) * gen.count(right, n - k)
+                comb(n, k) * _counted(gen, left, k) * _counted(gen, right, n - k)
                 for k in range(n + 1)
             )
             if direct != conv:
@@ -385,7 +394,7 @@ def check_prop_series_integrality(max_n=None, golden_dir=None, env=None):
         if any(a < 0 for a in series.counts):
             return False, f"negative count in series of {expr!r}"
         for n in range(hi + 1):
-            if gen.count(expr, n) != series.counts[n]:
+            if _counted(gen, expr, n) != series.counts[n]:
                 return False, f"{expr!r} series/generation mismatch at n={n}"
     return True, f"{len(exprs)} series integral and equal to generation, n<={hi}"
 
@@ -396,13 +405,13 @@ def check_prop_power_restrict(max_n=None, golden_dir=None, env=None):
     gen = Generator(_env(env))
     for k in range(4):
         for n in range(hi + 1):
-            got = gen.count(Power(E(), k), n)
+            got = _counted(gen, Power(E(), k), n)
             if got != k**n:
                 return False, f"|E^{k}[{n}]| = {got}, expected {k ** n}"
     for c in range(_cap(3, max_n) + 1):
         for n in range(_cap(4, max_n) + 1):
-            got = gen.count(Restrict(Ref("Par"), c), n)
-            want = gen.count(Ref("Par"), n) if n == c else 0
+            got = _counted(gen, Restrict(Ref("Par"), c), n)
+            want = _counted(gen, Ref("Par"), n) if n == c else 0
             if got != want:
                 return False, f"restriction mask wrong at c={c}, n={n}"
     return True, f"powers k<=3 and restrictions masked correctly, n<={hi}"

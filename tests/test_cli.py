@@ -13,7 +13,9 @@ from pathlib import Path
 
 import pytest
 
-from parklike import ChiMap, Generator, Park, SpeciesEnv, expr_to_text, membership, parse_species
+from parklike import (
+    ChiMap, Generator, Park, SpeciesEnv, expr_to_text, generate, membership, parse_species,
+)
 from parklike.cli import main
 from parklike.structures import canonical_labels, from_jsonable, serialize
 
@@ -74,6 +76,27 @@ def test_count_deep_powers(capsys, expr, n, expected):
     # One interpreter frame per exponent step would pass the recursion limit.
     rc, out = run(capsys, ["count", "--expr", expr, "--n", str(n)])
     assert rc == 0 and out.strip() == expected
+
+
+@pytest.mark.parametrize(
+    "expr, n, expected",
+    [
+        ("E^3000", 2, "9000000"),
+        ("park(park(E + E, id), affine(2,0))", 4, "89915392"),
+        ("park(E)", 8, "4782969"),
+    ],
+)
+def test_count_is_bounded_by_the_count_not_the_structures(capsys, expr, n, expected):
+    # Listing these would build millions of structures (E^3000 every E^j on
+    # every subset); counting keeps one integer per (expression, label set).
+    tracemalloc.start()
+    try:
+        rc, out = run(capsys, ["count", "--expr", expr, "--n", str(n)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rc == 0 and out.strip() == expected
+    assert peak < 16 * 2**20, peak
 
 
 def test_enumerate_deep_listing_keeps_no_text_per_part(capsys):
@@ -592,14 +615,14 @@ def test_biject_validates_each_document_once(capsys, monkeypatch, base):
 
 
 def forbid_listing(monkeypatch):
-    """Make any generation over a non-empty label set fail."""
-    original = Generator._gen
+    """Make any generation over a non-empty label set fail, in either fold."""
+    original = generate._Fold.__call__
 
     def guarded(self, expr, labels):
         assert not labels, f"listed {expr_to_text(expr)} on {sorted(labels)}"
         return original(self, expr, labels)
 
-    monkeypatch.setattr(Generator, "_gen", guarded)
+    monkeypatch.setattr(generate._Fold, "__call__", guarded)
 
 
 @pytest.mark.parametrize("base", ["E", "L", "Par"])

@@ -8,6 +8,7 @@ from parklike import (
     Generator,
     SpeciesEnv,
     accepts,
+    egf_of_species,
     park_to_tree,
     parse_species,
     serialize,
@@ -20,6 +21,7 @@ from parklike.errors import (
     UnboundNameError,
 )
 from parklike.chi import ChiMap
+from parklike.frozen import Keyed
 from parklike.expr import (
     Compose,
     E,
@@ -35,7 +37,18 @@ from parklike.expr import (
     Zero,
 )
 from parklike.generate import iter_set_partitions, iter_subsets
-from parklike.structures import UNIT, ComposeVal, ProdVal, SetVal, canonical_labels
+from parklike.structures import (
+    UNIT,
+    AtomVal,
+    ComposeVal,
+    ParkingLike,
+    ProdVal,
+    SetVal,
+    SumVal,
+    TreeLike,
+    UnitVal,
+    canonical_labels,
+)
 from parklike.verify import BASES
 
 
@@ -398,19 +411,19 @@ def test_generation_leaves_the_collector_as_it_found_it(env, enabled, method, ar
         assert gc.isenabled() is enabled
 
 
-def test_counting_runs_no_collection(env):
+def test_listing_runs_no_collection(env):
     # 16,807 trees and their sub-results would set off many collections of
     # the young generation, and full ones over everything built so far.  The
     # hook counts only collections that start while the trees are built: the
     # one the pause puts off runs at some allocation after the collector is
-    # back on, which this test does not pin.
+    # back on, which this test does not pin.  The rules recurse through the
+    # fold itself, so only the outermost call goes through the wrapper.
     gen, expr = Generator(env), Tree(E())
-    build = gen._gen
+    build = gen._lists
     building, started = False, []
 
     def outermost(expr, labels):
         nonlocal building
-        gen._gen = build  # the recursion calls the method itself
         building = True
         try:
             return build(expr, labels)
@@ -421,11 +434,67 @@ def test_counting_runs_no_collection(env):
         if phase == "start" and building:
             started.append(info["generation"])
 
-    gen._gen = outermost
+    gen._lists = outermost
     with collector(True):
         gc.callbacks.append(hook)
         try:
-            assert gen.count(expr, 6) == 7**5
+            assert len(gen.raw(expr, canonical_labels(6))) == 7**5
         finally:
             gc.callbacks.remove(hook)
     assert started == []
+
+
+# -- counting -------------------------------------------------------------------
+
+
+COUNTED = [
+    ("park(E)", 7),
+    ("park(E, affine(2,0))", 5),
+    ("park(E, table(1,1,2,5,5,5))", 5),
+    ("park(L)", 5),
+    ("park(Par)", 5),
+    ("tree(E)", 6),
+    ("tree(Comp)", 5),
+    ("L", 7),
+    ("Forest", 6),
+    ("Ary(2)", 5),
+    ("(E+)^3", 6),
+    ("E@E+", 5),
+    ("restrict(Par,3) + Sub*X", 4),
+    ("0 + 1", 2),
+]
+
+
+def test_counting_builds_no_structure(env, monkeypatch):
+    # The count fold multiplies the factor counts of each term and never
+    # calls a term's constructor; the series route gives the counts.
+    def refuse(self, *args):
+        raise AssertionError(f"built a {type(self).__name__}")
+
+    for cls in (UnitVal, SetVal, AtomVal, SumVal, ProdVal, ComposeVal, ParkingLike, TreeLike):
+        monkeypatch.setattr(cls, "__init__", refuse)
+    with pytest.raises(AssertionError, match="built a SetVal"):
+        SetVal({1})
+    for text, n in COUNTED:
+        expr = parse_species(text, env)
+        gen = Generator(env)
+        counts = [gen.count(expr, k) for k in range(n + 1)]
+        assert counts == list(egf_of_species(expr, env, n).counts), text
+
+
+def test_park_lookups_hit_by_identity(env, monkeypatch):
+    # One Power node per (base, exponent) and one shifted map per (value,
+    # origin): no memo lookup compares two equal but distinct keys.
+    calls = []
+    equal = Keyed.__eq__
+
+    def counted(self, other):
+        calls.append(type(self).__name__)
+        return equal(self, other)
+
+    monkeypatch.setattr(Keyed, "__eq__", counted)
+    park = Park(E(), ChiMap.identity())
+    assert len(Generator(env).raw(park, canonical_labels(6))) == 7**5
+    assert [name for name in calls if name in ("Power", "ChiMap")] == []
+    assert Generator(env).count(park, 6) == 7**5
+    assert [name for name in calls if name in ("Power", "ChiMap")] == []

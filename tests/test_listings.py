@@ -73,17 +73,22 @@ def test_a_recursive_parking_count_matches_its_series(capsys):
     assert rc == 0 and json.loads(out)["counts"] == counts
 
 
-@pytest.mark.parametrize("command", ["count", "enumerate"])
+@pytest.mark.parametrize("command", ["count", "enumerate", "series"])
 @pytest.mark.parametrize(
     "expr, n, error",
     [
         ("park(E, table(1,1,2,5))", 4, "chi table(1,1,2,5) has 4 entries, needed chi(5)"),
         # The map that runs out first depth-first, as on the series route.
         ("park(X+restrict(E,5), table(1,2,3))", 3, "chi table(1,2,3) has 3 entries, needed chi(4)"),
+        # A shift of the left table equals the right table by value; the
+        # error still names the table that ran out.
+        ("park(E, table(1,2,3,4)) + park(E, table(1,2,3))", 3,
+         "chi table(1,2,3) has 3 entries, needed chi(4)"),
     ],
 )
 def test_table_exhaustion_texts_match_the_series_route(capsys, command, expr, n, error):
-    rc, out, err = run(capsys, command, "--expr", expr, "--n", str(n))
+    size = "--order" if command == "series" else "--n"
+    rc, out, err = run(capsys, command, "--expr", expr, size, str(n))
     assert rc == 1 and out == "" and err == f"error: {error}\n"
 
 
