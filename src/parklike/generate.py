@@ -8,25 +8,31 @@ the same fold's result for a sub-expression on a subset of the labels, or
 for a term of its own (the tuples of a tree's children, or of a composition's
 blocks), and a leaf is one term with no factors.  The list fold (raw,
 generate) makes the structures; the count fold (count) sums the products of
-the factor counts, so it builds no structure and keeps no list.  A factor is
-empty exactly when its count is 0, so both folds visit the same subsets,
-partitions, head sets and chi shifts in the same order, read the same chi
-entries, raise the same errors and run the same fixed-point rounds.
+the factor counts, so it builds no structure and keeps no list.
 
-Each fold memoizes its results per (expression, label set), and builds every
-label set from its results on the subsets: equal substructures are one
+The list fold memoizes its results per (expression, label set), and builds
+every label set from its results on the subsets: equal substructures are one
 shared object, and a list costs one new top-level node per structure.  The
 Park rule memoizes slot sequences as plain tuples and wraps only those of the
-map asked for.  One Power node per (base, exponent) and one shifted chi map
-per (value, origin) serve both folds, so their lookups hit by identity.
+map asked for.  A count depends on the number of labels only (species are
+functors on bijections), so the count fold memoizes per (expression, label
+count) and folds each size once, on the first label set of that size it
+meets.  That is where the list fold first meets the size too, and a factor is
+empty exactly when its count is 0, so the first chi read, error and
+fixed-point solve of every sub-expression and size come in the same order in
+both folds, and with them the same error.  One Power node per (base,
+exponent) and one shifted chi map per (value, origin) serve both folds, so
+their lookups hit by identity.
 
 A Ref is solved by fixed point: on n labels, iterate its body from the empty
 result (no structure, count 0) until it stabilizes, erroring after n + 2
-rounds.  Results computed against a provisional approximation are never
-memoized.  generate, raw and count pause the cyclic garbage collector and
-restore the caller's setting: a full collection would re-walk the whole memo
-and find nothing, since values are built bottom-up from existing ones and
-no fold makes a cycle (it holds no reference to its Generator).
+rounds.  A solve reaches only subsets of its labels, so in the count fold a
+nested request of the same size is for the same set.  Results computed
+against a provisional approximation are never memoized.  generate, raw and
+count pause the cyclic garbage collector and restore the caller's setting: a
+full collection would re-walk the whole memo and find nothing, since values
+are built bottom-up from existing ones and no fold makes a cycle (it holds no
+reference to its Generator).
 """
 
 from __future__ import annotations
@@ -111,7 +117,8 @@ class Generator:
 
     def count(self, expr, n: int) -> int:
         """The number of expr's structures on n labels: the count fold of the
-        same terms, which builds no structure."""
+        same terms, which builds no structure and folds each sub-expression
+        once per label count, not once per label set."""
         return _paused(self._counts, expr, canonical_labels(n))
 
     def check_admissible(self, expr: Compose) -> None:
@@ -150,12 +157,15 @@ class _Fold:
     def __init__(self, env, combine, memoize: bool, nodes):
         self.env = env
         self.combine = combine
+        # A count depends on the number of labels only (transport of structure),
+        # so the count fold keys its memo by len(labels), the list fold by labels.
+        self.labels_key = len if combine is _counting else _same
         self.memo = Memo(memoize)
         self.cache = self.memo.cache
         self._powers, self._maps = nodes
 
     def __call__(self, expr, labels: frozenset):
-        key = (expr, labels)
+        key = (expr, self.labels_key(labels))
         cached = self.cache.get(key)
         if cached is not None:
             return cached
@@ -166,9 +176,10 @@ class _Fold:
 
     def memoized(self, rule, *args, key=None):
         """The fold of the terms of rule(self, *args), cached under key, by
-        default (rule, *args), which never equals an (expression, labels) key.
-        Not cached if an approximation was read while it was folded."""
-        key = key or (rule, *args)
+        default (rule, *args) with the labels, its last argument, keyed as in
+        __call__; that never equals an expression's key.  Not cached if an
+        approximation was read while it was folded."""
+        key = key or (rule, *args[:-1], self.labels_key(args[-1]))
         cached = self.cache.get(key)
         if cached is not None:
             return cached
@@ -214,7 +225,8 @@ def _power(fold, expr: Power, labels: frozenset):
     """b^k as b * b^(k-1), with every b^j (j < k) built upward beforehand: a
     loop, not recursion, so exponents in the thousands stay within the
     interpreter's recursion limit.  Round j keeps b^j on every subset of
-    labels, so round j + 1 finds its right factors cached."""
+    labels (every size, in the count fold), so round j + 1 finds its right
+    factors cached."""
     base, k = expr.base, expr.exponent
     if k == 0:
         yield from _RULES[One](fold, expr, labels)  # b^0 = 1
@@ -224,7 +236,7 @@ def _power(fold, expr: Power, labels: frozenset):
     for j in range(1, k):
         node = fold.power(base, j)
         for part in parts:
-            fold.memoized(_prod, base, prev, part, key=(node, part))
+            fold.memoized(_prod, base, prev, part, key=(node, fold.labels_key(part)))
         prev = node
     yield from _prod(fold, base, prev, labels)
 
@@ -248,7 +260,8 @@ def _ref(fold, expr: Ref, labels: frozenset):
     body = fold.env.lookup(expr.name)
     error = f"recursion for {expr.name!r} did not stabilize on {n} labels after {n + 2} rounds"
     step = partial(fold, body, labels)
-    yield _same, [fold.memo.solve((expr, labels), fold.combine(()), n + 2, step, error)]
+    key = (expr, fold.labels_key(labels))
+    yield _same, [fold.memo.solve(key, fold.combine(()), n + 2, step, error)]
 
 
 def flatten_power(s, k: int) -> tuple:

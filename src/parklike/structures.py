@@ -289,15 +289,20 @@ def serialize(s, texts=None) -> str:
     kept are not kept, so the kept texts add up to at most the listing's
     output.  The caller keeps every value in the listing alive while the dict
     is in use, since ids are reused once a value is freed.  A ParkingLike
-    whose slots all have kept texts is written by one join.  The walk is a loop
-    over a stack of iterators over _TEXT pieces, not recursion, so nesting
-    depth costs no interpreter frames.  s itself is not recorded.
+    whose slots all have kept texts is written by one join, after its head
+    text, which the dict keeps under the id of its chi map, so no map is
+    hashed per value.  The walk is a loop over a stack of iterators over _TEXT
+    pieces, not recursion, so nesting depth costs no interpreter frames.
+    s itself is not recorded.
     """
     if texts is None:
         texts = {}
     elif type(s) is ParkingLike:
+        head = texts.get(id(s.chi))
+        if head is None:
+            head = texts[id(s.chi)] = _parking_head(s.chi)
         try:
-            return _parking_head(s.chi) + ",".join(map(texts.__getitem__, map(id, s.sequence))) + "]}"
+            return head + ",".join(map(texts.__getitem__, map(id, s.sequence))) + "]}"
         except (KeyError, TypeError):  # a slot unmet (KeyError) or met once (None)
             pass
     pieces = []

@@ -498,3 +498,49 @@ def test_park_lookups_hit_by_identity(env, monkeypatch):
     assert [name for name in calls if name in ("Power", "ChiMap")] == []
     assert Generator(env).count(park, 6) == 7**5
     assert [name for name in calls if name in ("Power", "ChiMap")] == []
+
+
+def test_a_listing_hashes_no_chi_map_per_structure(env, monkeypatch):
+    # serialize keeps a parking's head text under the id of its chi map, so
+    # a value whose slots' texts are all kept hashes no map.  Only the value
+    # with all six labels in its first slot, a part met once, is written by
+    # the walk again (one lookup of its map: a hash and at most one __eq__).
+    listing = Generator(env).raw(Park(E(), ChiMap.identity()), canonical_labels(6))
+    texts = {}
+    lines = [serialize(s, texts) for s in listing]
+    calls = []
+    for name in ("__eq__", "__hash__"):
+        method = getattr(Keyed, name)
+
+        def counted(self, *other, method=method):
+            calls.append(type(self).__name__)
+            return method(self, *other)
+
+        monkeypatch.setattr(Keyed, name, counted)
+    assert [serialize(s, texts) for s in listing] == lines
+    assert len(set(lines)) == 7**5 and len(calls) <= 2
+
+
+@pytest.mark.parametrize("text, n", [("park(E)", 6), ("Ary(2)", 8)])
+def test_the_count_memo_holds_one_entry_per_size(env, text, n):
+    # A count depends on the number of labels only, so the count fold keys
+    # each expression, rule call and fixed-point solve by its label count.
+    gen = Generator(env)
+    gen.count(parse_species(text, env), n)
+    sizes = {}
+    for key in gen._counts.cache:
+        assert type(key[-1]) is int and 0 <= key[-1] <= n, key
+        sizes.setdefault(key[:-1], set()).add(key[-1])
+    assert sizes and max(map(len, sizes.values())) <= n + 1
+
+
+@pytest.mark.parametrize(
+    "text, n, expected",
+    [
+        ("L", 10, 3628800),  # 10!
+        ("park(E)", 8, 9**7),  # (n+1)^(n-1)
+        ("Ary(2)", 8, 40320 * 1430),  # n! times the Catalan number C_8
+    ],
+)
+def test_counts_at_sizes_past_the_listings(env, text, n, expected):
+    assert Generator(env).count(parse_species(text, env), n) == expected

@@ -92,6 +92,23 @@ def test_table_exhaustion_texts_match_the_series_route(capsys, command, expr, n,
     assert rc == 1 and out == "" and err == f"error: {error}\n"
 
 
+@pytest.mark.parametrize("command", ["count", "enumerate"])
+@pytest.mark.parametrize(
+    "definitions, expr, n, error",
+    [
+        ((), "park(L,table(1,2))", 4, "chi table(1,2) has 2 entries, needed chi(3)"),
+        ((), "park(L,table(2))*park(X,table(3))", 3, "chi table(3) has 1 entries, needed chi(4)"),
+        (("--define", "A:=X+park(A,affine(0,1))"), "A", 1,
+         "recursion for 'A' did not stabilize on 1 labels after 3 rounds"),
+    ],
+)
+def test_counting_by_size_fails_where_listing_fails(capsys, command, definitions, expr, n, error):
+    # The count fold meets each size on the first label set of that size the
+    # listing meets, so both read the same chi entries and rounds first.
+    rc, out, err = run(capsys, *definitions, command, "--expr", expr, "--n", str(n))
+    assert rc == 1 and out == "" and err == f"error: {error}\n"
+
+
 def test_sequences_read_off_an_approximation_are_not_kept(capsys):
     # park(A, affine(0,1)) on a label set holds A on the same set, so each
     # round's sequences read the round's approximation; kept, they would
