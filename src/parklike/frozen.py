@@ -12,10 +12,13 @@ pickling and copying call it.
 
 from __future__ import annotations
 
-from dataclasses import FrozenInstanceError
 from operator import attrgetter
 
 _set = object.__setattr__
+
+
+class FrozenInstanceError(AttributeError):
+    """Assigning or deleting an attribute of a Frozen value."""
 
 
 class Frozen:

@@ -2,27 +2,32 @@
 
 The generation rule of each node type (the _RULES table, the parking-like
 and tree-like operators included) yields the *terms* of an expression on a
-label set.  A term (make, factors) stands for make(*choice) for every choice
-in the Cartesian product of its factors, in construction order; a factor is
-the same fold's result for a sub-expression on a subset of the labels, or
-for a term of its own (the tuples of a tree's children, or of a composition's
-blocks), and a leaf is one term with no factors.  The list fold (raw,
-generate) makes the structures; the count fold (count) sums the products of
-the factor counts, so it builds no structure and keeps no list.
+label set.  A term (make, factors, weight) stands for make(*choice) for every
+choice in the Cartesian product of its factors, in construction order, weight
+times over; a factor is the same fold's result for a sub-expression on a
+subset of the labels, or for a term of its own (the tuples of a tree's
+children, or of a composition's blocks), and a leaf is one term with no
+factors.  The list fold (raw, generate) makes the structures; the count fold
+(count) sums weight times the product of the factor counts, so it builds no
+structure and keeps no list.
 
-The list fold memoizes its results per (expression, label set), and builds
-every label set from its results on the subsets: equal substructures are one
-shared object, and a list costs one new top-level node per structure.  The
-Park rule memoizes slot sequences as plain tuples and wraps only those of the
-map asked for.  A count depends on the number of labels only (species are
-functors on bijections), so the count fold memoizes per (expression, label
-count) and folds each size once, on the first label set of that size it
-meets.  That is where the list fold first meets the size too, and a factor is
-empty exactly when its count is 0, so the first chi read, error and
-fixed-point solve of every sub-expression and size come in the same order in
-both folds, and with them the same error.  One Power node per (base,
-exponent) and one shifted chi map per (value, origin) serve both folds, so
-their lookups hit by identity.
+The fold supplies the walk a rule makes over its labels (subsets, set
+partitions, assignments of labels to tree heads) as (part, multiplicity)
+pairs.  The list fold walks every part once, and memoizes its results per
+(expression, label set), building every label set from its results on the
+subsets: equal substructures are one shared object, and a list costs one new
+top-level node per structure.  The Park rule memoizes slot sequences as plain
+tuples and wraps only those of the map asked for.  A count depends on the
+sizes of the parts only (species are functors on bijections), so the count
+fold memoizes per (expression, label count) and walks one part per pattern
+of part sizes, weighted by the number of parts that share it, in the order
+the list fold's walk first meets that pattern.  So each sub-expression and
+size is folded where the list fold first meets it, and a factor is empty
+exactly when its count is 0, so the first chi read, error and fixed-point
+solve of every sub-expression and size come in the same order in both folds,
+and with them the same error.  One Power node per (base, exponent) and one
+shifted chi map per (value, origin) serve both folds, so their lookups hit by
+identity.
 
 A Ref is solved by fixed point: on n labels, iterate its body from the empty
 result (no structure, count 0) until it stabilizes, erroring after n + 2
@@ -39,8 +44,8 @@ from __future__ import annotations
 
 import gc
 from functools import cached_property, partial
-from itertools import combinations, product, starmap
-from math import prod
+from itertools import accumulate, combinations, islice, product, repeat, starmap
+from math import comb, factorial, prod
 
 from .errors import InadmissibleCompositionError
 from .expr import (
@@ -84,6 +89,86 @@ def iter_set_partitions(labels):
             stack.append((i + 1, (*blocks[:j], blocks[j] | {x}, *blocks[j + 1:])))
 
 
+# -- the walks a rule makes over its labels, as (part, multiplicity) pairs -----
+#
+# The list fold walks every subset, partition and head assignment, each once.
+# The count fold walks one per pattern of part sizes, in the order the list
+# fold first meets that pattern, weighted by how many share it; its parts are
+# consecutive runs of the sorted labels.
+
+
+def _label_subsets(labels):
+    return zip(iter_subsets(labels), repeat(1))
+
+
+def _label_partitions(labels):
+    return zip(iter_set_partitions(labels), repeat(1))
+
+
+def _label_shares(w: int, rest: list):
+    """Every assignment of the sorted labels rest to w heads, as the heads'
+    shares, the last label's head varying fastest."""
+    for assignment in product(range(w), repeat=len(rest)):
+        shares = [[] for _ in range(w)]
+        for label, h in zip(rest, assignment):
+            shares[h].append(label)
+        yield tuple(map(frozenset, shares)), 1
+
+
+def _size_subsets(labels):
+    """The first k sorted labels for each size k, in C(n, k) subsets."""
+    items = sorted(labels)
+    return ((frozenset(items[:k]), comb(len(items), k)) for k in range(len(items) + 1))
+
+
+def _size_partitions(labels):
+    """One partition per sequence of block sizes s_j (blocks ordered by their
+    minimum), in prod C(r_j - 1, s_j - 1) partitions, r_j the labels not in
+    earlier blocks: block j holds the least of them and s_j - 1 others."""
+    items = sorted(labels)
+    for sizes in _size_patterns(len(items), (), grow=True):
+        weight, left = 1, len(items)
+        for s in sizes:
+            weight *= comb(left - 1, s - 1)
+            left -= s
+        yield _runs(items, sizes), weight
+
+
+def _size_shares(w: int, rest: list):
+    """One assignment of rest to w heads per tuple of share sizes t_h, in
+    r!/prod t_h! assignments."""
+    for sizes in _size_patterns(len(rest), (0,) * w, grow=False):
+        yield _runs(rest, sizes), factorial(len(rest)) // prod(map(factorial, sizes))
+
+
+def _size_patterns(n: int, sizes: tuple, grow: bool):
+    """The part sizes reached by placing n labels one at a time, each joining
+    part 0, 1, ... in turn and then, if grow, a part of its own: the walk of
+    iter_set_partitions (grow) or of a head assignment, each tuple once, in
+    the order that walk first reaches it.  A state (labels placed, sizes) met
+    again is skipped: everything below it came out the first time."""
+    seen = set()
+    stack = [(0, sizes)]
+    while stack:
+        state = stack.pop()
+        if state in seen:
+            continue
+        seen.add(state)
+        i, sizes = state
+        if i == n:
+            yield sizes
+            continue
+        if grow:
+            stack.append((i + 1, (*sizes, 1)))
+        for j in reversed(range(len(sizes))):
+            stack.append((i + 1, (*sizes[:j], sizes[j] + 1, *sizes[j + 1:])))
+
+
+def _runs(items: list, sizes: tuple) -> tuple:
+    """items cut into consecutive runs of the given sizes, as frozensets."""
+    return tuple(frozenset(items[end - s:end]) for s, end in zip(sizes, accumulate(sizes)))
+
+
 class Generator:
     """Structure generator and counter over a fixed environment.
 
@@ -117,8 +202,9 @@ class Generator:
 
     def count(self, expr, n: int) -> int:
         """The number of expr's structures on n labels: the count fold of the
-        same terms, which builds no structure and folds each sub-expression
-        once per label count, not once per label set."""
+        same terms, which builds no structure, folds each sub-expression once
+        per label count, and walks one label set per pattern of part sizes,
+        weighted by how many share it, where the list fold first meets it."""
         return _paused(self._counts, expr, canonical_labels(n))
 
     def check_admissible(self, expr: Compose) -> None:
@@ -140,14 +226,14 @@ def _paused(fold, expr, labels: frozenset):
 def _listing(terms) -> list:
     """The list fold: every structure the terms stand for, in order."""
     out = []
-    for make, factors in terms:
+    for make, factors, _weight in terms:
         out.extend(starmap(make, product(*factors)))
     return out
 
 
 def _counting(terms) -> int:
     """The count fold: how many structures the terms stand for."""
-    return sum(prod(factors) for _make, factors in terms)
+    return sum(weight * prod(factors) for _make, factors, weight in terms)
 
 
 class _Fold:
@@ -157,9 +243,14 @@ class _Fold:
     def __init__(self, env, combine, memoize: bool, nodes):
         self.env = env
         self.combine = combine
-        # A count depends on the number of labels only (transport of structure),
-        # so the count fold keys its memo by len(labels), the list fold by labels.
-        self.labels_key = len if combine is _counting else _same
+        # A count depends on the sizes of the parts only (transport of
+        # structure), so the count fold keys its memo by len(labels) and walks
+        # one part per size pattern; the list fold keys by labels, walks all.
+        if combine is _counting:
+            walks = len, _size_subsets, _size_partitions, _size_shares
+        else:
+            walks = _same, _label_subsets, _label_partitions, _label_shares
+        self.labels_key, self.subsets, self.partitions, self.shares = walks
         self.memo = Memo(memoize)
         self.cache = self.memo.cache
         self._powers, self._maps = nodes
@@ -215,23 +306,23 @@ def _check_admissible(fold, expr: Compose) -> None:
 
 
 def _prod(fold, left, right, labels: frozenset):
-    for part in iter_subsets(labels):
+    for part, weight in fold.subsets(labels):
         lefts = fold(left, part)
         if lefts:
-            yield ProdVal, [lefts, fold(right, labels - part)]
+            yield ProdVal, [lefts, fold(right, labels - part)], weight
 
 
 def _power(fold, expr: Power, labels: frozenset):
     """b^k as b * b^(k-1), with every b^j (j < k) built upward beforehand: a
     loop, not recursion, so exponents in the thousands stay within the
     interpreter's recursion limit.  Round j keeps b^j on every subset of
-    labels (every size, in the count fold), so round j + 1 finds its right
+    labels (one per size, in the count fold), so round j + 1 finds its right
     factors cached."""
     base, k = expr.base, expr.exponent
     if k == 0:
         yield from _RULES[One](fold, expr, labels)  # b^0 = 1
         return
-    parts = list(iter_subsets(labels))
+    parts = [part for part, _weight in fold.subsets(labels)]
     prev = fold.power(base, 0)
     for j in range(1, k):
         node = fold.power(base, j)
@@ -248,11 +339,11 @@ def _pairs(keys, *values) -> tuple:
 def _compose(fold, expr: Compose, labels: frozenset):
     """The outer structure varies slowest, then the inner ones, block by block."""
     _check_admissible(fold, expr)
-    for blocks in iter_set_partitions(labels):
+    for blocks, weight in fold.partitions(labels):
         inner = [fold(expr.inner, b) for b in blocks]
         if all(inner):
             outer = fold(expr.outer, frozenset(min(b) for b in blocks))
-            yield ComposeVal, [outer, fold.combine([(partial(_pairs, blocks), inner)])]
+            yield ComposeVal, [outer, fold.combine([(partial(_pairs, blocks), inner, 1)])], weight
 
 
 def _ref(fold, expr: Ref, labels: frozenset):
@@ -261,7 +352,7 @@ def _ref(fold, expr: Ref, labels: frozenset):
     error = f"recursion for {expr.name!r} did not stabilize on {n} labels after {n + 2} rounds"
     step = partial(fold, body, labels)
     key = (expr, fold.labels_key(labels))
-    yield _same, [fold.memo.solve(key, fold.combine(()), n + 2, step, error)]
+    yield _same, [fold.memo.solve(key, fold.combine(()), n + 2, step, error)], 1
 
 
 def flatten_power(s, k: int) -> tuple:
@@ -276,7 +367,7 @@ def flatten_power(s, k: int) -> tuple:
 def _heads(fold, power: Power, labels: frozenset):
     """The power's structures on labels as tuples of their factors, flattened
     once per structure, not once per slot sequence that starts with it."""
-    yield partial(flatten_power, k=power.exponent), [fold(power, labels)]
+    yield partial(flatten_power, k=power.exponent), [fold(power, labels)], 1
 
 
 def _sequences(fold, base, chi, labels: frozenset):
@@ -286,19 +377,19 @@ def _sequences(fold, base, chi, labels: frozenset):
     sequence on the other labels for rho_n(m) = chi(n+m) - chi(1)."""
     power = fold.power(base, chi(1))
     if not labels:
-        yield _same, [fold.memoized(_heads, power, labels)]
-    items = sorted(labels)
-    for n in range(1, len(items) + 1):
-        shifted = None  # taken once some head exists, as series slot peeling does
-        for combo in combinations(items, n):
-            first = frozenset(combo)
-            heads = fold.memoized(_heads, power, first)
-            if not heads:
-                continue
-            shifted = shifted or fold.shift(chi, n)
-            tails = fold.memoized(_sequences, base, shifted, labels - first)
-            if tails:
-                yield tuple.__add__, [heads, tails]
+        yield _same, [fold.memoized(_heads, power, labels)], 1
+        return
+    n = 0
+    for first, weight in islice(fold.subsets(labels), 1, None):  # non-empty, by size
+        heads = fold.memoized(_heads, power, first)
+        if not heads:
+            continue
+        if len(first) > n:  # shifted once some head exists, as series slot peeling does
+            n = len(first)
+            shifted = fold.shift(chi, n)
+        tails = fold.memoized(_sequences, base, shifted, labels - first)
+        if tails:
+            yield tuple.__add__, [heads, tails], weight
 
 
 def _tree_val(children, root):
@@ -309,43 +400,38 @@ def _tree(fold, expr: Tree, labels: frozenset):
     """Tree-like structures, T = base(X * T): the head set W, the assignment
     of the other labels to heads, the subtrees on each head's share, and the
     base structure on W, which varies fastest."""
-    items = sorted(labels)
-    for w in range(len(items) + 1):
-        for heads in combinations(items, w):
-            roots = fold(expr.base, frozenset(heads))
-            if not roots:
-                continue
-            rest = sorted(labels - frozenset(heads))
-            for assignment in product(heads, repeat=len(rest)):
-                shares = {h: [] for h in heads}
-                for label, h in zip(rest, assignment):
-                    shares[h].append(label)
-                subtrees = [fold(expr, frozenset(shares[h])) for h in heads]
-                if all(subtrees):
-                    children = fold.combine([(partial(_pairs, heads), subtrees)])
-                    yield _tree_val, [children, roots]
+    for heads, weight in fold.subsets(labels):
+        roots = fold(expr.base, heads)
+        if not roots:
+            continue
+        pairs = partial(_pairs, sorted(heads))
+        for shares, ways in fold.shares(len(heads), sorted(labels - heads)):
+            subtrees = [fold(expr, share) for share in shares]
+            if all(subtrees):
+                children = fold.combine([(pairs, subtrees, 1)])
+                yield _tree_val, [children, roots], weight * ways
 
 
 # Generation rule of every node type: rule(fold, expr, labels) -> terms.
 _RULES = {
     Zero: lambda fold, e, labels: (),
-    One: lambda fold, e, labels: () if labels else ((_unit, ()),),
-    X: lambda fold, e, labels: ((partial(AtomVal, *labels), ()),) if len(labels) == 1 else (),
-    E: lambda fold, e, labels: ((partial(SetVal, labels), ()),),
-    EPlus: lambda fold, e, labels: ((partial(SetVal, labels), ()),) if labels else (),
+    One: lambda fold, e, labels: () if labels else ((_unit, (), 1),),
+    X: lambda fold, e, labels: ((partial(AtomVal, *labels), (), 1),) if len(labels) == 1 else (),
+    E: lambda fold, e, labels: ((partial(SetVal, labels), (), 1),),
+    EPlus: lambda fold, e, labels: ((partial(SetVal, labels), (), 1),) if labels else (),
     Sum: lambda fold, e, labels: (
-        (partial(SumVal, "L"), [fold(e.left, labels)]),
-        (partial(SumVal, "R"), [fold(e.right, labels)]),
+        (partial(SumVal, "L"), [fold(e.left, labels)], 1),
+        (partial(SumVal, "R"), [fold(e.right, labels)], 1),
     ),
     Prod: lambda fold, e, labels: _prod(fold, e.left, e.right, labels),
     Power: _power,
     Restrict: lambda fold, e, labels: (
-        ((_same, [fold(e.base, labels)]),) if len(labels) == e.card else ()
+        ((_same, [fold(e.base, labels)], 1),) if len(labels) == e.card else ()
     ),
     Compose: _compose,
     Ref: _ref,
     Park: lambda fold, e, labels: (
-        (partial(ParkingLike, e.chi), [fold.memoized(_sequences, e.base, e.chi, labels)]),
+        (partial(ParkingLike, e.chi), [fold.memoized(_sequences, e.base, e.chi, labels)], 1),
     ),
     Tree: _tree,
 }

@@ -1,4 +1,5 @@
 import gc
+from collections import Counter
 from contextlib import contextmanager
 from math import comb
 
@@ -18,6 +19,7 @@ from parklike import (
 from parklike.errors import (
     DivergentRecursionError,
     InadmissibleCompositionError,
+    SpeciesError,
     UnboundNameError,
 )
 from parklike.chi import ChiMap
@@ -36,7 +38,17 @@ from parklike.expr import (
     X,
     Zero,
 )
-from parklike.generate import iter_set_partitions, iter_subsets
+from parklike.generate import (
+    _Fold,
+    _label_partitions,
+    _label_shares,
+    _label_subsets,
+    _size_partitions,
+    _size_shares,
+    _size_subsets,
+    iter_set_partitions,
+    iter_subsets,
+)
 from parklike.structures import (
     UNIT,
     AtomVal,
@@ -540,7 +552,105 @@ def test_the_count_memo_holds_one_entry_per_size(env, text, n):
         ("L", 10, 3628800),  # 10!
         ("park(E)", 8, 9**7),  # (n+1)^(n-1)
         ("Ary(2)", 8, 40320 * 1430),  # n! times the Catalan number C_8
+        ("Par", 12, 4213597),  # the Bell number B_12
+        ("tree(E)", 9, 10**8),  # (n+1)^(n-1)
+        ("E^3000", 8, 3000**8),  # each label picks one of the 3000 factors
     ],
 )
 def test_counts_at_sizes_past_the_listings(env, text, n, expected):
     assert Generator(env).count(parse_species(text, env), n) == expected
+
+
+# -- the count fold's walks: one part per size pattern --------------------------
+
+
+def _walk_pairs(labels):
+    """(list walk, count walk, the size pattern of a part) for each walk."""
+    items = sorted(labels)
+
+    def sizes(parts):
+        return tuple(map(len, parts))
+
+    yield _label_subsets(labels), _size_subsets(labels), len
+    yield _label_partitions(labels), _size_partitions(labels), sizes
+    for w in range(4):
+        yield _label_shares(w, items), _size_shares(w, items), sizes
+
+
+@pytest.mark.parametrize("n", range(8))
+def test_count_walks_weigh_one_part_per_size_pattern(n):
+    # The count walk gives the patterns in the order the list walk first
+    # meets them, each on one of the list walk's parts, weighted by how many
+    # of them share it.
+    for listed, counted, pattern in _walk_pairs(canonical_labels(n)):
+        parts = {}
+        for part, one in listed:
+            assert one == 1
+            parts[part] = pattern(part)
+        shared = Counter(parts.values())  # in first-met order
+        weights = {}
+        for part, weight in counted:
+            assert part in parts
+            weights[pattern(part)] = weight
+        assert list(weights) == list(shared) and weights == shared
+
+
+@pytest.mark.parametrize("n", range(1, 13))
+def test_count_walks_take_one_part_per_size_pattern(n):
+    # Work bounded by count, not by time: n + 1 subset sizes, 2^(n-1) block
+    # size sequences (compositions of n) against Bell(n) partitions, and
+    # C(n+w-1, w-1) share sizes against w^n assignments.
+    labels = canonical_labels(n)
+    assert len(list(_size_subsets(labels))) == n + 1
+    assert len(list(_size_partitions(labels))) == 2 ** (n - 1)
+    for w in range(1, 5):
+        assert len(list(_size_shares(w, sorted(labels)))) == comb(n + w - 1, w - 1)
+
+
+def first_meetings(monkeypatch, run):
+    """Every (expression or rule call, label count) the folds are asked for,
+    in the order first asked, then the error run raised, if any."""
+    met = {}
+    call, memoized = _Fold.__call__, _Fold.memoized
+
+    def traced_call(fold, expr, labels):
+        met.setdefault((expr, len(labels)))
+        return call(fold, expr, labels)
+
+    def traced_memoized(fold, rule, *args, key=None):
+        met.setdefault((rule, *args[:-1], len(args[-1])))
+        return memoized(fold, rule, *args, key=key)
+
+    with monkeypatch.context() as patched:
+        patched.setattr(_Fold, "__call__", traced_call)
+        patched.setattr(_Fold, "memoized", traced_memoized)
+        try:
+            run()
+        except SpeciesError as error:
+            met.setdefault(str(error))
+    return list(met)
+
+
+@pytest.mark.parametrize(
+    "definitions, text, n",
+    [
+        ((), "Par", 6),  # Compose
+        ((), "tree(1 + restrict(E,2) + restrict(E,3))", 6),  # Tree heads and shares
+        ((), "tree(Par)*L", 5),  # Prod
+        ((), "(E+)^3", 5),  # Power rounds
+        ((), "park(Par)", 4),  # Park slot peeling
+        (("A:=X + park(A, table(1,2,4,5))*A",), "A", 4),
+        (("A:=X+tree(A^2)",), "A", 5),
+        (("A:=A+E+",), "E@A", 4),
+    ],
+)
+def test_counting_meets_each_size_where_listing_first_meets_it(
+    defined, monkeypatch, definitions, text, n
+):
+    # The order of first meetings decides which chi entry, fixed-point solve
+    # and error comes first; every walk of the count fold keeps it.
+    env = defined(*definitions)
+    expr = parse_species(text, env)
+    listed = first_meetings(monkeypatch, lambda: Generator(env).raw(expr, canonical_labels(n)))
+    counted = first_meetings(monkeypatch, lambda: Generator(env).count(expr, n))
+    assert counted == listed

@@ -92,6 +92,10 @@ def test_table_exhaustion_texts_match_the_series_route(capsys, command, expr, n,
     assert rc == 1 and out == "" and err == f"error: {error}\n"
 
 
+A_DIVERGES = ("--define", "A:=A+E+")  # A never stabilizes on a non-empty set
+A_HOLDS_SETS = ("--define", "A:=A+E")  # nor on the empty one
+
+
 @pytest.mark.parametrize("command", ["count", "enumerate"])
 @pytest.mark.parametrize(
     "definitions, expr, n, error",
@@ -100,11 +104,33 @@ def test_table_exhaustion_texts_match_the_series_route(capsys, command, expr, n,
         ((), "park(L,table(2))*park(X,table(3))", 3, "chi table(3) has 1 entries, needed chi(4)"),
         (("--define", "A:=X+park(A,affine(0,1))"), "A", 1,
          "recursion for 'A' did not stabilize on 1 labels after 3 rounds"),
+        # One case per walk of the count fold.  Compose: the one-block
+        # partition first; block sizes in ascending order would solve A on
+        # 1 label first.
+        (A_DIVERGES, "E@A", 4, "recursion for 'A' did not stabilize on 4 labels after 6 rounds"),
+        # Tree heads: one head first; larger head sets first would solve A
+        # on 2 labels first.
+        (A_DIVERGES, "tree(A)", 2, "recursion for 'A' did not stabilize on 1 labels after 3 rounds"),
+        # Prod: the left factor on no labels first; smaller right parts
+        # first would solve A on 3 labels first.
+        (A_HOLDS_SETS, "A*E", 3, "recursion for 'A' did not stabilize on 0 labels after 2 rounds"),
+        # Park slot peeling: a first block of one label, so chi(2) is read
+        # first; smaller tails first would need chi(5) first.
+        ((), "park(E,table(2))", 4, "chi table(2) has 1 entries, needed chi(2)"),
+        # Tree shares and Power rounds: the error comes from inside the walk,
+        # but any order of these walks meets the base's sizes in ascending
+        # order, so only test_generate.py's first-meeting test tells a
+        # reordered walk apart.
+        (A_DIVERGES, "tree(1 + restrict(A,2))", 4,
+         "recursion for 'A' did not stabilize on 2 labels after 4 rounds"),
+        (A_DIVERGES, "(X + restrict(A,2))^3", 4,
+         "recursion for 'A' did not stabilize on 2 labels after 4 rounds"),
     ],
 )
 def test_counting_by_size_fails_where_listing_fails(capsys, command, definitions, expr, n, error):
-    # The count fold meets each size on the first label set of that size the
-    # listing meets, so both read the same chi entries and rounds first.
+    # The count fold walks one label set per pattern of part sizes, in the
+    # order the listing first meets the pattern, so both read the same chi
+    # entries and rounds first.
     rc, out, err = run(capsys, *definitions, command, "--expr", expr, "--n", str(n))
     assert rc == 1 and out == "" and err == f"error: {error}\n"
 

@@ -52,15 +52,29 @@ def test_non_expression_is_a_type_error():
         accepts(object(), UNIT)
 
 
+def imports_from(name: str, module: str) -> bool:
+    """Whether the source file name imports the package module, or from it."""
+    for node in ast.walk(ast.parse((SRC / name).read_text())):
+        if isinstance(node, ast.ImportFrom):
+            if node.module == module or module in {a.name for a in node.names}:
+                return True
+        elif isinstance(node, ast.Import):
+            if any(a.name.endswith(module) for a in node.names):
+                return True
+    return False
+
+
 @pytest.mark.parametrize("name", ["parking.py", "treelike.py"])
 def test_value_modules_import_nothing_from_generate(name):
     # Validation reads membership off the value; it needs no generator.
-    tree = ast.parse((SRC / name).read_text())
-    for node in ast.walk(tree):
-        if isinstance(node, ast.ImportFrom):
-            assert node.module != "generate" and "generate" not in {a.name for a in node.names}
-        elif isinstance(node, ast.Import):
-            assert not any(a.name.endswith("generate") for a in node.names)
+    assert not imports_from(name, "generate")
+
+
+def test_generate_imports_nothing_from_series():
+    # Generation is a route of its own: count folds the generation rules and
+    # never reads a generating series, or the cross-checks would prove nothing.
+    assert not imports_from("generate.py", "series")
+    assert imports_from("series.py", "memo") and imports_from("generate.py", "memo")
 
 
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)

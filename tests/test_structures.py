@@ -18,6 +18,7 @@ from parklike import (
     serialize,
 )
 from parklike.errors import InvalidStructureError
+from parklike.frozen import FrozenInstanceError
 from parklike.structures import canonical_labels, read_json
 from parklike.verify import BASES
 
@@ -270,12 +271,10 @@ def _one_of_each():
     "value, field", _one_of_each(), ids=lambda v: v if isinstance(v, str) else type(v).__name__
 )
 def test_structure_fields_are_frozen(value, field):
-    import dataclasses
-
     before = getattr(value, field)
-    with pytest.raises(dataclasses.FrozenInstanceError):
+    with pytest.raises(FrozenInstanceError):
         setattr(value, field, before)
-    with pytest.raises(dataclasses.FrozenInstanceError):
+    with pytest.raises(FrozenInstanceError):
         delattr(value, field)
     assert getattr(value, field) is before
 

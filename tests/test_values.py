@@ -7,7 +7,6 @@ Name(field=value, ...), and no field can be assigned or deleted.
 """
 
 import copy
-import dataclasses
 import pickle
 
 import pytest
@@ -38,6 +37,7 @@ from parklike import (
     X,
     Zero,
 )
+from parklike.frozen import FrozenInstanceError
 
 ID = ChiMap.identity()
 ID_TEXT = "ChiMap(kind='affine', a=1, b=0, table=())"
@@ -104,9 +104,9 @@ def test_value_protocol(cls, args, fields, text, other):
         assert value != other and other != value and not value == other
     for name in fields:
         before = getattr(value, name)
-        with pytest.raises(dataclasses.FrozenInstanceError):
+        with pytest.raises(FrozenInstanceError):
             setattr(value, name, before)
-        with pytest.raises(dataclasses.FrozenInstanceError):
+        with pytest.raises(FrozenInstanceError):
             delattr(value, name)
         assert getattr(value, name) is before
 
