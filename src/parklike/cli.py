@@ -158,13 +158,11 @@ def cmd_enumerate(args, env) -> int:
     expr = parse_species(args.expr, env)
     _check_budget(args.n, args.budget)
     labels = canonical_labels(args.n)
-    # The generator and its memo go once the listing exists: the sub-results
-    # on smaller label sets are freed before the listing is written.
-    structures = Generator(env).raw(expr, labels)
-    # One serialization per structure, both to sort and to print; one texts
-    # dict for the whole listing, so shared parts reuse their text.
-    texts = {}
-    lines = sorted(serialize(s, texts) for s in structures)
+    # The text fold writes each structure's canonical line from the lines of
+    # its parts, building no structure.  The generator and its memo go once
+    # the listing exists: the sub-results on smaller label sets are freed
+    # before the lines are sorted and written.
+    lines = sorted(Generator(env).texts(expr, labels))
     # Every stdout byte goes through print, which bench/test_bench.py patches
     # to alter the output; one print per block of whole lines.
     if args.format == "json":

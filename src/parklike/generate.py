@@ -7,37 +7,44 @@ choice in the Cartesian product of its factors, in construction order, weight
 times over; a factor is the same fold's result for a sub-expression on a
 subset of the labels, or for a term of its own (the tuples of a tree's
 children, or of a composition's blocks), and a leaf is one term with no
-factors.  The list fold (raw, generate) makes the structures; the count fold
-(count) sums weight times the product of the factor counts, so it builds no
-structure and keeps no list.
+factors.  Three folds read the terms.  The list fold (raw, generate) makes
+the structures; the text fold (texts) makes their canonical texts, each
+written from its parts' texts, so a listing builds and serializes no
+structure; the count fold (count) sums weight times the product of the
+factor counts, so it builds no structure and keeps no list.  The fold
+supplies the makes (_STRUCTURES or _TEXTS), which the count fold ignores.
 
 The fold supplies the walk a rule makes over its labels (subsets, set
 partitions, assignments of labels to tree heads) as (part, multiplicity)
-pairs.  The list fold walks every part once, and memoizes its results per
-(expression, label set), building every label set from its results on the
-subsets: equal substructures are one shared object, and a list costs one new
-top-level node per structure.  The Park rule memoizes slot sequences as plain
-tuples and wraps only those of the map asked for.  A count depends on the
-sizes of the parts only (species are functors on bijections), so the count
-fold memoizes per (expression, label count) and walks one part per pattern
-of part sizes, weighted by the number of parts that share it, in the order
-the list fold's walk first meets that pattern.  So each sub-expression and
-size is folded where the list fold first meets it, and a factor is empty
+pairs.  The list and text folds walk every part once, and memoize their
+results per (expression, label set), building every label set from their
+results on the subsets: in the list fold equal substructures are one shared
+object, and a list costs one new top-level node per structure.  A b^k is
+made from chains (first factor, chain of the other k - 1): its rounds b^j,
+j < k, are built upward on every subset as chains, which copy nothing per
+round, and a power's structure or text, or a parking head's slots, is made
+once from its chain.  The Park rule memoizes slot sequences on the smaller
+label sets (plain tuples, or chains of the heads' slot texts) and makes each
+parking-like value straight from its heads and tails.  A count depends on
+the sizes of the parts only (species are functors on bijections), so the
+count fold memoizes per (expression, label count) and walks one part per
+pattern of part sizes, weighted by the number of parts that share it, in the
+order the list fold's walk first meets that pattern.  So each sub-expression
+and size is folded where the list fold first meets it, and a factor is empty
 exactly when its count is 0, so the first chi read, error and fixed-point
-solve of every sub-expression and size come in the same order in both folds,
-and with them the same error.  One Power node per (base, exponent) and one
-shifted chi map per (value, origin) serve both folds, so their lookups hit by
-identity.
+solve of every sub-expression and size come in the same order in all three
+folds, and with them the same error.  One shifted chi map per (value,
+origin) serves all folds, so their lookups hit by identity.
 
 A Ref is solved by fixed point: on n labels, iterate its body from the empty
 result (no structure, count 0) until it stabilizes, erroring after n + 2
 rounds.  A solve reaches only subsets of its labels, so in the count fold a
 nested request of the same size is for the same set.  Results computed
-against a provisional approximation are never memoized.  generate, raw and
-count pause the cyclic garbage collector and restore the caller's setting: a
-full collection would re-walk the whole memo and find nothing, since values
-are built bottom-up from existing ones and no fold makes a cycle (it holds no
-reference to its Generator).
+against a provisional approximation are never memoized.  generate, raw,
+texts and count pause the cyclic garbage collector and restore the caller's
+setting: a full collection would re-walk the whole memo and find nothing,
+since values are built bottom-up from existing ones and no fold makes a
+cycle (it holds no reference to its Generator).
 """
 
 from __future__ import annotations
@@ -46,6 +53,7 @@ import gc
 from functools import cached_property, partial
 from itertools import accumulate, combinations, islice, product, repeat, starmap
 from math import comb, factorial, prod
+from types import SimpleNamespace
 
 from .errors import InadmissibleCompositionError
 from .expr import (
@@ -53,8 +61,9 @@ from .expr import (
 )
 from .memo import Memo
 from .structures import (
-    UNIT, AtomVal, ComposeVal, ParkingLike, ProdVal, SetVal, SumVal, TreeLike, canonical_labels,
-    serialize,
+    UNIT, UNIT_TEXT, AtomVal, ComposeVal, ParkingLike, ProdVal, SetVal, SumVal, TreeLike,
+    atom_text, blocks_writer, canonical_labels, children_writer, compose_text, parking_writer,
+    power_text, prod_text, serialize, set_text, slots_text, sum_text, tree_text,
 )
 
 
@@ -175,30 +184,39 @@ class Generator:
     The environment must not be mutated once generation has started; cache
     entries are keyed by expression only.  ``memoize=False`` disables all
     caching (slower, used to exercise the raw recursion in tests).  The count
-    fold is made on the first count: membership's Generators never make it.
+    and text folds are made on first use: membership's Generators make
+    neither.
     """
 
     def __init__(self, env: SpeciesEnv | None = None, *, memoize: bool = True):
         self.env = env if env is not None else SpeciesEnv.standard()
-        # Power nodes and shifted maps, shared by both folds (_Fold.power, _Fold.shift)
-        self._nodes = ({}, {})
-        self._lists = _Fold(self.env, _listing, memoize, self._nodes)
+        self._maps = {}  # shifted chi maps, shared by the folds (_Fold.shift)
+        self._lists = _Fold(self.env, _listing, _STRUCTURES, memoize, self._maps)
 
     @cached_property
     def _counts(self):
-        return _Fold(self.env, _counting, self._lists.memo.enabled, self._nodes)
+        return _Fold(self.env, _counting, _STRUCTURES, self._lists.memo.enabled, self._maps)
+
+    @cached_property
+    def _texts(self):
+        return _Fold(self.env, _listing, _TEXTS, self._lists.memo.enabled, self._maps)
 
     # -- public API ----------------------------------------------------------
 
     def generate(self, expr, labels) -> list:
-        """All structures of expr on labels, sorted by canonical serialization
-        (one texts dict for the whole listing, so shared parts reuse their text)."""
-        return sorted(self.raw(expr, labels), key=partial(serialize, texts={}))
+        """All structures of expr on labels, sorted by canonical serialization."""
+        return sorted(self.raw(expr, labels), key=serialize)
 
     def raw(self, expr, labels) -> list:
         """Same set as generate(), in construction order: the list fold of
         expr's terms.  Skips the serialization sort."""
         return _paused(self._lists, expr, frozenset(labels))
+
+    def texts(self, expr, labels) -> list:
+        """The canonical texts of raw(expr, labels), in the same order: the
+        text fold of the same terms, which writes each text from its parts'
+        texts and builds no structure."""
+        return _paused(self._texts, expr, frozenset(labels))
 
     def count(self, expr, n: int) -> int:
         """The number of expr's structures on n labels: the count fold of the
@@ -224,7 +242,7 @@ def _paused(fold, expr, labels: frozenset):
 
 
 def _listing(terms) -> list:
-    """The list fold: every structure the terms stand for, in order."""
+    """The list and text folds: what the terms stand for, in order."""
     out = []
     for make, factors, _weight in terms:
         out.extend(starmap(make, product(*factors)))
@@ -236,16 +254,71 @@ def _counting(terms) -> int:
     return sum(weight * prod(factors) for _make, factors, weight in terms)
 
 
+def _same(s):
+    return s
+
+
+def _pairs(keys, *values) -> tuple:
+    return tuple(zip(keys, values))
+
+
+def _slot_tuple(chain) -> tuple:
+    """The factors of a chain the list fold made (ProdVals ending in UNIT)."""
+    out = []
+    while type(chain) is ProdVal:
+        out.append(chain.left)
+        chain = chain.right
+    return tuple(out)
+
+
+def _chain(first, rest) -> tuple:
+    return first, rest
+
+
+def _parking(chi, heads: tuple, tails: tuple = ()) -> ParkingLike:
+    return ParkingLike(chi, heads + tails)
+
+
+def _tree_val(children, root):
+    return TreeLike(root, children)
+
+
+# What a fold makes of a choice of a term's factors: structures in the list
+# fold, their canonical texts in the text fold; the count fold ignores them.
+#   unit(), atom(label), set(labels)     the structures of 1, X and E
+#   sum(side, inner), prod(left, right), compose(outer, blocks), tree(children, root)
+#   link(first factor, chain of the others)   a chain of a power's round
+#   power(chain), slots(chain)           the power's structure, its factors as slots
+#   sequence(heads' slots, tails' sequence)   a slot sequence
+#   park(chi), blocks(blocks), children(sorted heads)   the make of a parking-like
+#       structure from (heads' slots[, tails' sequence]), of the blocks from
+#       their inner structures, and of the children from the heads' subtrees
+_STRUCTURES = SimpleNamespace(
+    unit=partial(_same, UNIT), atom=AtomVal, set=SetVal, sum=SumVal, prod=ProdVal,
+    link=ProdVal, power=_same, slots=_slot_tuple, sequence=tuple.__add__,
+    park=partial(partial, _parking), blocks=partial(partial, _pairs), compose=ComposeVal,
+    children=partial(partial, _pairs), tree=_tree_val,
+)
+_TEXTS = SimpleNamespace(
+    unit=partial(_same, UNIT_TEXT), atom=atom_text, set=set_text, sum=sum_text, prod=prod_text,
+    link=_chain, power=power_text, slots=slots_text, sequence=_chain, park=parking_writer,
+    blocks=blocks_writer, compose=compose_text, children=children_writer, tree=tree_text,
+)
+
+
 class _Fold:
     """The memoized results of one fold (_listing or _counting) of the rules'
-    terms.  It holds no reference to its Generator: no cycle keeps the memo."""
+    terms, under one set of makes.  It holds no reference to its Generator:
+    no cycle keeps the memo."""
 
-    def __init__(self, env, combine, memoize: bool, nodes):
+    def __init__(self, env, combine, makes: SimpleNamespace, memoize: bool, maps: dict):
         self.env = env
         self.combine = combine
+        self.makes = makes
         # A count depends on the sizes of the parts only (transport of
         # structure), so the count fold keys its memo by len(labels) and walks
-        # one part per size pattern; the list fold keys by labels, walks all.
+        # one part per size pattern; the list and text folds key by labels,
+        # and walk all.
         if combine is _counting:
             walks = len, _size_subsets, _size_partitions, _size_shares
         else:
@@ -253,7 +326,7 @@ class _Fold:
         self.labels_key, self.subsets, self.partitions, self.shares = walks
         self.memo = Memo(memoize)
         self.cache = self.memo.cache
-        self._powers, self._maps = nodes
+        self._maps = maps
 
     def __call__(self, expr, labels: frozenset):
         key = (expr, self.labels_key(labels))
@@ -277,10 +350,6 @@ class _Fold:
         reads_before = self.memo.reads
         return self.memo.store(key, self.combine(rule(self, *args)), reads_before)
 
-    def power(self, base, k: int) -> Power:
-        """The one Power(base, k) node of this Generator."""
-        return self._powers.get((base, k)) or self._powers.setdefault((base, k), Power(base, k))
-
     def shift(self, chi, n: int):
         """The one map equal to chi.shift(n) of this Generator, found by its
         value and origin, so no two equal maps key the memo and an exhausted
@@ -290,13 +359,6 @@ class _Fold:
 
 
 # -- rules, one per node type (see _RULES): each yields terms ------------------
-
-
-def _same(s):
-    return s
-
-
-_unit = partial(_same, UNIT)  # make of the empty structure
 
 
 def _check_admissible(fold, expr: Compose) -> None:
@@ -309,31 +371,36 @@ def _prod(fold, left, right, labels: frozenset):
     for part, weight in fold.subsets(labels):
         lefts = fold(left, part)
         if lefts:
-            yield ProdVal, [lefts, fold(right, labels - part)], weight
+            yield fold.makes.prod, [lefts, fold(right, labels - part)], weight
+
+
+def _round(fold, base, j: int, labels: frozenset):
+    """b^j on labels as chains: round 0 is the unit on no labels, round j
+    links b on a subset to round j - 1 on the rest."""
+    if j == 0:
+        yield from _RULES[One](fold, None, labels)
+        return
+    for part, weight in fold.subsets(labels):
+        firsts = fold(base, part)
+        if firsts:
+            yield fold.makes.link, [firsts, fold.memoized(_round, base, j - 1, labels - part)], weight
+
+
+def _rounds(fold, base, k: int, labels: frozenset):
+    """Round k of b on labels, every round j < k built upward beforehand on
+    every subset of labels (one per size, in the count fold): a loop, not
+    recursion, so exponents in the thousands stay within the interpreter's
+    recursion limit, and round j + 1 finds round j cached."""
+    parts = [part for part, _weight in fold.subsets(labels)]
+    for j in range(1, k):
+        for part in parts:
+            fold.memoized(_round, base, j, part)
+    return fold.memoized(_round, base, k, labels)
 
 
 def _power(fold, expr: Power, labels: frozenset):
-    """b^k as b * b^(k-1), with every b^j (j < k) built upward beforehand: a
-    loop, not recursion, so exponents in the thousands stay within the
-    interpreter's recursion limit.  Round j keeps b^j on every subset of
-    labels (one per size, in the count fold), so round j + 1 finds its right
-    factors cached."""
-    base, k = expr.base, expr.exponent
-    if k == 0:
-        yield from _RULES[One](fold, expr, labels)  # b^0 = 1
-        return
-    parts = [part for part, _weight in fold.subsets(labels)]
-    prev = fold.power(base, 0)
-    for j in range(1, k):
-        node = fold.power(base, j)
-        for part in parts:
-            fold.memoized(_prod, base, prev, part, key=(node, fold.labels_key(part)))
-        prev = node
-    yield from _prod(fold, base, prev, labels)
-
-
-def _pairs(keys, *values) -> tuple:
-    return tuple(zip(keys, values))
+    """b^k as b * b^(k-1): each structure is made once, from its chain."""
+    yield fold.makes.power, [_rounds(fold, expr.base, expr.exponent, labels)], 1
 
 
 def _compose(fold, expr: Compose, labels: frozenset):
@@ -343,7 +410,8 @@ def _compose(fold, expr: Compose, labels: frozenset):
         inner = [fold(expr.inner, b) for b in blocks]
         if all(inner):
             outer = fold(expr.outer, frozenset(min(b) for b in blocks))
-            yield ComposeVal, [outer, fold.combine([(partial(_pairs, blocks), inner, 1)])], weight
+            made = fold.combine([(fold.makes.blocks(blocks), inner, 1)])
+            yield fold.makes.compose, [outer, made], weight
 
 
 def _ref(fold, expr: Ref, labels: frozenset):
@@ -355,19 +423,9 @@ def _ref(fold, expr: Ref, labels: frozenset):
     yield _same, [fold.memo.solve(key, fold.combine(()), n + 2, step, error)], 1
 
 
-def flatten_power(s, k: int) -> tuple:
-    """The k factors of a power structure the Park rule built: no shape check."""
-    out = []
-    for _ in range(k):
-        out.append(s.left)
-        s = s.right
-    return tuple(out)
-
-
-def _heads(fold, power: Power, labels: frozenset):
-    """The power's structures on labels as tuples of their factors, flattened
-    once per structure, not once per slot sequence that starts with it."""
-    yield partial(flatten_power, k=power.exponent), [fold(power, labels)], 1
+def _heads(fold, base, k: int, labels: frozenset):
+    """b^k on labels as its k factors, the first chi(1) slots of a sequence."""
+    yield fold.makes.slots, [_rounds(fold, base, k, labels)], 1
 
 
 def _sequences(fold, base, chi, labels: frozenset):
@@ -375,13 +433,13 @@ def _sequences(fold, base, chi, labels: frozenset):
     the first chi(1) slots are a power structure on a non-empty subset of
     n labels (or on nothing, when labels is empty), and the rest a slot
     sequence on the other labels for rho_n(m) = chi(n+m) - chi(1)."""
-    power = fold.power(base, chi(1))
+    k = chi(1)
     if not labels:
-        yield _same, [fold.memoized(_heads, power, labels)], 1
+        yield _same, [fold.memoized(_heads, base, k, labels)], 1
         return
     n = 0
     for first, weight in islice(fold.subsets(labels), 1, None):  # non-empty, by size
-        heads = fold.memoized(_heads, power, first)
+        heads = fold.memoized(_heads, base, k, first)
         if not heads:
             continue
         if len(first) > n:  # shifted once some head exists, as series slot peeling does
@@ -389,11 +447,15 @@ def _sequences(fold, base, chi, labels: frozenset):
             shifted = fold.shift(chi, n)
         tails = fold.memoized(_sequences, base, shifted, labels - first)
         if tails:
-            yield tuple.__add__, [heads, tails], weight
+            yield fold.makes.sequence, [heads, tails], weight
 
 
-def _tree_val(children, root):
-    return TreeLike(root, children)
+def _park(fold, expr: Park, labels: frozenset):
+    """The slot sequences' terms, each made a parking-like structure straight
+    from its heads and tails: the sequences on labels are not kept."""
+    make = fold.makes.park(expr.chi)
+    for _make, factors, weight in _sequences(fold, expr.base, expr.chi, labels):
+        yield make, factors, weight
 
 
 def _tree(fold, expr: Tree, labels: frozenset):
@@ -404,24 +466,26 @@ def _tree(fold, expr: Tree, labels: frozenset):
         roots = fold(expr.base, heads)
         if not roots:
             continue
-        pairs = partial(_pairs, sorted(heads))
+        pairs = fold.makes.children(sorted(heads))
         for shares, ways in fold.shares(len(heads), sorted(labels - heads)):
             subtrees = [fold(expr, share) for share in shares]
             if all(subtrees):
                 children = fold.combine([(pairs, subtrees, 1)])
-                yield _tree_val, [children, roots], weight * ways
+                yield fold.makes.tree, [children, roots], weight * ways
 
 
 # Generation rule of every node type: rule(fold, expr, labels) -> terms.
 _RULES = {
     Zero: lambda fold, e, labels: (),
-    One: lambda fold, e, labels: () if labels else ((_unit, (), 1),),
-    X: lambda fold, e, labels: ((partial(AtomVal, *labels), (), 1),) if len(labels) == 1 else (),
-    E: lambda fold, e, labels: ((partial(SetVal, labels), (), 1),),
-    EPlus: lambda fold, e, labels: ((partial(SetVal, labels), (), 1),) if labels else (),
+    One: lambda fold, e, labels: () if labels else ((fold.makes.unit, (), 1),),
+    X: lambda fold, e, labels: (
+        ((partial(fold.makes.atom, *labels), (), 1),) if len(labels) == 1 else ()
+    ),
+    E: lambda fold, e, labels: ((partial(fold.makes.set, labels), (), 1),),
+    EPlus: lambda fold, e, labels: ((partial(fold.makes.set, labels), (), 1),) if labels else (),
     Sum: lambda fold, e, labels: (
-        (partial(SumVal, "L"), [fold(e.left, labels)], 1),
-        (partial(SumVal, "R"), [fold(e.right, labels)], 1),
+        (partial(fold.makes.sum, "L"), [fold(e.left, labels)], 1),
+        (partial(fold.makes.sum, "R"), [fold(e.right, labels)], 1),
     ),
     Prod: lambda fold, e, labels: _prod(fold, e.left, e.right, labels),
     Power: _power,
@@ -430,8 +494,6 @@ _RULES = {
     ),
     Compose: _compose,
     Ref: _ref,
-    Park: lambda fold, e, labels: (
-        (partial(ParkingLike, e.chi), [fold.memoized(_sequences, e.base, e.chi, labels)], 1),
-    ),
+    Park: _park,
     Tree: _tree,
 }

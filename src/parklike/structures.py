@@ -37,20 +37,21 @@ Serialization is canonical JSON (sorted keys, no spaces), so structures are
 equal iff their serializations are byte-equal; enumeration order everywhere
 is lexicographic on that string.  serialize writes that text itself from
 the _TEXT table, which gives per structure type the pieces of a value's
-text: literal strings and the parts whose texts go between them.  Within a
-listing, the text of a part met a second time is kept and reused, so a
-shared part is not written over and over, and a parking-like value whose
-slots all have kept texts is one join.  spaced turns the canonical text into
-json.dumps's default spacing, which `enumerate --format json` prints.
-This module is the one writer of the format and, by read_json, the one reader
-of JSON text: each document is decoded once, at any depth.
+text: literal strings and the parts whose texts go between them.  The
+writers below it (set_text, prod_text, parking_writer, ...) write the same
+text from the texts of the parts, with no value at all: generate's text fold
+lists with them, so `enumerate` builds and serializes no structure.  spaced
+turns the canonical text into json.dumps's default spacing, which
+`enumerate --format json` prints.  This module is the one writer of the
+format and, by read_json, the one reader of JSON text: each document is
+decoded once, at any depth.
 """
 
 from __future__ import annotations
 
 import json
 import re
-from functools import lru_cache
+from functools import lru_cache, partial
 
 from .chi import ChiMap
 from .dsl import parse_chi_text
@@ -277,64 +278,27 @@ Structure = UnitVal | SetVal | AtomVal | SumVal | ProdVal | ComposeVal | Parking
 UNIT = UnitVal()
 
 
-def serialize(s, texts=None) -> str:
+def serialize(s) -> str:
     """Canonical serialization: sorted keys, no whitespace.
 
     The text is json.dumps(..., sort_keys=True, separators=(",", ":")) of the
     value's JSON form (the one from_jsonable reads), written as one list of
-    pieces and joined once.
-    Pass one texts dict across a listing to write a shared part once: it maps
-    id(part) to None once the listing has met the part, and to the part's
-    text from its second meeting on.  Parts inside a part whose text is being
-    kept are not kept, so the kept texts add up to at most the listing's
-    output.  The caller keeps every value in the listing alive while the dict
-    is in use, since ids are reused once a value is freed.  A ParkingLike
-    whose slots all have kept texts is written by one join, after its head
-    text, which the dict keeps under the id of its chi map, so no map is
-    hashed per value.  The walk is a loop over a stack of iterators over _TEXT
-    pieces, not recursion, so nesting depth costs no interpreter frames.
-    s itself is not recorded.
+    pieces and joined once.  The walk is a loop over a stack of iterators
+    over _TEXT pieces, not recursion, so nesting depth costs no interpreter
+    frames.
     """
-    if texts is None:
-        texts = {}
-    elif type(s) is ParkingLike:
-        head = texts.get(id(s.chi))
-        if head is None:
-            head = texts[id(s.chi)] = _parking_head(s.chi)
-        try:
-            return head + ",".join(map(texts.__getitem__, map(id, s.sequence))) + "]}"
-        except (KeyError, TypeError):  # a slot unmet (KeyError) or met once (None)
-            pass
     pieces = []
     stack = [iter(_TEXT[type(s)](s))]
-    kept = None  # the part whose text is being kept, while it is written
     while stack:
         for piece in stack[-1]:
             if type(piece) is str:
                 pieces.append(piece)
                 continue
-            text = texts.get(id(piece), _UNMET)
-            if text is _UNMET:
-                texts[id(piece)] = None
-            elif text is not None:
-                pieces.append(text)
-                continue
-            elif kept is None:
-                kept, kept_depth, kept_start = piece, len(stack), len(pieces)
             stack.append(iter(_TEXT[type(piece)](piece)))
             break
         else:
             stack.pop()
-            if kept is not None and len(stack) == kept_depth:
-                text = "".join(pieces[kept_start:])
-                del pieces[kept_start:]
-                pieces.append(text)
-                texts[id(kept)] = text
-                kept = None
     return "".join(pieces)
-
-
-_UNMET = object()
 
 
 def _labels_text(labels) -> str:
@@ -382,15 +346,105 @@ def _tree_text(v):
 # The canonical text of every structure type, keys in sorted order, as its
 # pieces: literal strings, and the parts whose texts go between them.
 _TEXT = {
-    UnitVal: lambda v: ('{"k":"unit"}',),
-    SetVal: lambda v: ('{"k":"set","labels":' + _labels_text(v.labels) + "}",),
-    AtomVal: lambda v: ('{"k":"atom","label":' + str(v.label) + "}",),
+    UnitVal: lambda v: (UNIT_TEXT,),
+    SetVal: lambda v: (set_text(v.labels),),
+    AtomVal: lambda v: (atom_text(v.label),),
     SumVal: lambda v: ('{"in":', v.inner, ',"k":"sum","side":"' + v.side + '"}'),
     ProdVal: lambda v: ('{"k":"prod","l":', v.left, ',"r":', v.right, "}"),
     ComposeVal: _compose_text,
     ParkingLike: _parking_text,
     TreeLike: _tree_text,
 }
+
+
+# -- writers: a value's text from its parts' texts, building no value ----------
+#
+# The text fold of generate.py lists with these: each writes what serialize
+# writes of the value that the list fold makes of the same parts.  The
+# factors of a power and the heads of a slot sequence come as chains, (first
+# text, chain of the others), so a text is joined once, from its chain.
+
+UNIT_TEXT = '{"k":"unit"}'
+
+
+def set_text(labels) -> str:
+    return f'{{"k":"set","labels":{_labels_text(labels)}}}'
+
+
+def atom_text(label) -> str:
+    return f'{{"k":"atom","label":{label}}}'
+
+
+def sum_text(side: str, inner: str) -> str:
+    return f'{{"in":{inner},"k":"sum","side":"{side}"}}'
+
+
+def prod_text(left: str, right: str) -> str:
+    return f'{{"k":"prod","l":{left},"r":{right}}}'
+
+
+def power_text(chain) -> str:
+    """The text of the products nested to the right that a chain stands for."""
+    pieces = []
+    while type(chain) is tuple:
+        left, chain = chain
+        pieces += ('{"k":"prod","l":', left, ',"r":')
+    pieces += (chain, "}" * (len(pieces) // 3))
+    return "".join(pieces)
+
+
+def slots_text(chain) -> str:
+    """The texts of a chain's factors, as the slots of a parking-like text."""
+    pieces = []
+    while type(chain) is tuple:
+        left, chain = chain
+        pieces.append(left)
+    return ",".join(pieces)
+
+
+def parking_writer(chi):
+    """The writer of park(., chi)'s texts: from the first heads' slots and
+    the tails' sequence, a chain of the later heads' slots that ends in the
+    slots on no labels (which may be none), or from the first heads alone."""
+    return partial(_parking_from_slots, _parking_head(chi))
+
+
+def _parking_from_slots(head: str, heads: str, tails="") -> str:
+    slots = [heads]
+    while type(tails) is tuple:
+        heads, tails = tails
+        slots.append(heads)
+    if tails:
+        slots.append(tails)
+    return f'{head}{",".join(slots)}]}}'
+
+
+def compose_text(outer: str, blocks: str) -> str:
+    return f'{{"blocks":[{blocks}],"k":"comp","outer":{outer}}}'
+
+
+def blocks_writer(blocks):
+    """The writer of the blocks' text (compose_text's blocks) from the texts
+    of the inner structures on blocks, which are sorted by minimum."""
+    return partial(_blocks_from_inner, [f',"labels":{_labels_text(b)}}}' for b in blocks])
+
+
+def _blocks_from_inner(ends: list, *inner: str) -> str:
+    return ",".join([f'{{"in":{text}{end}' for text, end in zip(inner, ends)])
+
+
+def tree_text(children: str, root: str) -> str:
+    return f'{{"children":[{children}],"root":{root}}}'
+
+
+def children_writer(heads):
+    """The writer of the children's text (tree_text's children) from the
+    texts of the subtrees of the sorted heads."""
+    return partial(_children_from_subtrees, [f'{{"label":{h},"subtree":' for h in heads])
+
+
+def _children_from_subtrees(starts: list, *subtrees: str) -> str:
+    return ",".join([f"{start}{text}}}" for start, text in zip(starts, subtrees)])
 
 
 def spaced(text: str) -> str:

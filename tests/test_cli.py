@@ -144,6 +144,29 @@ def test_enumerate_json_listing_peak_memory_is_within_five_times_the_output(caps
     assert peak < 5 * len(out)
 
 
+def test_enumerate_high_power_keeps_no_text_per_round(capsys):
+    # Each of the 600 structures is a chain of 600 products.  Round j of the
+    # power kept as texts would hold about 27 * 600^3 / 3 bytes (2 GB, 120
+    # times the 16 MB output); kept as chains of pairs, the rounds take less
+    # than the output, and the texts and their capture about twice it.
+    tracemalloc.start()
+    try:
+        rc, out = run(capsys, ["enumerate", "--expr", "E^600", "--n", "1"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rc == 0 and out.count("\n") == 600
+    assert peak < 3 * len(out)
+
+
+def test_enumerate_writes_a_structure_of_thousands_of_slots(capsys):
+    # The 3000 slots of the one structure on no labels are joined from a
+    # chain, with no interpreter frame per slot.
+    rc, out = run(capsys, ["enumerate", "--expr", "park(E, affine(3000,0))", "--n", "0"])
+    assert rc == 0 and out.count("\n") == 1
+    assert json.loads(out) == {"chi": "affine(3000,0)", "seq": [{"k": "set", "labels": []}] * 3000}
+
+
 @pytest.mark.parametrize(
     "expr, n",
     [

@@ -512,27 +512,6 @@ def test_park_lookups_hit_by_identity(env, monkeypatch):
     assert [name for name in calls if name in ("Power", "ChiMap")] == []
 
 
-def test_a_listing_hashes_no_chi_map_per_structure(env, monkeypatch):
-    # serialize keeps a parking's head text under the id of its chi map, so
-    # a value whose slots' texts are all kept hashes no map.  Only the value
-    # with all six labels in its first slot, a part met once, is written by
-    # the walk again (one lookup of its map: a hash and at most one __eq__).
-    listing = Generator(env).raw(Park(E(), ChiMap.identity()), canonical_labels(6))
-    texts = {}
-    lines = [serialize(s, texts) for s in listing]
-    calls = []
-    for name in ("__eq__", "__hash__"):
-        method = getattr(Keyed, name)
-
-        def counted(self, *other, method=method):
-            calls.append(type(self).__name__)
-            return method(self, *other)
-
-        monkeypatch.setattr(Keyed, name, counted)
-    assert [serialize(s, texts) for s in listing] == lines
-    assert len(set(lines)) == 7**5 and len(calls) <= 2
-
-
 @pytest.mark.parametrize("text, n", [("park(E)", 6), ("Ary(2)", 8)])
 def test_the_count_memo_holds_one_entry_per_size(env, text, n):
     # A count depends on the number of labels only, so the count fold keys
@@ -642,6 +621,9 @@ def first_meetings(monkeypatch, run):
         (("A:=X + park(A, table(1,2,4,5))*A",), "A", 4),
         (("A:=X+tree(A^2)",), "A", 5),
         (("A:=A+E+",), "E@A", 4),
+        ((), "park(E, table(2))", 4),  # a shifted table runs out
+        (("A:=X + park(A, affine(0,1))",), "A", 1),  # sequences read the approximation
+        ((), "park(E, table(1,1,2)) * E^3", 3),  # tails with no slot; Power rounds
     ],
 )
 def test_counting_meets_each_size_where_listing_first_meets_it(
@@ -653,4 +635,5 @@ def test_counting_meets_each_size_where_listing_first_meets_it(
     expr = parse_species(text, env)
     listed = first_meetings(monkeypatch, lambda: Generator(env).raw(expr, canonical_labels(n)))
     counted = first_meetings(monkeypatch, lambda: Generator(env).count(expr, n))
-    assert counted == listed
+    written = first_meetings(monkeypatch, lambda: Generator(env).texts(expr, canonical_labels(n)))
+    assert counted == listed and written == listed

@@ -25,7 +25,9 @@ from parklike import (
 )
 from parklike.cli import main
 from parklike.errors import SpeciesError
-from parklike.expr import E, EPlus, One, Compose, Park, Power, Prod, Ref, SpeciesExpr, Sum, Tree, X, Zero
+from parklike.expr import (
+    E, EPlus, One, Compose, Park, Power, Prod, Ref, Restrict, SpeciesExpr, Sum, Tree, X, Zero,
+)
 from parklike.memo import Memo
 from parklike.structures import _read_deep, canonical_labels
 
@@ -95,11 +97,9 @@ def test_serialization_round_trip(expr, labels):
 )
 @settings(max_examples=60, deadline=None)
 def test_serialize_writes_the_canonical_json_of_to_jsonable(expr, labels):
-    texts = {}  # one for the whole listing, as enumerate uses it
     for s in Generator(ENV).raw(expr, labels):
         want = json.dumps(to_jsonable(s), sort_keys=True, separators=(",", ":"))
         assert serialize(s) == want
-        assert serialize(s, texts) == want
 
 
 @given(exprs, exprs, label_sets)
@@ -415,6 +415,45 @@ def test_listing_and_counting_agree_on_random_definitions(definitions):
                 listed = outcome(lambda: len(gen.raw(Ref("A"), canonical_labels(n))))
                 assert outcome(lambda: gen.count(Ref("A"), n)) == listed, n
                 if not isinstance(listed, int):
+                    return
+    except OverBudget:
+        reject()
+
+
+@given(
+    st.one_of(
+        exprs,
+        st.tuples(exprs, st.sampled_from(CHI_KEYS)).map(lambda p: Park(p[0], parse_chi_text(p[1]))),
+        exprs.map(Tree),
+        st.tuples(exprs, st.integers(min_value=0, max_value=3)).map(lambda p: Restrict(*p)),
+    ),
+    label_sets,
+)
+@settings(max_examples=60, deadline=None)
+def test_the_text_fold_writes_serialize_of_the_list_fold(expr, labels):
+    # Element by element, in construction order, or the same error.
+    if len(labels) > listed_up_to(ENV, [expr]):
+        reject()
+    listed = outcome(lambda: [serialize(s) for s in Generator(ENV).raw(expr, labels)])
+    assert outcome(lambda: Generator(ENV).texts(expr, labels)) == listed
+
+
+@given(systems)
+@example({"A": "B", "B": "tree((restrict(A,1)*(A + E+)))"})
+@example({"A": "X+park(A, affine(0,1))"})
+@settings(max_examples=60, deadline=None)
+def test_the_text_fold_writes_serialize_of_the_list_fold_on_random_definitions(definitions):
+    env = SpeciesEnv.standard()
+    for name, text in definitions.items():
+        env.bind(name, parse_species(text, env, extra_names=list(definitions)))
+    gen = Generator(env)
+    try:
+        with solve_budget():
+            for n in range(listed_up_to(env, map(env.lookup, definitions)) + 1):
+                labels = canonical_labels(n)
+                listed = outcome(lambda: [serialize(s) for s in gen.raw(Ref("A"), labels)])
+                assert outcome(lambda: gen.texts(Ref("A"), labels)) == listed, n
+                if not isinstance(listed, list):
                     return
     except OverBudget:
         reject()

@@ -1,4 +1,5 @@
 import json
+import re
 import sys
 
 import pytest
@@ -17,7 +18,7 @@ from parklike import (
     parse_species,
     serialize,
 )
-from parklike.errors import InvalidStructureError
+from parklike.errors import InvalidStructureError, SpeciesError
 from parklike.frozen import FrozenInstanceError
 from parklike.structures import canonical_labels, read_json
 from parklike.verify import BASES
@@ -117,47 +118,56 @@ def canonical_json(s) -> str:
     return json.dumps(to_jsonable(s), sort_keys=True, separators=(",", ":"))
 
 
-@pytest.mark.parametrize(
-    "text",
-    [name for name, _ in BASES]
-    + [
-        "park(E)",
-        "park(L, affine(2,0))",
-        "park(E, table(1,3,4,6,8,9,11,12))",
-        "tree(Comp)",
-        "E@(X+X)",
-        "X*L",
-        "1+X",
-        "E^3",
-    ],
-)
+LISTED = [name for name, _ in BASES] + [
+    "park(E)",
+    "park(L, affine(2,0))",
+    "park(E, table(1,3,4,6,8,9,11,12))",
+    "tree(Comp)",
+    "E@(X+X)",
+    "X*L",
+    "1+X",
+    "E^3",
+]
+
+
+@pytest.mark.parametrize("text", LISTED)
 def test_serialize_writes_the_canonical_json_of_to_jsonable(env, text):
     gen = Generator(env)
     expr = parse_species(text, env)
     for n in range(5):
-        texts = {}  # one for the whole listing, as enumerate uses it
         for s in gen.raw(expr, canonical_labels(n)):
-            want = canonical_json(s)
-            assert serialize(s) == want
-            assert serialize(s, texts) == want
+            assert serialize(s) == canonical_json(s)
 
 
-def test_serialize_keeps_the_text_of_a_part_met_twice():
-    inner = SetVal(frozenset({1}))
-    mid = SumVal("L", inner)
-    first, second = ProdVal(mid, UNIT), ProdVal(UNIT, mid)
-    texts = {}
-    assert serialize(first, texts) == canonical_json(first)
-    # Met once: recorded, not kept; the structure itself is not recorded.
-    assert texts == {id(mid): None, id(inner): None, id(UNIT): None}
-    assert serialize(second, texts) == canonical_json(second)
-    # Met twice: kept, except inside a part whose text is being kept.
-    assert texts == {
-        id(mid): canonical_json(mid),
-        id(inner): None,
-        id(UNIT): canonical_json(UNIT),
-    }
-    assert serialize(second, texts) == canonical_json(second)
+@pytest.mark.parametrize(
+    "definitions, text",
+    [((), text) for text in LISTED]
+    + [
+        ((), "park(E, affine(0,0))"),  # no slot on no labels
+        ((), "park(E, affine(0,1))"),
+        ((), "park(E, table(1,1,2))"),  # shifted tables with no first slot
+        ((), "park(tree(E), id)"),
+        ((), "restrict(Par,2) + restrict(E,0)*L"),
+        ((), "E^0 * (X + E)^2"),
+        ((), "tree(1 + restrict(E,2))"),
+        ((), "(E+)@(X*L)"),
+        (("A:=X + park(A, affine(0,1))*A",), "A"),
+        (("A:=X*tree(B)", "B:=1 + A*B"), "A + B"),
+    ],
+)
+def test_the_text_fold_writes_serialize_of_the_list_fold(defined, definitions, text):
+    # Element by element, in construction order, or the same error.
+    env = defined(*definitions)
+    expr = parse_species(text, env)
+    for n in range(5):
+        labels = canonical_labels(n)
+        try:
+            listed = [serialize(s) for s in Generator(env).raw(expr, labels)]
+        except SpeciesError as error:
+            with pytest.raises(type(error), match=re.escape(str(error))):
+                Generator(env).texts(expr, labels)
+            return
+        assert Generator(env).texts(expr, labels) == listed, n
 
 
 @pytest.mark.parametrize(
