@@ -37,9 +37,7 @@ from .expr import SpeciesEnv, expr_to_text
 from .generate import Generator
 from .membership import validate_parking, validate_tree  # unused: bench/tracing.py patches them
 from .series import egf_of_species
-from .structures import (
-    ParkingLike, TreeLike, canonical_labels, from_jsonable, read_json, serialize, spaced,
-)
+from .structures import ParkingLike, TreeLike, canonical_labels, from_jsonable, read_json, serialize
 from .verify import run_suite
 
 
@@ -158,17 +156,18 @@ def cmd_enumerate(args, env) -> int:
     expr = parse_species(args.expr, env)
     _check_budget(args.n, args.budget)
     labels = canonical_labels(args.n)
-    # The text fold writes each structure's canonical line from the lines of
-    # its parts, building no structure.  The generator and its memo go once
-    # the listing exists: the sub-results on smaller label sets are freed
-    # before the lines are sorted and written.
-    lines = sorted(Generator(env).texts(expr, labels))
+    # The text fold writes each structure's line from the lines of its
+    # parts, building no structure: canonical, or for json with json.dumps's
+    # default spacing, which sorts in the same order.  The generator and its
+    # memo go once the listing exists: the sub-results on smaller label sets
+    # are freed before the lines are sorted and written.
+    lines = sorted(Generator(env).texts(expr, labels, spaced=args.format == "json"))
     # Every stdout byte goes through print, which bench/test_bench.py patches
     # to alter the output; one print per block of whole lines.
     if args.format == "json":
         # The bytes of json.dumps(listing, sort_keys=True), a block at a time.
         sep = "["
-        for block in _blocks(map(spaced, lines)):
+        for block in _blocks(lines):
             print(sep + ", ".join(block), end="")
             sep = ", "
         print("]" if lines else "[]")

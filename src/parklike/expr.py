@@ -107,14 +107,15 @@ _NAME = re.compile(r"^[A-Za-z_][A-Za-z0-9_]*$")
 _ARY = re.compile(r"^Ary\((\d+)\)$")
 
 
-def _standard_bindings() -> dict:
-    return {
-        "L": Sum(One(), Prod(X(), Ref("L"))),
-        "Par": Compose(E(), EPlus()),
-        "Comp": Sum(One(), Prod(EPlus(), Ref("Comp"))),
-        "Sub": Prod(E(), E()),
-        "Forest": Compose(E(), Prod(X(), Ref("Forest"))),
-    }
+# The standard definitions, built once: the nodes are immutable, and each
+# standard environment binds into its own copy of the table.
+_STANDARD = {
+    "L": Sum(One(), Prod(X(), Ref("L"))),
+    "Par": Compose(E(), EPlus()),
+    "Comp": Sum(One(), Prod(EPlus(), Ref("Comp"))),
+    "Sub": Prod(E(), E()),
+    "Forest": Compose(E(), Prod(X(), Ref("Forest"))),
+}
 
 
 class SpeciesEnv:
@@ -129,7 +130,7 @@ class SpeciesEnv:
 
     @staticmethod
     def standard() -> "SpeciesEnv":
-        return SpeciesEnv(_standard_bindings())
+        return SpeciesEnv(_STANDARD)
 
     def bind(self, name: str, expr: SpeciesExpr) -> None:
         if name in PRIMITIVE_TOKENS:

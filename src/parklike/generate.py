@@ -8,11 +8,12 @@ times over; a factor is the same fold's result for a sub-expression on a
 subset of the labels, or for a term of its own (the tuples of a tree's
 children, or of a composition's blocks), and a leaf is one term with no
 factors.  Three folds read the terms.  The list fold (raw, generate) makes
-the structures; the text fold (texts) makes their canonical texts, each
-written from its parts' texts, so a listing builds and serializes no
-structure; the count fold (count) sums weight times the product of the
-factor counts, so it builds no structure and keeps no list.  The fold
-supplies the makes (_STRUCTURES or _TEXTS), which the count fold ignores.
+the structures; the text fold (texts) makes their canonical texts, compact
+or in json.dumps's default spacing, each written from its parts' texts, so a
+listing builds and serializes no structure; the count fold (count) sums
+weight times the product of the factor counts, so it builds no structure and
+keeps no list.  The fold supplies the makes (_STRUCTURES, or the writers of
+the text's style, structures.WRITERS), which the count fold ignores.
 
 The fold supplies the walk a rule makes over its labels (subsets, set
 partitions, assignments of labels to tree heads) as (part, multiplicity)
@@ -61,9 +62,8 @@ from .expr import (
 )
 from .memo import Memo
 from .structures import (
-    UNIT, UNIT_TEXT, AtomVal, ComposeVal, ParkingLike, ProdVal, SetVal, SumVal, TreeLike,
-    atom_text, blocks_writer, canonical_labels, children_writer, compose_text, parking_writer,
-    power_text, prod_text, serialize, set_text, slots_text, sum_text, tree_text,
+    UNIT, WRITERS, AtomVal, ComposeVal, ParkingLike, ProdVal, SetVal, SumVal, TreeLike,
+    canonical_labels, serialize,
 )
 
 
@@ -198,8 +198,9 @@ class Generator:
         return _Fold(self.env, _counting, _STRUCTURES, self._lists.memo.enabled, self._maps)
 
     @cached_property
-    def _texts(self):
-        return _Fold(self.env, _listing, _TEXTS, self._lists.memo.enabled, self._maps)
+    def _texts(self):  # the text fold of each style, by whether it is spaced
+        return {spaced: _Fold(self.env, _listing, makes, self._lists.memo.enabled, self._maps)
+                for spaced, makes in WRITERS.items()}
 
     # -- public API ----------------------------------------------------------
 
@@ -212,11 +213,12 @@ class Generator:
         expr's terms.  Skips the serialization sort."""
         return _paused(self._lists, expr, frozenset(labels))
 
-    def texts(self, expr, labels) -> list:
-        """The canonical texts of raw(expr, labels), in the same order: the
-        text fold of the same terms, which writes each text from its parts'
-        texts and builds no structure."""
-        return _paused(self._texts, expr, frozenset(labels))
+    def texts(self, expr, labels, spaced: bool = False) -> list:
+        """The canonical texts of raw(expr, labels), in the same order, or
+        with json.dumps's default spacing if spaced: the text fold of the
+        same terms, which writes each text from its parts' texts and builds
+        no structure."""
+        return _paused(self._texts[spaced], expr, frozenset(labels))
 
     def count(self, expr, n: int) -> int:
         """The number of expr's structures on n labels: the count fold of the
@@ -271,10 +273,6 @@ def _slot_tuple(chain) -> tuple:
     return tuple(out)
 
 
-def _chain(first, rest) -> tuple:
-    return first, rest
-
-
 def _parking(chi, heads: tuple, tails: tuple = ()) -> ParkingLike:
     return ParkingLike(chi, heads + tails)
 
@@ -284,7 +282,7 @@ def _tree_val(children, root):
 
 
 # What a fold makes of a choice of a term's factors: structures in the list
-# fold, their canonical texts in the text fold; the count fold ignores them.
+# fold, texts in the text fold (structures.WRITERS); the count fold ignores them.
 #   unit(), atom(label), set(labels)     the structures of 1, X and E
 #   sum(side, inner), prod(left, right), compose(outer, blocks), tree(children, root)
 #   link(first factor, chain of the others)   a chain of a power's round
@@ -298,11 +296,6 @@ _STRUCTURES = SimpleNamespace(
     link=ProdVal, power=_same, slots=_slot_tuple, sequence=tuple.__add__,
     park=partial(partial, _parking), blocks=partial(partial, _pairs), compose=ComposeVal,
     children=partial(partial, _pairs), tree=_tree_val,
-)
-_TEXTS = SimpleNamespace(
-    unit=partial(_same, UNIT_TEXT), atom=atom_text, set=set_text, sum=sum_text, prod=prod_text,
-    link=_chain, power=power_text, slots=slots_text, sequence=_chain, park=parking_writer,
-    blocks=blocks_writer, compose=compose_text, children=children_writer, tree=tree_text,
 )
 
 

@@ -35,23 +35,22 @@ the tree JSON reader walks its input in the same breadth-first order.
 
 Serialization is canonical JSON (sorted keys, no spaces), so structures are
 equal iff their serializations are byte-equal; enumeration order everywhere
-is lexicographic on that string.  serialize writes that text itself from
-the _TEXT table, which gives per structure type the pieces of a value's
-text: literal strings and the parts whose texts go between them.  The
-writers below it (set_text, prod_text, parking_writer, ...) write the same
-text from the texts of the parts, with no value at all: generate's text fold
-lists with them, so `enumerate` builds and serializes no structure.  spaced
-turns the canonical text into json.dumps's default spacing, which
-`enumerate --format json` prints.  This module is the one writer of the
-format and, by read_json, the one reader of JSON text: each document is
-decoded once, at any depth.
+is lexicographic on that string.  _PIECES spells each kind's text once, and
+serialize and the writers of both styles (WRITERS: canonical, and spaced as
+json.dumps spaces by default, which `enumerate --format json` prints) are
+built from it.  The writers write a text from the texts of its parts, with
+no value at all: generate's text fold lists with them, so `enumerate` builds
+and serializes no structure.  This module is the one writer of the format
+and, by read_json, the one reader of JSON text: each document is decoded
+once, at any depth.
 """
 
 from __future__ import annotations
 
 import json
 import re
-from functools import lru_cache, partial
+from functools import lru_cache
+from types import SimpleNamespace
 
 from .chi import ChiMap
 from .dsl import parse_chi_text
@@ -278,6 +277,158 @@ Structure = UnitVal | SetVal | AtomVal | SumVal | ProdVal | ComposeVal | Parking
 UNIT = UnitVal()
 
 
+# -- the canonical format ------------------------------------------------------
+#
+# _PIECES holds the literal pieces of each kind's text, keys in sorted order: a
+# value's text is its kind's pieces with the texts of its parts between them.
+# A sum's side and a chi key are parts, quoted as they are (neither needs an
+# escape), and the pieces' own strings (keys and kinds) hold no "," or ":", so
+# _SPACED, the pieces with json.dumps's default ", " and ": ", spaces them
+# outside strings only (a chi key such as affine(2,0) keeps its comma).
+# Spacing adds a space after a separator and nothing else, so two texts first
+# differ at the same pair of characters in either style: sorted, spaced texts
+# come in the compact order.
+_PIECES = {
+    ",": (",",),  # between the items of a list
+    "labels": (',"labels":[', "]"),
+    "unit": ('{"k":"unit"}',),
+    "set": ('{"k":"set"', "}"),  # labels
+    "atom": ('{"k":"atom","label":', "}"),  # label
+    "sum": ('{"in":', ',"k":"sum","side":', "}"),  # inner, side
+    "prod": ('{"k":"prod","l":', ',"r":', "}"),  # left, right
+    "comp": ('{"blocks":[', '],"k":"comp","outer":', "}"),  # blocks, outer
+    "block": ('{"in":', "}"),  # inner, labels
+    "park": ('{"chi":', ',"seq":[', "]}"),  # chi key, slots
+    "tree": ('{"children":[', '],"root":', "}"),  # children, root
+    "child": ('{"label":', ',"subtree":', "}"),  # head, subtree
+}
+_SPACED = {
+    kind: tuple(p.replace(",", ", ").replace(":", ": ") for p in pieces) for kind, pieces in _PIECES.items()
+}
+
+
+def _writers(p: dict) -> SimpleNamespace:
+    """The writers of the style of the pieces p, the makes of generate.py's
+    text fold: each writes, from the texts of the parts, the text of the
+    value the list fold makes of them.  The factors of a power and the heads
+    of a slot sequence come as chains, (first text, chain of the others), so
+    a text is joined once.  text is serialize's table: per structure type, a
+    value's pieces and the parts whose texts go between them."""
+    (sep,), (l0, l1), (unit,), (s0, s1), (a0, a1) = p[","], p["labels"], p["unit"], p["set"], p["atom"]
+    (u0, u1, u2), (p0, p1, p2), (c0, c1, c2), (b0, b1) = p["sum"], p["prod"], p["comp"], p["block"]
+    (k0, k1, k2), (t0, t1, t2), (h0, h1, h2) = p["park"], p["tree"], p["child"]
+
+    def labels(values) -> str:
+        return f"{l0}{sep.join(map(str, sorted(values)))}{l1}"
+
+    @lru_cache(maxsize=128)
+    def head(chi) -> str:
+        """A parking-like text up to its first slot, once per chi map."""
+        return f'{k0}"{chi.key()}"{k1}'
+
+    def power(chain) -> str:
+        """The text of the products nested to the right that a chain stands for."""
+        pieces = []
+        while type(chain) is tuple:
+            left, chain = chain
+            pieces += (p0, left, p1)
+        pieces += (chain, p2 * (len(pieces) // 3))
+        return "".join(pieces)
+
+    def slots(chain) -> str:
+        """The texts of a chain's factors, as the slots of a parking-like text."""
+        pieces = []
+        while type(chain) is tuple:
+            left, chain = chain
+            pieces.append(left)
+        return sep.join(pieces)
+
+    def park(chi):
+        """The writer of park(., chi)'s texts: from the first heads' slots and
+        the tails' sequence, a chain of the later heads' slots that ends in
+        the slots on no labels (which may be none), or from the first heads
+        alone."""
+        start = head(chi)
+
+        def make(heads: str, tails="") -> str:
+            slots = [heads]
+            while type(tails) is tuple:
+                heads, tails = tails
+                slots.append(heads)
+            if tails:
+                slots.append(tails)
+            return f"{start}{sep.join(slots)}{k2}"
+
+        return make
+
+    def blocks(sets):
+        """The writer of the blocks from the inner texts on sets, sorted by minimum."""
+        ends = [f"{labels(b)}{b1}" for b in sets]
+        return lambda *inner: sep.join([f"{b0}{text}{end}" for text, end in zip(inner, ends)])
+
+    def children(heads):
+        """The writer of the children from the subtree texts of the sorted heads."""
+        starts = [f"{h0}{h}{h1}" for h in heads]
+        return lambda *subtrees: sep.join([f"{start}{text}{h2}" for start, text in zip(starts, subtrees)])
+
+    def compose_text(v):
+        yield c0
+        for i, (block, inner) in enumerate(v.blocks):
+            yield sep + b0 if i else b0
+            yield inner
+            yield labels(block) + b1
+        yield c1
+        yield v.outer
+        yield c2
+
+    def tree_text(v):
+        yield t0
+        for i, (label, sub) in enumerate(v.children):
+            yield f"{sep if i else ''}{h0}{label}{h1}"
+            yield sub
+            yield h2
+        yield t1
+        yield v.root
+        yield t2
+
+    w = SimpleNamespace(
+        unit=lambda: unit, atom=lambda label: f"{a0}{label}{a1}",
+        set=lambda values: f"{s0}{labels(values)}{s1}",
+        sum=lambda side, inner: f'{u0}{inner}{u1}"{side}"{u2}',
+        prod=lambda left, right: f"{p0}{left}{p1}{right}{p2}",
+        compose=lambda outer, blocks: f"{c0}{blocks}{c1}{outer}{c2}",
+        tree=lambda children, root: f"{t0}{children}{t1}{root}{t2}",
+        link=_pair, sequence=_pair, power=power, slots=slots, park=park, blocks=blocks,
+        children=children,
+    )
+    w.text = {
+        UnitVal: lambda v: (unit,),
+        SetVal: lambda v: (f"{s0}{labels(v.labels)}{s1}",),
+        AtomVal: lambda v: (f"{a0}{v.label}{a1}",),
+        SumVal: lambda v: (u0, v.inner, f'{u1}"{v.side}"{u2}'),
+        ProdVal: lambda v: (p0, v.left, p1, v.right, p2),
+        ComposeVal: compose_text,
+        ParkingLike: lambda v: (head(v.chi), *_between(sep, v.sequence), k2),
+        TreeLike: tree_text,
+    }
+    return w
+
+
+def _pair(first, rest) -> tuple:
+    return first, rest
+
+
+def _between(sep: str, items) -> list:
+    """The items with sep between every two of them."""
+    out = [sep] * (2 * len(items) - 1)
+    out[::2] = items
+    return out
+
+
+WRITERS = {False: _writers(_PIECES), True: _writers(_SPACED)}  # by whether spaced
+_TEXT = WRITERS[False].text
+
+
 def serialize(s) -> str:
     """Canonical serialization: sorted keys, no whitespace.
 
@@ -301,163 +452,6 @@ def serialize(s) -> str:
     return "".join(pieces)
 
 
-def _labels_text(labels) -> str:
-    return "[" + ",".join(map(str, sorted(labels))) + "]"
-
-
-def _compose_text(v):
-    yield '{"blocks":['
-    for i, (block, inner) in enumerate(v.blocks):
-        yield ',{"in":' if i else '{"in":'
-        yield inner
-        yield ',"labels":' + _labels_text(block) + "}"
-    yield '],"k":"comp","outer":'
-    yield v.outer
-    yield "}"
-
-
-@lru_cache(maxsize=128)
-def _parking_head(chi) -> str:
-    """A parking-like value's text up to its first slot, worked out once per
-    chi map, not once per structure."""
-    return '{"chi":' + json.dumps(chi.key()) + ',"seq":['
-
-
-def _parking_text(v):
-    yield _parking_head(v.chi)
-    for i, part in enumerate(v.sequence):
-        if i:
-            yield ","
-        yield part
-    yield "]}"
-
-
-def _tree_text(v):
-    yield '{"children":['
-    for i, (head, sub) in enumerate(v.children):
-        yield (',{"label":' if i else '{"label":') + str(head) + ',"subtree":'
-        yield sub
-        yield "}"
-    yield '],"root":'
-    yield v.root
-    yield "}"
-
-
-# The canonical text of every structure type, keys in sorted order, as its
-# pieces: literal strings, and the parts whose texts go between them.
-_TEXT = {
-    UnitVal: lambda v: (UNIT_TEXT,),
-    SetVal: lambda v: (set_text(v.labels),),
-    AtomVal: lambda v: (atom_text(v.label),),
-    SumVal: lambda v: ('{"in":', v.inner, ',"k":"sum","side":"' + v.side + '"}'),
-    ProdVal: lambda v: ('{"k":"prod","l":', v.left, ',"r":', v.right, "}"),
-    ComposeVal: _compose_text,
-    ParkingLike: _parking_text,
-    TreeLike: _tree_text,
-}
-
-
-# -- writers: a value's text from its parts' texts, building no value ----------
-#
-# The text fold of generate.py lists with these: each writes what serialize
-# writes of the value that the list fold makes of the same parts.  The
-# factors of a power and the heads of a slot sequence come as chains, (first
-# text, chain of the others), so a text is joined once, from its chain.
-
-UNIT_TEXT = '{"k":"unit"}'
-
-
-def set_text(labels) -> str:
-    return f'{{"k":"set","labels":{_labels_text(labels)}}}'
-
-
-def atom_text(label) -> str:
-    return f'{{"k":"atom","label":{label}}}'
-
-
-def sum_text(side: str, inner: str) -> str:
-    return f'{{"in":{inner},"k":"sum","side":"{side}"}}'
-
-
-def prod_text(left: str, right: str) -> str:
-    return f'{{"k":"prod","l":{left},"r":{right}}}'
-
-
-def power_text(chain) -> str:
-    """The text of the products nested to the right that a chain stands for."""
-    pieces = []
-    while type(chain) is tuple:
-        left, chain = chain
-        pieces += ('{"k":"prod","l":', left, ',"r":')
-    pieces += (chain, "}" * (len(pieces) // 3))
-    return "".join(pieces)
-
-
-def slots_text(chain) -> str:
-    """The texts of a chain's factors, as the slots of a parking-like text."""
-    pieces = []
-    while type(chain) is tuple:
-        left, chain = chain
-        pieces.append(left)
-    return ",".join(pieces)
-
-
-def parking_writer(chi):
-    """The writer of park(., chi)'s texts: from the first heads' slots and
-    the tails' sequence, a chain of the later heads' slots that ends in the
-    slots on no labels (which may be none), or from the first heads alone."""
-    return partial(_parking_from_slots, _parking_head(chi))
-
-
-def _parking_from_slots(head: str, heads: str, tails="") -> str:
-    slots = [heads]
-    while type(tails) is tuple:
-        heads, tails = tails
-        slots.append(heads)
-    if tails:
-        slots.append(tails)
-    return f'{head}{",".join(slots)}]}}'
-
-
-def compose_text(outer: str, blocks: str) -> str:
-    return f'{{"blocks":[{blocks}],"k":"comp","outer":{outer}}}'
-
-
-def blocks_writer(blocks):
-    """The writer of the blocks' text (compose_text's blocks) from the texts
-    of the inner structures on blocks, which are sorted by minimum."""
-    return partial(_blocks_from_inner, [f',"labels":{_labels_text(b)}}}' for b in blocks])
-
-
-def _blocks_from_inner(ends: list, *inner: str) -> str:
-    return ",".join([f'{{"in":{text}{end}' for text, end in zip(inner, ends)])
-
-
-def tree_text(children: str, root: str) -> str:
-    return f'{{"children":[{children}],"root":{root}}}'
-
-
-def children_writer(heads):
-    """The writer of the children's text (tree_text's children) from the
-    texts of the subtrees of the sorted heads."""
-    return partial(_children_from_subtrees, [f'{{"label":{h},"subtree":' for h in heads])
-
-
-def _children_from_subtrees(starts: list, *subtrees: str) -> str:
-    return ",".join([f"{start}{text}}}" for start, text in zip(starts, subtrees)])
-
-
-def spaced(text: str) -> str:
-    """Canonical text with json.dumps's default ", " and ": " separators.
-
-    The text's strings (keys, kinds, sides and chi keys) hold no quote, so
-    every other piece between quotes lies outside a string.
-    """
-    pieces = text.split('"')
-    pieces[::2] = [p.replace(",", ", ").replace(":", ": ") for p in pieces[::2]]
-    return '"'.join(pieces)
-
-
 def from_jsonable(data) -> "Structure":
     """The structure a JSON value stands for, the inverse of
     json.loads(serialize(s)); raises InvalidStructureError on bad input."""
@@ -468,7 +462,7 @@ def from_jsonable(data) -> "Structure":
         if kind == "unit":
             return UNIT
         if kind == "set":
-            return SetVal(frozenset(_label(l) for l in data["labels"]))
+            return SetVal(_labels(data["labels"]))
         if kind == "atom":
             return AtomVal(_label(data["label"]))
         if kind == "sum":
@@ -476,10 +470,7 @@ def from_jsonable(data) -> "Structure":
         if kind == "prod":
             return ProdVal(from_jsonable(data["l"]), from_jsonable(data["r"]))
         if kind == "comp":
-            blocks = tuple(
-                (frozenset(_label(l) for l in b["labels"]), from_jsonable(b["in"]))
-                for b in data["blocks"]
-            )
+            blocks = tuple((_labels(b["labels"]), from_jsonable(b["in"])) for b in data["blocks"])
             return ComposeVal(from_jsonable(data["outer"]), blocks)
         if kind is None:
             if "chi" in data and "seq" in data:
@@ -489,16 +480,16 @@ def from_jsonable(data) -> "Structure":
                 return _tree_from_jsonable(data)
     except (KeyError, TypeError) as exc:
         raise InvalidStructureError(f"malformed structure JSON: {exc}") from exc
-    raise InvalidStructureError(f"unrecognized structure JSON: {data!r}")
+    raise InvalidStructureError(f"unrecognized structure JSON: {_shown(data)}")
 
 
 def _chi(text) -> ChiMap:
     if not isinstance(text, str):
-        raise InvalidStructureError(f"not a chi map: {text!r}")
+        raise InvalidStructureError(f"not a chi map: {_shown(text)}")
     try:
         return parse_chi_text(text)
     except ParseError as exc:
-        raise InvalidStructureError(f"not a chi map: {text!r}: {exc}") from exc
+        raise InvalidStructureError(f"not a chi map: {_shown(text)}: {exc}") from exc
 
 
 def _tree_from_jsonable(data) -> TreeLike:
@@ -516,8 +507,21 @@ def _tree_from_jsonable(data) -> TreeLike:
 
 def _label(value) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
-        raise InvalidStructureError(f"labels must be integers, got {value!r}")
+        raise InvalidStructureError(f"labels must be integers, got {_shown(value)}")
     return value
+
+
+def _labels(values) -> frozenset:
+    labels = frozenset(map(_label, values))
+    if len(labels) != len(values):
+        raise InvalidStructureError(f"labels must be distinct, got {_shown(values)}")
+    return labels
+
+
+def _shown(value, limit: int = 200) -> str:
+    """value's repr, cut after limit characters: no error line echoes a document whole."""
+    text = repr(value)
+    return text if len(text) <= limit else f"{text[:limit]}... ({len(text) - limit} more characters)"
 
 
 def deserialize(text: str) -> "Structure":

@@ -417,6 +417,37 @@ def test_bad_input_is_one_error_line(capsys, monkeypatch, argv, stdin):
     assert len(lines) == 1 and lines[0].startswith("error: ")
 
 
+@pytest.mark.parametrize(
+    "direction, doc",
+    [
+        ("p2t", {"chi": "id", "seq": [{"k": "set", "labels": [1, 1]}, {"k": "set", "labels": []}]}),
+        ("t2p", {"root": {"k": "set", "labels": [1, 1]}, "children": [{"label": 1, "subtree": LEAF}]}),
+    ],
+)
+def test_biject_rejects_a_repeated_label(capsys, monkeypatch, direction, doc):
+    # Read as the set {1}, either document would convert without a word.
+    argv = ["biject", "--expr", "E", "--direction", direction]
+    monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps(doc)))
+    rc = main(argv)
+    captured = capsys.readouterr()
+    assert (rc, captured.out) == (1, "")
+    assert captured.err == "error: labels must be distinct, got [1, 1]\n"
+
+
+def test_biject_error_line_echoes_a_large_document_in_part(capsys, monkeypatch):
+    # 3,001 slots under an unknown "k": the error line holds the first 200
+    # characters of the document, not all of it.
+    seq = [{"k": "set", "labels": [i]} for i in range(1, 3001)] + [{"k": "set", "labels": []}]
+    doc = json.dumps({"k": "park", "chi": "id", "seq": seq})
+    monkeypatch.setattr(sys, "stdin", io.StringIO(doc))
+    rc = main(["biject", "--expr", "E", "--direction", "p2t"])
+    captured = capsys.readouterr()
+    (line,) = captured.err.splitlines()
+    assert (rc, captured.out) == (1, "")
+    assert line.startswith("error: unrecognized structure JSON: {'k': 'park', 'chi': 'id', 'seq': [")
+    assert len(line) < 300 and line.endswith(" more characters)")
+
+
 def chain_tree_text(n):
     """Canonical text of the path 1 -> 2 -> ... -> n, built from the leaf up."""
     text = '{"children":[],"root":{"k":"set","labels":[]}}'

@@ -163,3 +163,15 @@ def test_env_copy_is_independent(env):
     fresh = env.copy()
     fresh.bind("Q", One())
     assert fresh.knows("Q") and not env.knows("Q")
+
+
+def test_standard_envs_do_not_share_bindings():
+    # Every standard environment copies one table of the standard
+    # definitions: a binding, or an Ary(k) made on lookup, stays in its own.
+    first, second = SpeciesEnv.standard(), SpeciesEnv.standard()
+    first.bind("Q", One())
+    first.bind("L", X())
+    first.lookup("Ary(7)")
+    assert first.names() == ["Ary(7)", "Comp", "Forest", "L", "Par", "Q", "Sub"]
+    assert second.names() == SpeciesEnv.standard().names() == ["Comp", "Forest", "L", "Par", "Sub"]
+    assert second.lookup("L") == Sum(One(), Prod(X(), Ref("L")))

@@ -123,6 +123,30 @@ def test_structure_json_is_written_and_read_in_structures_only(path):
             )
 
 
+# Each key as a text spells it: "k" with its kind, and every other key with
+# its colon.
+_KINDS = ("unit", "set", "atom", "sum", "prod", "comp")
+_KEYS = ("l", "r", "in", "label", "side", "chi", *_JSON_KEYS)
+
+
+def test_each_structure_key_is_spelled_once():
+    # serialize and the writers of both styles are built from one table of
+    # the format's pieces, so a key spelled twice is a second writer.  Two
+    # keys belong to two kinds each: "in" to a sum and a composition block,
+    # "label" to an atom and a tree's child.  The spaced pieces are derived
+    # from the table, never spelled.
+    strings = [
+        node.value for node in ast.walk(ast.parse((SRC / "structures.py").read_text()))
+        if isinstance(node, ast.Constant) and isinstance(node.value, str)
+    ]
+    spellings = [f'"k":"{kind}"' for kind in _KINDS] + [f'"{key}":' for key in _KEYS]
+    for spelling in spellings:
+        count = sum(text.count(spelling) for text in strings)
+        assert count == (2 if spelling in ('"in":', '"label":') else 1), f"{spelling}: {count}"
+        spaced = spelling.replace(":", ": ")
+        assert not any(spaced in text for text in strings), f"{spaced} is spelled"
+
+
 @pytest.mark.parametrize(
     "path",
     sorted(p for p in SRC.glob("*.py") if p.name != "structures.py"),

@@ -173,7 +173,8 @@ chi_tables = st.lists(
 )
 @settings(max_examples=200, deadline=None)
 def test_chi_key_holds_no_quote_or_backslash(chi):
-    # spaced() finds the canonical text's strings by their quotes alone.
+    # The writers quote a chi key as it is, with no escapes, and the spacing
+    # of the format's pieces (structures._SPACED) never reaches inside it.
     key = chi.key()
     assert '"' not in key and "\\" not in key
     assert json.dumps(key) == '"' + key + '"'
@@ -455,5 +456,44 @@ def test_the_text_fold_writes_serialize_of_the_list_fold_on_random_definitions(d
                 assert outcome(lambda: gen.texts(Ref("A"), labels)) == listed, n
                 if not isinstance(listed, list):
                     return
+    except OverBudget:
+        reject()
+
+
+def _enumerated(definitions: dict, n: int, style: str) -> str:
+    """The stdout of `enumerate --expr A` under the definitions, or its error line."""
+    out, err = io.StringIO(), io.StringIO()
+    argv = [f"--define={name}:={text}" for name, text in definitions.items()]
+    with redirect_stdout(out), redirect_stderr(err):
+        rc = main([*argv, "enumerate", "--expr", "A", "--n", str(n), "--format", style])
+    return out.getvalue() if rc == 0 else err.getvalue()
+
+
+@given(systems)
+@example({"A": "park((A + X), table(1,2,3,4,5,6))"})
+@example({"A": "X+park(A, affine(0,1))"})
+@settings(max_examples=30, deadline=None)
+def test_the_json_listing_is_json_dumps_of_the_jsonl_listing_on_random_definitions(definitions):
+    # The text fold writes both styles, each text element by element equal to
+    # the other re-dumped, or the same error; sorted, the spaced texts come in
+    # the compact order, so the printed listings agree too.
+    env = SpeciesEnv.standard()
+    for name, text in definitions.items():
+        env.bind(name, parse_species(text, env, extra_names=list(definitions)))
+    gen = Generator(env)
+    try:
+        with solve_budget():
+            top = listed_up_to(env, map(env.lookup, definitions))
+            for n in range(top + 1):
+                labels = canonical_labels(n)
+                compact = outcome(lambda: gen.texts(Ref("A"), labels))
+                spaced = outcome(lambda: gen.texts(Ref("A"), labels, spaced=True))
+                if not isinstance(compact, list):
+                    assert spaced == compact, n
+                    return
+                assert spaced == [json.dumps(json.loads(text), sort_keys=True) for text in compact], n
+                assert sorted(spaced) == [json.dumps(json.loads(t), sort_keys=True) for t in sorted(compact)], n
+            listing = [json.loads(line) for line in _enumerated(definitions, top, "jsonl").splitlines()]
+            assert _enumerated(definitions, top, "json") == json.dumps(listing, sort_keys=True) + "\n"
     except OverBudget:
         reject()

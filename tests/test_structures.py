@@ -190,6 +190,33 @@ def test_from_jsonable_rejects_malformed(data):
         from_jsonable(data)
 
 
+@pytest.mark.parametrize(
+    "text",
+    [
+        '{"k":"set","labels":[1,1]}',
+        '{"blocks":[{"in":{"k":"set","labels":[1,2]},"labels":[1,2,1]}],"k":"comp","outer":{"k":"set","labels":[1]}}',
+    ],
+)
+def test_deserialize_rejects_a_repeated_label(text):
+    # Read as a set, the labels would lose the repeat without a word.
+    with pytest.raises(InvalidStructureError, match=re.escape("labels must be distinct, got [1, ")):
+        deserialize(text)
+
+
+def test_an_unrecognized_document_is_echoed_in_part():
+    # A short value is echoed whole; a long one is cut, with a note of the cut.
+    with pytest.raises(InvalidStructureError) as short:
+        from_jsonable({"k": "mystery"})
+    assert str(short.value) == "unrecognized structure JSON: {'k': 'mystery'}"
+    seq = [{"k": "set", "labels": [i]} for i in range(1, 3002)]
+    with pytest.raises(InvalidStructureError) as long:
+        from_jsonable({"k": "park", "chi": "id", "seq": seq})
+    text = repr({"k": "park", "chi": "id", "seq": seq})
+    assert str(long.value) == (
+        f"unrecognized structure JSON: {text[:200]}... ({len(text) - 200} more characters)"
+    )
+
+
 def test_deserialize_rejects_bad_json():
     with pytest.raises(InvalidStructureError):
         deserialize("{not json")
