@@ -32,6 +32,7 @@ from .errors import (
     ParseError,
     SpeciesError,
     UnboundNameError,
+    shown,
 )
 from .expr import SpeciesEnv, expr_to_text
 from .generate import Generator
@@ -135,7 +136,7 @@ def _build_env(defines) -> SpeciesEnv:
     for item in defines:
         name, sep, body = item.partition(":=")
         if not sep:
-            raise ParseError(f"--define needs NAME:=EXPR, got {item!r}", 0)
+            raise ParseError(f"--define needs NAME:=EXPR, got {shown(item)}", 0)
         pairs.append((name.strip(), body.strip()))
     names = [name for name, _ in pairs]
     for name, body in pairs:

@@ -37,7 +37,7 @@ import re
 from collections import namedtuple
 
 from .chi import ChiMap
-from .errors import ParseError, UnboundNameError
+from .errors import ParseError, UnboundNameError, shown
 from .expr import BINARY, PRIMITIVES, Park, Power, Ref, Restrict, SpeciesExpr, Tree
 
 # ASCII only: str.isdigit() would admit "²", which int() rejects, and "١",
@@ -90,7 +90,7 @@ class _Parser:
     def expect(self, kind: str) -> _Token:
         tok = self.next()
         if tok.kind != kind:
-            raise ParseError(f"expected {kind!r}, found {tok.value!r}", tok.pos)
+            raise ParseError(f"expected {kind!r}, found {shown(tok.value)}", tok.pos)
         return tok
 
     def accept(self, kind: str) -> bool:
@@ -103,7 +103,7 @@ class _Parser:
     def expect_end(self, result):
         tok = self.peek()
         if tok.kind != "end":
-            raise ParseError(f"trailing input at {tok.value!r}", tok.pos)
+            raise ParseError(f"trailing input at {shown(tok.value)}", tok.pos)
         return result
 
     def parse_expr(self, level: int = 0) -> SpeciesExpr:
@@ -129,18 +129,18 @@ class _Parser:
         if primitive is not None:
             return primitive()
         if tok.kind == "int":
-            raise ParseError(f"no species literal {tok.value}", tok.pos)
+            raise ParseError(f"no species literal {shown(tok.value)}", tok.pos)
         if tok.kind == "name":
             if self.peek().kind == "(":
                 return self.parse_call(tok.value, tok.pos)
             if tok.value not in self.extra_names and not self.env.knows(tok.value):
-                raise UnboundNameError(f"species {tok.value!r} is not defined")
+                raise UnboundNameError(f"species {shown(tok.value)} is not defined")
             return Ref(tok.value)
-        raise ParseError(f"expected a species, found {tok.value!r}", tok.pos)
+        raise ParseError(f"expected a species, found {shown(tok.value)}", tok.pos)
 
     def parse_call(self, name: str, pos: int) -> SpeciesExpr:
         if name not in ("Ary", "park", "tree", "restrict"):
-            raise ParseError(f"{name!r} does not take arguments", pos)
+            raise ParseError(f"{shown(name)} does not take arguments", pos)
         self.expect("(")
         if name == "Ary":
             k = self.expect("int").value
@@ -164,7 +164,7 @@ class _Parser:
         if tok.value == "id":
             return ChiMap.identity()
         if tok.value not in ("affine", "table"):
-            raise ParseError(f"unknown chi {tok.value!r}", tok.pos)
+            raise ParseError(f"unknown chi {shown(tok.value)}", tok.pos)
         self.expect("(")
         if tok.value == "affine":
             values = [self.parse_signed_int()]

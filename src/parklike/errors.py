@@ -2,7 +2,15 @@
 
 Every error raised by the library derives from SpeciesError.  The CLI maps
 ParseError/UnboundNameError to exit code 2 and everything else to exit 1.
+An error text shows an input it echoes through shown(), so no error line
+echoes an input whole.
 """
+
+
+def shown(value, limit: int = 200) -> str:
+    """value's repr, cut after limit characters."""
+    text = repr(value)
+    return text if len(text) <= limit else f"{text[:limit]}... ({len(text) - limit} more characters)"
 
 
 class SpeciesError(Exception):

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import re
 
-from .errors import SpeciesError, UnboundNameError
+from .errors import SpeciesError, UnboundNameError, shown
 from .frozen import Keyed
 
 
@@ -136,7 +136,7 @@ class SpeciesEnv:
         if name in PRIMITIVE_TOKENS:
             raise SpeciesError(f"cannot shadow primitive token {name!r}")
         if not _NAME.match(name):
-            raise SpeciesError(f"invalid species name {name!r}")
+            raise SpeciesError(f"invalid species name {shown(name)}")
         self._bindings[name] = expr
 
     def lookup(self, name: str) -> SpeciesExpr:

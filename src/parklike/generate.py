@@ -17,25 +17,28 @@ the text's style, structures.WRITERS), which the count fold ignores.
 
 The fold supplies the walk a rule makes over its labels (subsets, set
 partitions, assignments of labels to tree heads) as (part, multiplicity)
-pairs.  The list and text folds walk every part once, and memoize their
-results per (expression, label set), building every label set from their
-results on the subsets: in the list fold equal substructures are one shared
-object, and a list costs one new top-level node per structure.  A b^k is
-made from chains (first factor, chain of the other k - 1): its rounds b^j,
-j < k, are built upward on every subset as chains, which copy nothing per
-round, and a power's structure or text, or a parking head's slots, is made
-once from its chain.  The Park rule memoizes slot sequences on the smaller
-label sets (plain tuples, or chains of the heads' slot texts) and makes each
-parking-like value straight from its heads and tails.  A count depends on
-the sizes of the parts only (species are functors on bijections), so the
-count fold memoizes per (expression, label count) and walks one part per
-pattern of part sizes, weighted by the number of parts that share it, in the
-order the list fold's walk first meets that pattern.  So each sub-expression
-and size is folded where the list fold first meets it, and a factor is empty
-exactly when its count is 0, so the first chi read, error and fixed-point
-solve of every sub-expression and size come in the same order in all three
-folds, and with them the same error.  One shifted chi map per (value,
-origin) serves all folds, so their lookups hit by identity.
+pairs; a label set's subsets come as (part, rest, weight) triples, listed
+once per fold and label set, each set one interned object.  The list and text
+folds walk every part once, and memoize their results per (expression, label
+set), building every label set from their results on the subsets: in the
+list fold equal substructures are one shared object, and a list costs one
+new top-level node per structure.  A b^k is made from chains (first factor,
+chain of the other k - 1): its rounds b^j, j < k, are built upward on every
+subset as chains, which copy nothing per round, and a power's structure or
+text, or a parking head's slots, is made once from its chain.  A slot
+sequence is a flat tuple of slots, or of slot texts.  The Park rule memoizes
+the sequences below its tails, folds its tails per head set without keeping
+them, and makes each parking-like value straight from its heads and tails.  A
+count depends on the sizes of the parts only (species are functors on
+bijections), so the count fold memoizes per (expression, label count) and
+walks one part per pattern of part sizes, weighted by the number of parts
+that share it, in the order the list fold's walk first meets that
+pattern.  So each sub-expression and size is folded where the list fold first
+meets it, and a factor is empty exactly when its count is 0, so the first
+chi read, error and fixed-point solve of every sub-expression and size come
+in the same order in all three folds, and with them the same error.  Each
+shift of a chi map is made once per Generator, and one shifted map per
+(value, origin) serves all folds, so their lookups hit by identity.
 
 A Ref is solved by fixed point: on n labels, iterate its body from the empty
 result (no structure, count 0) until it stabilizes, erroring after n + 2
@@ -182,15 +185,16 @@ class Generator:
     """Structure generator and counter over a fixed environment.
 
     The environment must not be mutated once generation has started; cache
-    entries are keyed by expression only.  ``memoize=False`` disables all
-    caching (slower, used to exercise the raw recursion in tests).  The count
-    and text folds are made on first use: membership's Generators make
-    neither.
+    entries are keyed by expression only.  ``memoize=False`` disables every
+    result cache (slower, used to exercise the raw recursion in tests); the
+    subset walks and shifted chi maps are still kept, and hold label sets and
+    maps only.  The count and text folds are made on first use: membership's
+    Generators make neither.
     """
 
     def __init__(self, env: SpeciesEnv | None = None, *, memoize: bool = True):
         self.env = env if env is not None else SpeciesEnv.standard()
-        self._maps = {}  # shifted chi maps, shared by the folds (_Fold.shift)
+        self._maps = {}  # shifted chi maps, shared by the folds: see _Fold.shift
         self._lists = _Fold(self.env, _listing, _STRUCTURES, memoize, self._maps)
 
     @cached_property
@@ -316,10 +320,12 @@ class _Fold:
             walks = len, _size_subsets, _size_partitions, _size_shares
         else:
             walks = _same, _label_subsets, _label_partitions, _label_shares
-        self.labels_key, self.subsets, self.partitions, self.shares = walks
+        self.labels_key, self._subsets, self.partitions, self.shares = walks
         self.memo = Memo(memoize)
         self.cache = self.memo.cache
         self._maps = maps
+        self._walks = {}  # label set -> its subset walk; see subsets
+        self._sets = {}  # the one object of each label set a walk gave
 
     def __call__(self, expr, labels: frozenset):
         key = (expr, self.labels_key(labels))
@@ -343,12 +349,29 @@ class _Fold:
         reads_before = self.memo.reads
         return self.memo.store(key, self.combine(rule(self, *args)), reads_before)
 
+    def subsets(self, labels: frozenset) -> list:
+        """The walk of labels' subsets as (part, rest, weight) triples, rest
+        the labels not in part, listed once per label set and kept even
+        without memoizing.  Parts and rests are interned: one object per
+        set, hashed once, so the memo's lookups on them hit by identity."""
+        walk = self._walks.get(labels)
+        if walk is None:
+            one = self._sets.setdefault
+            walk = self._walks[labels] = [(one(part, part), one(labels - part, labels - part), weight)
+                                          for part, weight in self._subsets(labels)]
+        return walk
+
     def shift(self, chi, n: int):
-        """The one map equal to chi.shift(n) of this Generator, found by its
-        value and origin, so no two equal maps key the memo and an exhausted
-        table is named by its own origin."""
-        shifted = chi.shift(n)
-        return self._maps.setdefault((shifted.key(), shifted.origin), shifted)
+        """The one map equal to chi.shift(n) of this Generator, looked up by
+        chi's value and origin and n, and made on the first request only:
+        no two equal maps key the memo, and an exhausted table is named by
+        its own origin."""
+        key = (chi, chi.origin, n)
+        shifted = self._maps.get(key)
+        if shifted is None:
+            shifted = chi.shift(n)
+            shifted = self._maps[key] = self._maps.setdefault((shifted.key(), shifted.origin), shifted)
+        return shifted
 
 
 # -- rules, one per node type (see _RULES): each yields terms ------------------
@@ -361,10 +384,10 @@ def _check_admissible(fold, expr: Compose) -> None:
 
 
 def _prod(fold, left, right, labels: frozenset):
-    for part, weight in fold.subsets(labels):
+    for part, rest, weight in fold.subsets(labels):
         lefts = fold(left, part)
         if lefts:
-            yield fold.makes.prod, [lefts, fold(right, labels - part)], weight
+            yield fold.makes.prod, [lefts, fold(right, rest)], weight
 
 
 def _round(fold, base, j: int, labels: frozenset):
@@ -373,20 +396,20 @@ def _round(fold, base, j: int, labels: frozenset):
     if j == 0:
         yield from _RULES[One](fold, None, labels)
         return
-    for part, weight in fold.subsets(labels):
+    for part, rest, weight in fold.subsets(labels):
         firsts = fold(base, part)
         if firsts:
-            yield fold.makes.link, [firsts, fold.memoized(_round, base, j - 1, labels - part)], weight
+            yield fold.makes.link, [firsts, fold.memoized(_round, base, j - 1, rest)], weight
 
 
 def _rounds(fold, base, k: int, labels: frozenset):
     """Round k of b on labels, every round j < k built upward beforehand on
     every subset of labels (one per size, in the count fold): a loop, not
     recursion, so exponents in the thousands stay within the interpreter's
-    recursion limit, and round j + 1 finds round j cached."""
-    parts = [part for part, _weight in fold.subsets(labels)]
+    recursion limit, and round j + 1 finds round j cached.  Below k = 2
+    there is no round to build beforehand, and no walk is made."""
     for j in range(1, k):
-        for part in parts:
+        for part, _rest, _weight in fold.subsets(labels):
             fold.memoized(_round, base, j, part)
     return fold.memoized(_round, base, k, labels)
 
@@ -421,33 +444,37 @@ def _heads(fold, base, k: int, labels: frozenset):
     yield fold.makes.slots, [_rounds(fold, base, k, labels)], 1
 
 
-def _sequences(fold, base, chi, labels: frozenset):
+def _sequences(fold, base, chi, labels: frozenset, kept=True):
     """The slot sequences of park(base, chi) on labels, by slot peeling:
     the first chi(1) slots are a power structure on a non-empty subset of
     n labels (or on nothing, when labels is empty), and the rest a slot
-    sequence on the other labels for rho_n(m) = chi(n+m) - chi(1)."""
+    sequence on the other labels for rho_n(m) = chi(n+m) - chi(1), folded
+    for this call only unless kept."""
     k = chi(1)
     if not labels:
         yield _same, [fold.memoized(_heads, base, k, labels)], 1
         return
     n = 0
-    for first, weight in islice(fold.subsets(labels), 1, None):  # non-empty, by size
+    for first, rest, weight in islice(fold.subsets(labels), 1, None):  # non-empty, by size
         heads = fold.memoized(_heads, base, k, first)
         if not heads:
             continue
         if len(first) > n:  # shifted once some head exists, as series slot peeling does
             n = len(first)
             shifted = fold.shift(chi, n)
-        tails = fold.memoized(_sequences, base, shifted, labels - first)
+        tails = (fold.memoized(_sequences, base, shifted, rest) if kept
+                 else fold.combine(_sequences(fold, base, shifted, rest)))
         if tails:
             yield fold.makes.sequence, [heads, tails], weight
 
 
 def _park(fold, expr: Park, labels: frozenset):
     """The slot sequences' terms, each made a parking-like structure straight
-    from its heads and tails: the sequences on labels are not kept."""
+    from its heads and tails.  Neither the sequences on labels nor their
+    tails' are kept: with an affine chi, a tail's (labels, shifted map) is
+    reached from this label set only, so its sequences would be read once."""
     make = fold.makes.park(expr.chi)
-    for _make, factors, weight in _sequences(fold, expr.base, expr.chi, labels):
+    for _make, factors, weight in _sequences(fold, expr.base, expr.chi, labels, False):
         yield make, factors, weight
 
 
@@ -455,12 +482,12 @@ def _tree(fold, expr: Tree, labels: frozenset):
     """Tree-like structures, T = base(X * T): the head set W, the assignment
     of the other labels to heads, the subtrees on each head's share, and the
     base structure on W, which varies fastest."""
-    for heads, weight in fold.subsets(labels):
+    for heads, rest, weight in fold.subsets(labels):
         roots = fold(expr.base, heads)
         if not roots:
             continue
         pairs = fold.makes.children(sorted(heads))
-        for shares, ways in fold.shares(len(heads), sorted(labels - heads)):
+        for shares, ways in fold.shares(len(heads), sorted(rest)):
             subtrees = [fold(expr, share) for share in shares]
             if all(subtrees):
                 children = fold.combine([(pairs, subtrees, 1)])

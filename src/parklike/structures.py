@@ -54,7 +54,7 @@ from types import SimpleNamespace
 
 from .chi import ChiMap
 from .dsl import parse_chi_text
-from .errors import InvalidStructureError, ParseError, SpeciesError
+from .errors import InvalidStructureError, ParseError, SpeciesError, shown
 from .frozen import Frozen
 
 _EMPTY = frozenset()
@@ -310,10 +310,11 @@ _SPACED = {
 def _writers(p: dict) -> SimpleNamespace:
     """The writers of the style of the pieces p, the makes of generate.py's
     text fold: each writes, from the texts of the parts, the text of the
-    value the list fold makes of them.  The factors of a power and the heads
-    of a slot sequence come as chains, (first text, chain of the others), so
-    a text is joined once.  text is serialize's table: per structure type, a
-    value's pieces and the parts whose texts go between them."""
+    value the list fold makes of them.  The factors of a power come as
+    chains, (first text, chain of the others), so a power's text is joined
+    once; a slot sequence is a flat tuple of slot texts, as in the list fold.
+    text is serialize's table: per structure type, a value's pieces and the
+    parts whose texts go between them."""
     (sep,), (l0, l1), (unit,), (s0, s1), (a0, a1) = p[","], p["labels"], p["unit"], p["set"], p["atom"]
     (u0, u1, u2), (p0, p1, p2), (c0, c1, c2), (b0, b1) = p["sum"], p["prod"], p["comp"], p["block"]
     (k0, k1, k2), (t0, t1, t2), (h0, h1, h2) = p["park"], p["tree"], p["child"]
@@ -335,31 +336,19 @@ def _writers(p: dict) -> SimpleNamespace:
         pieces += (chain, p2 * (len(pieces) // 3))
         return "".join(pieces)
 
-    def slots(chain) -> str:
-        """The texts of a chain's factors, as the slots of a parking-like text."""
-        pieces = []
+    def slots(chain) -> tuple:
+        """The texts of a chain's factors, as a slot sequence."""
+        texts = []
         while type(chain) is tuple:
             left, chain = chain
-            pieces.append(left)
-        return sep.join(pieces)
+            texts.append(left)
+        return tuple(texts)
 
     def park(chi):
-        """The writer of park(., chi)'s texts: from the first heads' slots and
-        the tails' sequence, a chain of the later heads' slots that ends in
-        the slots on no labels (which may be none), or from the first heads
-        alone."""
+        """The writer of park(., chi)'s texts from the slot texts of the first
+        heads and of the tails."""
         start = head(chi)
-
-        def make(heads: str, tails="") -> str:
-            slots = [heads]
-            while type(tails) is tuple:
-                heads, tails = tails
-                slots.append(heads)
-            if tails:
-                slots.append(tails)
-            return f"{start}{sep.join(slots)}{k2}"
-
-        return make
+        return lambda heads, tails=(): f"{start}{sep.join(heads + tails)}{k2}"
 
     def blocks(sets):
         """The writer of the blocks from the inner texts on sets, sorted by minimum."""
@@ -398,7 +387,7 @@ def _writers(p: dict) -> SimpleNamespace:
         prod=lambda left, right: f"{p0}{left}{p1}{right}{p2}",
         compose=lambda outer, blocks: f"{c0}{blocks}{c1}{outer}{c2}",
         tree=lambda children, root: f"{t0}{children}{t1}{root}{t2}",
-        link=_pair, sequence=_pair, power=power, slots=slots, park=park, blocks=blocks,
+        link=_pair, sequence=tuple.__add__, power=power, slots=slots, park=park, blocks=blocks,
         children=children,
     )
     w.text = {
@@ -480,16 +469,16 @@ def from_jsonable(data) -> "Structure":
                 return _tree_from_jsonable(data)
     except (KeyError, TypeError) as exc:
         raise InvalidStructureError(f"malformed structure JSON: {exc}") from exc
-    raise InvalidStructureError(f"unrecognized structure JSON: {_shown(data)}")
+    raise InvalidStructureError(f"unrecognized structure JSON: {shown(data)}")
 
 
 def _chi(text) -> ChiMap:
     if not isinstance(text, str):
-        raise InvalidStructureError(f"not a chi map: {_shown(text)}")
+        raise InvalidStructureError(f"not a chi map: {shown(text)}")
     try:
         return parse_chi_text(text)
     except ParseError as exc:
-        raise InvalidStructureError(f"not a chi map: {_shown(text)}: {exc}") from exc
+        raise InvalidStructureError(f"not a chi map: {shown(text)}: {exc}") from exc
 
 
 def _tree_from_jsonable(data) -> TreeLike:
@@ -507,21 +496,15 @@ def _tree_from_jsonable(data) -> TreeLike:
 
 def _label(value) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
-        raise InvalidStructureError(f"labels must be integers, got {_shown(value)}")
+        raise InvalidStructureError(f"labels must be integers, got {shown(value)}")
     return value
 
 
 def _labels(values) -> frozenset:
     labels = frozenset(map(_label, values))
     if len(labels) != len(values):
-        raise InvalidStructureError(f"labels must be distinct, got {_shown(values)}")
+        raise InvalidStructureError(f"labels must be distinct, got {shown(values)}")
     return labels
-
-
-def _shown(value, limit: int = 200) -> str:
-    """value's repr, cut after limit characters: no error line echoes a document whole."""
-    text = repr(value)
-    return text if len(text) <= limit else f"{text[:limit]}... ({len(text) - limit} more characters)"
 
 
 def deserialize(text: str) -> "Structure":

@@ -131,9 +131,9 @@ def test_enumerate_json_bytes_are_pinned(capsys, expr, n, digest):
 
 
 def test_enumerate_json_listing_peak_memory_is_within_five_times_the_output(capsys):
-    # The 200 structures' sorted canonical lines, the spaced line being
-    # printed, and the captured 2.1 MB output (which a real stdout does not
-    # keep) take about 3.4 times the output.
+    # The 200 structures' lines, written spaced by the text fold and sorted,
+    # and the captured 2.1 MB output (which a real stdout does not keep)
+    # take about 2.1 times the output.
     tracemalloc.start()
     try:
         rc, out = run(capsys, ["enumerate", "--expr", "E^200", "--n", "1", "--format", "json"])
@@ -247,6 +247,47 @@ def test_define_cannot_shadow_primitives(capsys):
 def test_define_requires_walrus(capsys):
     rc, _ = run(capsys, ["count", "--expr", "E", "--n", "1", "--define", "A=X"])
     assert rc == 2
+
+
+LONG = "A" * 100_000
+
+
+@pytest.mark.parametrize(
+    "argv, rc, start",
+    [
+        (["--define", LONG, "count", "--expr", "X", "--n", "1"], 2, "error: --define needs NAME:=EXPR, got 'AAA"),
+        (["count", "--expr", LONG, "--n", "1"], 2, "error: species 'AAA"),
+        (["count", "--expr", f"X {LONG}", "--n", "1"], 2, "error: trailing input at 'AAA"),
+        (["count", "--expr", f"(X {LONG}", "--n", "1"], 2, "error: expected ')', found 'AAA"),
+        (["count", "--expr", f"park(X, {LONG})", "--n", "1"], 2, "error: unknown chi 'AAA"),
+        (["count", "--expr", f"{LONG}(X)", "--n", "1"], 2, "error: 'AAA"),
+        (["count", "--expr", "9" * 4000, "--n", "1"], 2, "error: no species literal 999"),
+        (["--define", f"A-{LONG}:=X", "count", "--expr", "X", "--n", "1"], 1, "error: invalid species name 'A-AAA"),
+    ],
+)
+def test_an_echoed_token_is_cut_in_the_error_line(capsys, argv, rc, start):
+    # Each error line names the start of the long flag or token, not all of it.
+    assert main(argv) == rc
+    captured = capsys.readouterr()
+    (line,) = captured.err.splitlines()
+    assert captured.out == "" and line.startswith(start)
+    assert len(line.encode()) < 300 and " more characters)" in line
+
+
+@pytest.mark.parametrize(
+    "argv, rc, err",
+    [
+        (["--define", "A=X", "count", "--expr", "X", "--n", "1"], 2,
+         "error: --define needs NAME:=EXPR, got 'A=X' (at position 0)"),
+        (["count", "--expr", "Q", "--n", "1"], 2, "error: species 'Q' is not defined"),
+        (["count", "--expr", "X Q", "--n", "1"], 2, "error: trailing input at 'Q' (at position 2)"),
+        (["count", "--expr", "park(X, f)", "--n", "1"], 2, "error: unknown chi 'f' (at position 8)"),
+        (["--define", "A-B:=X", "count", "--expr", "X", "--n", "1"], 1, "error: invalid species name 'A-B'"),
+    ],
+)
+def test_a_short_echoed_token_is_shown_whole(capsys, argv, rc, err):
+    assert main(argv) == rc
+    assert capsys.readouterr().err == err + "\n"
 
 
 def test_budget_default_blocks_large_n(capsys):

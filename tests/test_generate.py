@@ -1,6 +1,10 @@
 import gc
+import io
+import json
+import re
+import tracemalloc
 from collections import Counter
-from contextlib import contextmanager
+from contextlib import contextmanager, redirect_stdout
 from math import comb
 
 import pytest
@@ -16,7 +20,9 @@ from parklike import (
     validate_parking,
     validate_tree,
 )
+from parklike.cli import main
 from parklike.errors import (
+    ChiTableExhaustedError,
     DivergentRecursionError,
     InadmissibleCompositionError,
     SpeciesError,
@@ -637,3 +643,136 @@ def test_counting_meets_each_size_where_listing_first_meets_it(
     counted = first_meetings(monkeypatch, lambda: Generator(env).count(expr, n))
     written = first_meetings(monkeypatch, lambda: Generator(env).texts(expr, canonical_labels(n)))
     assert counted == listed and written == listed
+
+
+# -- the subset walks and shifted maps, made once per fold ----------------------
+
+
+@pytest.mark.parametrize("text", ["park(E)", "tree(Sub)"])
+@pytest.mark.parametrize("method", ["texts", "raw", "count"])
+def test_each_label_set_is_walked_once_per_fold(env, monkeypatch, text, method):
+    # Every rule reads a label set's subsets from the fold's walk of it; the
+    # walk is made on the first request only, also without memoizing.
+    walked = Counter()
+
+    def counted(walk):
+        def walk_once(labels):
+            walked[labels] += 1
+            return walk(labels)
+        return walk_once
+
+    monkeypatch.setattr("parklike.generate._label_subsets", counted(_label_subsets))
+    monkeypatch.setattr("parklike.generate._size_subsets", counted(_size_subsets))
+    expr = parse_species(text, env)
+    for memoize in (True, False):
+        walked.clear()
+        gen = Generator(env, memoize=memoize)
+        arg = 5 if method == "count" else canonical_labels(5 if memoize else 4)
+        getattr(gen, method)(expr, arg)
+        assert walked and max(walked.values()) == 1, walked.most_common(1)
+
+
+def test_a_walk_holds_one_object_per_subset(env):
+    gen = Generator(env)
+    gen.raw(parse_species("park(E)*tree(Sub)", env), canonical_labels(5))
+    fold = gen._lists
+    sets = {}
+    for labels, walk in fold._walks.items():
+        assert fold.subsets(labels) is walk
+        assert [(part, weight) for part, _rest, weight in walk] == list(_label_subsets(labels))
+        for part, rest, _weight in walk:
+            assert rest == labels - part
+            assert sets.setdefault(part, part) is part and sets.setdefault(rest, rest) is rest
+    assert len(sets) == 2**5
+
+
+def test_a_repeated_shift_builds_no_map(env, monkeypatch):
+    # Looked up by the map's value and origin and the shift: an equal map,
+    # or another fold of the same Generator, gets the same object.
+    gen = Generator(env)
+    table = ChiMap.from_table((1, 2, 4, 5, 7))
+    shifted = gen._lists.shift(table, 2)
+    assert shifted == table.shift(2) and shifted.origin == (table, 2)
+    built = []
+    init = ChiMap.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(args)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(ChiMap, "__init__", counted)
+    equal = ChiMap("table", table=(1, 2, 4, 5, 7))
+    built.clear()
+    for fold in (gen._lists, gen._counts, gen._texts[False]):
+        assert fold.shift(table, 2) is shifted and fold.shift(equal, 2) is shifted
+    assert built == []
+
+
+def test_equal_shifted_tables_name_their_own_table(env):
+    # table(1,2,3,4,5) shifted by 1 equals table(1,2,3,4); each, shifted and
+    # run out, names the table that was written, in either order of asking.
+    gen = Generator(env)
+    long, short = ChiMap.from_table((1, 2, 3, 4, 5)), ChiMap.from_table((1, 2, 3, 4))
+    peeled = gen._lists.shift(long, 1)
+    assert peeled == short and peeled.origin == (long, 1)
+    from_short, from_peeled = gen._lists.shift(short, 3), gen._lists.shift(peeled, 3)
+    assert from_short == from_peeled and from_short is not from_peeled
+    with pytest.raises(ChiTableExhaustedError, match=r"^chi table\(1,2,3,4\) has 4 entries, needed chi\(5\)$"):
+        from_short(2)
+    with pytest.raises(ChiTableExhaustedError, match=r"^chi table\(1,2,3,4,5\) has 5 entries, needed chi\(6\)$"):
+        from_peeled(2)
+    for fold in (gen._counts, gen._texts[True]):
+        assert fold.shift(peeled, 3) is from_peeled and fold.shift(short, 3) is from_short
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "park(E)",
+        "park(L, affine(2,0))",
+        "park(E, affine(1,-1))",  # chi(1) = 0: heads with no slot
+        "park(E+, affine(0,1))",
+        "park(Par, table(0,1,1,3,4))",
+        "park(E, table(1,1,2,2,3))",  # tails whose shifted map has no first slot
+        "park(X + E^2, table(2,2,3,5,6,8))",
+        "park(E, table(1,2))",  # runs out
+    ],
+)
+def test_park_texts_are_serialize_of_the_listing_in_order(env, text):
+    expr = parse_species(text, env)
+    for n in range(5):
+        labels = canonical_labels(n)
+        try:
+            listed = [serialize(s) for s in Generator(env).raw(expr, labels)]
+        except SpeciesError as error:
+            with pytest.raises(type(error), match=f"^{re.escape(str(error))}$"):
+                Generator(env).texts(expr, labels)
+            continue
+        assert Generator(env).texts(expr, labels) == listed, n
+        spaced = Generator(env).texts(expr, labels, spaced=True)
+        assert spaced == [json.dumps(json.loads(line), sort_keys=True) for line in listed], n
+
+
+class _Counted(io.TextIOBase):
+    """A stdout that counts what is written and keeps none of it."""
+
+    written = 0
+
+    def write(self, text: str) -> int:
+        self.written += len(text)
+        return len(text)
+
+
+def test_park_listing_peak_memory_is_within_twice_the_output():
+    # The 16,807 lines (3.3 MB), their sorted copy and the memo on the
+    # smaller label sets: park's own tails are folded per head, not kept.
+    out = _Counted()
+    tracemalloc.start()
+    try:
+        with redirect_stdout(out):
+            rc = main(["enumerate", "--expr", "park(E)", "--n", "6", "--format", "jsonl"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rc == 0 and out.written == 3_307_214
+    assert peak < 2 * out.written, peak / out.written

@@ -355,14 +355,18 @@ def test_generation_and_series_agree_on_random_definitions(definitions):
     except SpeciesError as error:
         counts, failure = None, type(error)
     gen = Generator(env)
-    for n in range(listed_up_to(env, map(env.lookup, definitions)) + 1):
-        try:
-            count = gen.count(Ref("A"), n)
-        except SpeciesError as error:
-            assert counts is None and failure is type(error), n
-            return
-        if counts is not None:
-            assert count == counts[n], n
+    try:
+        with solve_budget():
+            for n in range(listed_up_to(env, map(env.lookup, definitions)) + 1):
+                try:
+                    count = gen.count(Ref("A"), n)
+                except SpeciesError as error:
+                    assert counts is None and failure is type(error), n
+                    return
+                if counts is not None:
+                    assert count == counts[n], n
+    except OverBudget:
+        reject()
 
 
 def outcome(route):
