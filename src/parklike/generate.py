@@ -17,28 +17,28 @@ the text's style, structures.WRITERS), which the count fold ignores.
 
 The fold supplies the walk a rule makes over its labels (subsets, set
 partitions, assignments of labels to tree heads) as (part, multiplicity)
-pairs; a label set's subsets come as (part, rest, weight) triples, listed
-once per fold and label set, each set one interned object.  The list and text
-folds walk every part once, and memoize their results per (expression, label
-set), building every label set from their results on the subsets: in the
-list fold equal substructures are one shared object, and a list costs one
-new top-level node per structure.  A b^k is made from chains (first factor,
-chain of the other k - 1): its rounds b^j, j < k, are built upward on every
-subset as chains, which copy nothing per round, and a power's structure or
-text, or a parking head's slots, is made once from its chain.  A slot
-sequence is a flat tuple of slots, or of slot texts.  The Park rule memoizes
-the sequences below its tails, folds its tails per head set without keeping
-them, and makes each parking-like value straight from its heads and tails.  A
+pairs, and subsets as (part, rest, multiplicity) triples, rest the labels
+not in part; a walk is made on each call and dropped when its rule is done.
+The list and text folds walk every part once, and memoize their results per
+(expression, label set), building every label set from their results on the
+subsets: in the list fold equal substructures are one shared object, and a
+list costs one new top-level node per structure.  A b^k is made from chains
+(first factor, chain of the other k - 1): its rounds b^j, j < k, are built
+upward on every subset as chains, which copy nothing per round, and a
+power's structure or text, or a parking head's slots, is made once from its
+chain.  A slot sequence is a flat tuple of slots, or of slot texts.  The Park
+rule makes each parking-like value straight from its heads and tails, and
+memoizes its tails' sequences unless the park is the request (see _park).  A
 count depends on the sizes of the parts only (species are functors on
 bijections), so the count fold memoizes per (expression, label count) and
 walks one part per pattern of part sizes, weighted by the number of parts
-that share it, in the order the list fold's walk first meets that
-pattern.  So each sub-expression and size is folded where the list fold first
-meets it, and a factor is empty exactly when its count is 0, so the first
-chi read, error and fixed-point solve of every sub-expression and size come
-in the same order in all three folds, and with them the same error.  Each
-shift of a chi map is made once per Generator, and one shifted map per
-(value, origin) serves all folds, so their lookups hit by identity.
+that share it, in the order the list fold's walk first meets that pattern.
+So each sub-expression and size is folded where the list fold first meets
+it, and a factor is empty exactly when its count is 0, so the first chi
+read, error and fixed-point solve of every sub-expression and size come in
+the same order in all three folds, and with them the same error.  Each shift
+of a chi map is made once per Generator, and one shifted map per (value,
+origin) serves all folds, so their lookups hit by identity.
 
 A Ref is solved by fixed point: on n labels, iterate its body from the empty
 result (no structure, count 0) until it stabilizes, erroring after n + 2
@@ -113,6 +113,13 @@ def _label_subsets(labels):
     return zip(iter_subsets(labels), repeat(1))
 
 
+def _label_splits(labels):
+    """_label_subsets as (part, rest, 1), rest the labels not in part: the
+    i-th subset from the end, so no difference is built."""
+    parts = [part for part, _one in _label_subsets(labels)]
+    return zip(parts, reversed(parts), repeat(1))
+
+
 def _label_partitions(labels):
     return zip(iter_set_partitions(labels), repeat(1))
 
@@ -131,6 +138,11 @@ def _size_subsets(labels):
     """The first k sorted labels for each size k, in C(n, k) subsets."""
     items = sorted(labels)
     return ((frozenset(items[:k]), comb(len(items), k)) for k in range(len(items) + 1))
+
+
+def _size_splits(labels):
+    """_size_subsets as (part, rest, weight), rest the labels not in part."""
+    return ((part, labels - part, weight) for part, weight in _size_subsets(labels))
 
 
 def _size_partitions(labels):
@@ -187,9 +199,8 @@ class Generator:
     The environment must not be mutated once generation has started; cache
     entries are keyed by expression only.  ``memoize=False`` disables every
     result cache (slower, used to exercise the raw recursion in tests); the
-    subset walks and shifted chi maps are still kept, and hold label sets and
-    maps only.  The count and text folds are made on first use: membership's
-    Generators make neither.
+    shifted chi maps are still kept.  The count and text folds are made on
+    first use: membership's Generators make neither.
     """
 
     def __init__(self, env: SpeciesEnv | None = None, *, memoize: bool = True):
@@ -237,9 +248,11 @@ class Generator:
 
 
 def _paused(fold, expr, labels: frozenset):
-    """fold(expr, labels) with the cyclic collector paused; see the module doc."""
+    """fold(expr, labels), the request fold.root, with the cyclic collector
+    paused; see the module doc."""
     enabled = gc.isenabled()
     gc.disable()
+    fold.root = expr, labels
     try:
         return fold(expr, labels)
     finally:
@@ -317,15 +330,14 @@ class _Fold:
         # one part per size pattern; the list and text folds key by labels,
         # and walk all.
         if combine is _counting:
-            walks = len, _size_subsets, _size_partitions, _size_shares
+            walks = len, _size_splits, _size_partitions, _size_shares
         else:
-            walks = _same, _label_subsets, _label_partitions, _label_shares
-        self.labels_key, self._subsets, self.partitions, self.shares = walks
+            walks = _same, _label_splits, _label_partitions, _label_shares
+        self.labels_key, self.subsets, self.partitions, self.shares = walks
         self.memo = Memo(memoize)
         self.cache = self.memo.cache
         self._maps = maps
-        self._walks = {}  # label set -> its subset walk; see subsets
-        self._sets = {}  # the one object of each label set a walk gave
+        self.root = None  # the (expression, labels) of the request being folded
 
     def __call__(self, expr, labels: frozenset):
         key = (expr, self.labels_key(labels))
@@ -349,23 +361,10 @@ class _Fold:
         reads_before = self.memo.reads
         return self.memo.store(key, self.combine(rule(self, *args)), reads_before)
 
-    def subsets(self, labels: frozenset) -> list:
-        """The walk of labels' subsets as (part, rest, weight) triples, rest
-        the labels not in part, listed once per label set and kept even
-        without memoizing.  Parts and rests are interned: one object per
-        set, hashed once, so the memo's lookups on them hit by identity."""
-        walk = self._walks.get(labels)
-        if walk is None:
-            one = self._sets.setdefault
-            walk = self._walks[labels] = [(one(part, part), one(labels - part, labels - part), weight)
-                                          for part, weight in self._subsets(labels)]
-        return walk
-
     def shift(self, chi, n: int):
-        """The one map equal to chi.shift(n) of this Generator, looked up by
-        chi's value and origin and n, and made on the first request only:
-        no two equal maps key the memo, and an exhausted table is named by
-        its own origin."""
+        """The one map equal to chi.shift(n) of this Generator, made once per
+        (chi's value, chi's origin, n): no two equal maps key the memo, and
+        an exhausted table is named by its own origin."""
         key = (chi, chi.origin, n)
         shifted = self._maps.get(key)
         if shifted is None:
@@ -408,8 +407,9 @@ def _rounds(fold, base, k: int, labels: frozenset):
     recursion, so exponents in the thousands stay within the interpreter's
     recursion limit, and round j + 1 finds round j cached.  Below k = 2
     there is no round to build beforehand, and no walk is made."""
+    parts = [part for part, _rest, _weight in fold.subsets(labels)] if k > 1 else ()
     for j in range(1, k):
-        for part, _rest, _weight in fold.subsets(labels):
+        for part in parts:
             fold.memoized(_round, base, j, part)
     return fold.memoized(_round, base, k, labels)
 
@@ -448,8 +448,8 @@ def _sequences(fold, base, chi, labels: frozenset, kept=True):
     """The slot sequences of park(base, chi) on labels, by slot peeling:
     the first chi(1) slots are a power structure on a non-empty subset of
     n labels (or on nothing, when labels is empty), and the rest a slot
-    sequence on the other labels for rho_n(m) = chi(n+m) - chi(1), folded
-    for this call only unless kept."""
+    sequence on the other labels for rho_n(m) = chi(n+m) - chi(1), memoized
+    if kept and otherwise folded for this call only."""
     k = chi(1)
     if not labels:
         yield _same, [fold.memoized(_heads, base, k, labels)], 1
@@ -470,11 +470,12 @@ def _sequences(fold, base, chi, labels: frozenset, kept=True):
 
 def _park(fold, expr: Park, labels: frozenset):
     """The slot sequences' terms, each made a parking-like structure straight
-    from its heads and tails.  Neither the sequences on labels nor their
-    tails' are kept: with an affine chi, a tail's (labels, shifted map) is
-    reached from this label set only, so its sequences would be read once."""
+    from its heads and tails; the sequences on labels are not kept.  Nor are
+    their tails' if the park is the request, folded on this label set only,
+    where each tail is reached once; parks inside a request share tails."""
     make = fold.makes.park(expr.chi)
-    for _make, factors, weight in _sequences(fold, expr.base, expr.chi, labels, False):
+    kept = fold.root != (expr, labels)
+    for _make, factors, weight in _sequences(fold, expr.base, expr.chi, labels, kept):
         yield make, factors, weight
 
 
