@@ -43,12 +43,12 @@ origin) serves all folds, so their lookups hit by identity.
 A Ref is solved by fixed point: on n labels, iterate its body from the empty
 result (no structure, count 0) until it stabilizes, erroring after n + 2
 rounds.  A solve reaches only subsets of its labels, so in the count fold a
-nested request of the same size is for the same set.  Results computed
-against a provisional approximation are never memoized.  generate, raw,
-texts and count pause the cyclic garbage collector and restore the caller's
-setting: a full collection would re-walk the whole memo and find nothing,
-since values are built bottom-up from existing ones and no fold makes a
-cycle (it holds no reference to its Generator).
+nested request of the same size is for the same set.  A result that read an
+approximation is kept for the round (see memo), so it is folded once a round.
+generate, raw, texts and count pause the cyclic garbage collector and restore
+the caller's setting: a full collection would re-walk the whole memo and find
+nothing, since values are built bottom-up from existing ones and no fold
+makes a cycle (it holds no reference to its Generator).
 """
 
 from __future__ import annotations
@@ -352,14 +352,16 @@ class _Fold:
     def memoized(self, rule, *args, key=None):
         """The fold of the terms of rule(self, *args), cached under key, by
         default (rule, *args) with the labels, its last argument, keyed as in
-        __call__; that never equals an expression's key.  Not cached if an
-        approximation was read while it was folded."""
+        __call__; that never equals an expression's key.  Kept for the round
+        only, if it read an approximation."""
         key = key or (rule, *args[:-1], self.labels_key(args[-1]))
         cached = self.cache.get(key)
+        if cached is None and self.memo.round:
+            cached = self.memo.reused(key)
         if cached is not None:
             return cached
-        reads_before = self.memo.reads
-        return self.memo.store(key, self.combine(rule(self, *args)), reads_before)
+        mark = len(self.memo.read)
+        return self.memo.store(key, self.combine(rule(self, *args)), mark)
 
     def shift(self, chi, n: int):
         """The one map equal to chi.shift(n) of this Generator, made once per

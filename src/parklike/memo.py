@@ -1,25 +1,28 @@
 """Memoization with a fixed-point driver for recursive definitions.
 
-Structure generation and series evaluation both solve a Ref by iterating its
+Structure generation and series evaluation both solve a key by iterating its
 body from an empty value until two rounds agree, or until a round reads no
 approximation of its own.  While a solve runs, its current approximation
-stands in for the Ref, so any result computed from it is provisional: Memo
-caches a result only if no approximation was read while it was computed, and
-a solve's result only if every approximation read during the solve was its
-own.  Each caller picks its own key, empty value, round bound and error text.
-reuse() counts a provisional result used again, as a read of the innermost
-solve's own if it read that one; `solving` views the solves in progress.
+stands in for the key, so a result computed from it is provisional.  One log,
+`read`, holds the keys of the approximations read, each a solve still in
+progress: a solve drops its own key from the log when it ends.  So one rule
+decides what is kept: a result is final iff it read no solve in progress, iff
+the log gained no entry while it was computed.  store() caches a final result
+and keeps any other in `round`, the store of the current round, with the
+solves it read; reused() returns a kept result and logs those reads again.
+Each round of a solve opens a fresh store, so a kept result serves until an
+approximation it read changes.  Each caller picks its own key, empty value,
+round bound and error text; `solving` maps the solves in progress, innermost
+last, to their approximations.
 """
 
 from __future__ import annotations
-
-from types import MappingProxyType
 
 from .errors import DivergentRecursionError
 
 
 class Memo:
-    """A result cache plus the approximations of the solves in progress.
+    """A result cache, the current round's store and the solves in progress.
 
     ``cache`` is a plain dict so hot callers can look it up inline.  With
     ``enabled=False`` nothing is ever stored.
@@ -28,22 +31,30 @@ class Memo:
     def __init__(self, enabled: bool = True):
         self.cache: dict = {}
         self.enabled = enabled
-        self.reads = 0  # approximation reads so far; see store()
-        self._approx: dict = {}  # key -> [approximation, reads of it], innermost last
-        self.solving = MappingProxyType(self._approx)  # read-only view of _approx
+        self.read: list = []  # keys of the approximations read, all in progress
+        self.round: dict = {}  # key -> (provisional result, solves in progress it read)
+        self.solving: dict = {}  # key -> approximation, innermost last
 
-    def store(self, key, result, reads_before: int):
-        """Cache result unless an approximation was read since reads_before."""
-        if self.enabled and self.reads == reads_before:
-            self.cache[key] = result
+    def store(self, key, result, mark: int):
+        """Cache result if the log gained no entry since it held mark, else
+        keep it for the round with the solves it read, one entry each."""
+        if len(self.read) == mark:
+            if self.enabled:
+                self.cache[key] = result
+            return result
+        reads = set(self.read[mark:])
+        self.read[mark:] = reads
+        if self.enabled:
+            self.round[key] = result, reads
         return result
 
-    def reuse(self, innermost: bool) -> None:
-        """Count the reuse of a result built on an approximation, as a read of
-        the innermost solve's own if the result read that one."""
-        self.reads += 1
-        if innermost:
-            self._approx[next(reversed(self._approx))][1] += 1
+    def reused(self, key):
+        """The result kept for key in this round, its reads logged again, or None."""
+        kept = self.round.get(key)
+        if kept is None:
+            return None
+        self.read.extend(kept[1])
+        return kept[0]
 
     def solve(self, key, empty, rounds: int, step, error: str):
         """The fixed point of step() for key, starting from empty.
@@ -52,26 +63,24 @@ class Memo:
         approximation.  Raises DivergentRecursionError with the given text if
         rounds iterations do not stabilize.
         """
-        entry = self._approx.get(key)
-        if entry is not None:
-            self.reads += 1
-            entry[1] += 1
-            return entry[0]
-        entry = self._approx[key] = [empty, 0]
-        reads_before = self.reads
+        if key in self.solving:
+            self.read.append(key)
+            return self.solving[key]
+        outer, mark = self.round, len(self.read)
+        self.solving[key] = approx = empty
         try:
             for _ in range(rounds):
-                own_before = entry[1]
+                self.round, start = {}, len(self.read)
                 result = step()
                 # A round that read no approximation of key's has nothing to improve.
-                if result == entry[0] or entry[1] == own_before:
+                if result == approx or len(self.read) == start or key not in self.read[start:]:
                     break
-                entry[0] = result
+                self.solving[key] = approx = result
             else:
                 raise DivergentRecursionError(error)
         finally:
-            del self._approx[key]
-        # Final only if every approximation read during the solve was key's.
-        if self.enabled and self.reads - reads_before == entry[1]:
-            self.cache[key] = result
-        return result
+            del self.solving[key]
+            self.round = outer
+        if len(self.read) != mark:  # key's own reads end with its solve
+            self.read[mark:] = [k for k in self.read[mark:] if k != key]
+        return self.store(key, result, mark)

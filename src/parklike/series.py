@@ -13,7 +13,8 @@ f_(n+1) = sum_k C(n,k) g_(k+1) f_(n-k), one quadratic recurrence
 (Flajolet-Sedgewick, Analytic Combinatorics, 2009).
 
 Recursive definitions iterate from the zero series to a fixed point (same
-contract as structure generation: error after N+2 non-stabilizing rounds).
+contract and memo as structure generation: error after N+2 non-stabilizing
+rounds; a result that read an approximation is kept for the round only).
 A round is a Newton step y + (H(y) - y)(1 - J)^(-1), so a well-founded
 definition settles in O(log N) rounds (Pivoteau-Salvy-Soria, JCTA 119,
 2012).  Each rule returns its counts with their slope by y, the innermost
@@ -292,27 +293,19 @@ class _Evaluator:
         self.env = env
         self.order = order
         self._memo = Memo()
-        # (counts, slope) of the nodes read off approximations in the current
-        # fixed-point round: valid until the round ends.
-        self._round: dict = {}
 
     def eval(self, expr) -> tuple:
-        cached = self._memo.cache.get(expr)
-        if cached is not None:
-            return cached, None
-        pair = self._round.get(expr)
+        memo = self._memo
+        pair = memo.cache.get(expr)
+        if pair is None and memo.round:
+            pair = memo.reused(expr)
         if pair is not None:
-            self._memo.reuse(pair[1] is not None)  # so what is built on it stays provisional
             return pair
         rule = _RULES.get(type(expr))
         if rule is None:
             raise TypeError(f"not a species expression: {expr!r}")
-        reads_before = self._memo.reads
-        pair = rule(self, expr)
-        self._memo.store(expr, pair[0], reads_before)
-        if self._memo.reads != reads_before:
-            self._round[expr] = pair
-        return pair
+        mark = len(memo.read)
+        return memo.store(expr, rule(self, expr), mark)
 
     # -- rules, one per node type (see _RULES) -------------------------------
 
@@ -336,12 +329,11 @@ class _Evaluator:
 
     def _ref(self, expr: Ref) -> tuple:
         N = self.order
-        solving = self._memo.solving
-        innermost = next(reversed(solving), None)
-        entry = solving.get(innermost)  # [approximation, reads of it]
-        reads = entry and entry[1]
+        memo = self._memo
+        innermost = next(reversed(memo.solving), None)
+        mark = len(memo.read)
         body = self.env.lookup(expr.name)
-        counts = self._memo.solve(
+        counts = memo.solve(
             expr,
             [0] * (N + 1),
             N + 2,
@@ -352,20 +344,16 @@ class _Evaluator:
         if expr == innermost:
             return counts, [1] + [0] * N
         # An outer solve's approximation is fixed for the inner round; a
-        # finished solve read y if it counted a read of the innermost's.
-        return counts, None if entry is None or entry[1] == reads else _UNKNOWN
+        # finished solve read y if the log gained a read of the innermost.
+        return counts, _UNKNOWN if innermost in memo.read[mark:] else None
 
     def _newton(self, ref: Ref, body) -> list:
         """One round for ref := body: y + (H(y) - y)(1 - J)^(-1), J the slope
         of body, else H(y)."""
-        outer_round, self._round = self._round, {}
-        try:
-            value, slope = self.eval(body)
-            if slope is None or slope is _UNKNOWN or slope[0] or not any(slope):
-                return value  # with J = 0 the step is H(y) too
-            y = self.eval(ref)[0]  # the approximation this round improves
-        finally:
-            self._round = outer_round
+        value, slope = self.eval(body)
+        if slope is None or slope is _UNKNOWN or slope[0] or not any(slope):
+            return value  # with J = 0 the step is H(y) too
+        y = self.eval(ref)[0]  # the approximation this round improves
         # step = (H(y) - y) + J*step, the difference taken first.
         terms = [(k, j) for k, j in enumerate(slope) if j]
         step = _recurrence([h - a for h, a in zip(value, y)], terms, 0)

@@ -77,6 +77,35 @@ def test_generate_imports_nothing_from_series():
     assert imports_from("series.py", "memo") and imports_from("generate.py", "memo")
 
 
+# The attributes of a Memo's solve state, and `_round`, a round store's usual name.
+_SOLVE_STATE = ("round", "read", "solving", "_round")
+
+
+@pytest.mark.parametrize(
+    "path",
+    sorted(p for p in SRC.glob("*.py") if p.name != "memo.py"),
+    ids=lambda p: p.name,
+)
+def test_solve_state_is_kept_in_memo_only(path):
+    # memo.Memo alone decides what a solve keeps, for both routes: no other
+    # module defines a round store, or assigns to, deletes or calls a method
+    # of a Memo's round store, read log or solves in progress.
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, (ast.Assign, ast.Delete)):
+            targets = node.targets
+        elif isinstance(node, (ast.AugAssign, ast.AnnAssign)):
+            targets = [node.target]
+        elif isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
+            targets = [node.func.value]
+        else:
+            continue
+        for target in targets:
+            for part in ast.walk(target):
+                assert not (isinstance(part, ast.Attribute) and part.attr in _SOLVE_STATE), (
+                    f"{path.name}:{node.lineno} changes solve state outside memo.py"
+                )
+
+
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
 def test_no_function_level_imports(path):
     # An import deferred into a function body is how an import cycle hides.

@@ -5,6 +5,7 @@ import json
 from contextlib import redirect_stderr, redirect_stdout
 from unittest import mock
 
+import pytest
 from hypothesis import example, given, reject, settings, strategies as st
 
 from parklike import (
@@ -24,7 +25,7 @@ from parklike import (
     validate_parking,
 )
 from parklike.cli import main
-from parklike.errors import SpeciesError
+from parklike.errors import ChiTableExhaustedError, SpeciesError
 from parklike.expr import (
     E, EPlus, One, Compose, Park, Power, Prod, Ref, Restrict, SpeciesExpr, Sum, Tree, X, Zero,
 )
@@ -311,7 +312,7 @@ def bodies(names: tuple, depth: int):
     )
 
 
-systems = st.sampled_from([("A",), ("A", "B")]).flatmap(
+systems = st.sampled_from([("A",), ("A", "B"), ("A", "B", "C")]).flatmap(
     lambda names: st.tuples(*(bodies(names, 3) for _ in names)).map(
         lambda texts: dict(zip(names, texts))
     )
@@ -369,6 +370,18 @@ def test_generation_and_series_agree_on_random_definitions(definitions):
         reject()
 
 
+def test_the_routes_may_name_different_exhausted_tables():
+    # A stated difference of error text, not of class: where two tables of
+    # one expression run out, generation splits the labels between the
+    # factors subset by subset, while series takes each factor's whole
+    # series in turn, so each route names the table it reaches first.
+    expr = parse_species("park(L, table(2)) * park(X, table(3))", ENV)
+    with pytest.raises(ChiTableExhaustedError, match=r"^chi table\(3\) has 1 entries, needed chi\(4\)$"):
+        Generator(ENV).count(expr, 3)
+    with pytest.raises(ChiTableExhaustedError, match=r"^chi table\(2\) has 1 entries, needed chi\(2\)$"):
+        egf_of_species(expr, ENV, 3)
+
+
 def outcome(route):
     """The value of route(), or the class and text of the SpeciesError it raised."""
     try:
@@ -378,8 +391,7 @@ def outcome(route):
 
 
 # Solves allowed per drawn system: listed_up_to bounds structures, not
-# rounds, and some systems with no structure re-solve an inner definition
-# from nothing for minutes (over 170,000 solves in 5 s), where 400 drawn
+# rounds, so it cannot stop a system whose nested solves multiply; 400 drawn
 # systems took at most 800.
 SOLVES = 20_000
 
@@ -404,7 +416,7 @@ def solve_budget():
 @given(systems)
 @example({"A": "B", "B": "tree((restrict(A,1)*(A + E+)))"})
 @example({"A": "X+park(A, affine(0,1))"})
-# Over budget: B's solve reads A's approximation, so it is never kept.
+# B's solve reads A's approximation, so it is kept for A's round only.
 @example({"A": "tree((park(B,affine(0,2)) + (A)@(X*E)))", "B": "tree((park(B,affine(0,2)) + (A)@(X*E)))"})
 @settings(max_examples=60, deadline=None)
 def test_listing_and_counting_agree_on_random_definitions(definitions):
