@@ -13,7 +13,10 @@ or in json.dumps's default spacing, each written from its parts' texts, so a
 listing builds and serializes no structure; the count fold (count) sums
 weight times the product of the factor counts, so it builds no structure and
 keeps no list.  The fold supplies the makes (_STRUCTURES, or the writers of
-the text's style, structures.WRITERS), which the count fold ignores.
+the text's style, structures.WRITERS), which the count fold ignores.  A
+make is a function of a choice, or in the text fold a template (see
+structures._template) that _listing joins each choice into in C, so most
+texts are written with no Python frame.
 
 The fold supplies the walk a rule makes over its labels (subsets, set
 partitions, assignments of labels to tree heads) as (part, multiplicity)
@@ -26,7 +29,9 @@ list costs one new top-level node per structure.  A b^k is made from chains
 (first factor, chain of the other k - 1): its rounds b^j, j < k, are built
 upward on every subset as chains, which copy nothing per round, and a
 power's structure or text, or a parking head's slots, is made once from its
-chain.  A slot sequence is a flat tuple of slots, or of slot texts.  The Park
+chain.  A slot sequence is a flat tuple of slots, or of slot texts, which
+kept tails share; a parking-like text's template takes each term's
+sequences joined, so a tail is written as text where it is used.  The Park
 rule makes each parking-like value straight from its heads and tails, and
 memoizes its tails' sequences unless the park is the request (see _park).  A
 count depends on the sizes of the parts only (species are functors on
@@ -261,10 +266,21 @@ def _paused(fold, expr, labels: frozenset):
 
 
 def _listing(terms) -> list:
-    """The list and text folds: what the terms stand for, in order."""
+    """The list and text folds: what the terms stand for, in order.  A make
+    _same lists its one factor, None the choices themselves, and a template
+    (structures._template) the joins of each choice into it, all in C."""
     out = []
     for make, factors, _weight in terms:
-        out.extend(starmap(make, product(*factors)))
+        if make is _same:
+            out.extend(*factors)
+        elif make is None:
+            out.extend(product(*factors))
+        elif type(make) is tuple:
+            pieces = list(make)
+            pieces[1::2] = factors
+            out.extend(map("".join, product(*pieces)))
+        else:
+            out.extend(starmap(make, product(*factors)))
     return out
 
 
@@ -301,18 +317,21 @@ def _tree_val(children, root):
 # What a fold makes of a choice of a term's factors: structures in the list
 # fold, texts in the text fold (structures.WRITERS); the count fold ignores them.
 #   unit(), atom(label), set(labels)     the structures of 1, X and E
-#   sum(side, inner), prod(left, right), compose(outer, blocks), tree(children, root)
+#   prod(left, right), compose(outer, blocks), tree(children, root)
 #   link(first factor, chain of the others)   a chain of a power's round
 #   power(chain), slots(chain)           the power's structure, its factors as slots
-#   sequence(heads' slots, tails' sequence)   a slot sequence
-#   park(chi), blocks(blocks), children(sorted heads)   the make of a parking-like
-#       structure from (heads' slots[, tails' sequence]), of the blocks from
-#       their inner structures, and of the children from the heads' subtrees
+#   sequence(heads' slots, tails' sequence)   a slot sequence with a non-empty tail
+#   sum(side), blocks(blocks), children(sorted heads)   the make of a sum's
+#       side from its inner structure, of the blocks from their inner
+#       structures, and of the children from the heads' subtrees
+#   park(chi)   the makes of a parking-like structure from (heads' slots) and
+#       from (heads' slots, tails' sequence), each factor's sequences joined
+#   joined(sequences)   a factor's slot sequences as the park makes take them
 _STRUCTURES = SimpleNamespace(
-    unit=partial(_same, UNIT), atom=AtomVal, set=SetVal, sum=SumVal, prod=ProdVal,
-    link=ProdVal, power=_same, slots=_slot_tuple, sequence=tuple.__add__,
-    park=partial(partial, _parking), blocks=partial(partial, _pairs), compose=ComposeVal,
-    children=partial(partial, _pairs), tree=_tree_val,
+    unit=partial(_same, UNIT), atom=AtomVal, set=SetVal, sum=partial(partial, SumVal),
+    prod=ProdVal, link=ProdVal, power=_same, slots=_slot_tuple, sequence=tuple.__add__,
+    park=lambda chi: (partial(_parking, chi),) * 2, joined=_same, compose=ComposeVal,
+    blocks=partial(partial, _pairs), children=partial(partial, _pairs), tree=_tree_val,
 )
 
 
@@ -329,18 +348,19 @@ class _Fold:
         # structure), so the count fold keys its memo by len(labels) and walks
         # one part per size pattern; the list and text folds key by labels,
         # and walk all.
-        if combine is _counting:
-            walks = len, _size_splits, _size_partitions, _size_shares
+        self.sized = combine is _counting
+        if self.sized:
+            walks = _size_splits, _size_partitions, _size_shares
         else:
-            walks = _same, _label_splits, _label_partitions, _label_shares
-        self.labels_key, self.subsets, self.partitions, self.shares = walks
+            walks = _label_splits, _label_partitions, _label_shares
+        self.subsets, self.partitions, self.shares = walks
         self.memo = Memo(memoize)
         self.cache = self.memo.cache
         self._maps = maps
         self.root = None  # the (expression, labels) of the request being folded
 
     def __call__(self, expr, labels: frozenset):
-        key = (expr, self.labels_key(labels))
+        key = (expr, len(labels)) if self.sized else (expr, labels)
         cached = self.cache.get(key)
         if cached is not None:
             return cached
@@ -354,7 +374,7 @@ class _Fold:
         default (rule, *args) with the labels, its last argument, keyed as in
         __call__; that never equals an expression's key.  Kept for the round
         only, if it read an approximation."""
-        key = key or (rule, *args[:-1], self.labels_key(args[-1]))
+        key = key or ((rule, *args[:-1], len(args[-1])) if self.sized else (rule, *args))
         cached = self.cache.get(key)
         if cached is None and self.memo.round:
             cached = self.memo.reused(key)
@@ -437,7 +457,7 @@ def _ref(fold, expr: Ref, labels: frozenset):
     body = fold.env.lookup(expr.name)
     error = f"recursion for {expr.name!r} did not stabilize on {n} labels after {n + 2} rounds"
     step = partial(fold, body, labels)
-    key = (expr, fold.labels_key(labels))
+    key = (expr, len(labels)) if fold.sized else (expr, labels)
     yield _same, [fold.memo.solve(key, fold.combine(()), n + 2, step, error)], 1
 
 
@@ -466,19 +486,22 @@ def _sequences(fold, base, chi, labels: frozenset, kept=True):
             shifted = fold.shift(chi, n)
         tails = (fold.memoized(_sequences, base, shifted, rest) if kept
                  else fold.combine(_sequences(fold, base, shifted, rest)))
-        if tails:
+        if tails and (rest or shifted(1)):
             yield fold.makes.sequence, [heads, tails], weight
+        elif tails:  # the one tail, on no labels with no first slot, is empty: no separator
+            yield _same, [heads], weight
 
 
 def _park(fold, expr: Park, labels: frozenset):
     """The slot sequences' terms, each made a parking-like structure straight
-    from its heads and tails; the sequences on labels are not kept.  Nor are
+    from its heads and tails (in the text fold, a template of their
+    sequences, each joined); the sequences on labels are not kept.  Nor are
     their tails' if the park is the request, folded on this label set only,
     where each tail is reached once; parks inside a request share tails."""
-    make = fold.makes.park(expr.chi)
+    makes = fold.makes.park(expr.chi)  # by the number of factors
     kept = fold.root != (expr, labels)
     for _make, factors, weight in _sequences(fold, expr.base, expr.chi, labels, kept):
-        yield make, factors, weight
+        yield makes[len(factors) - 1], list(map(fold.makes.joined, factors)), weight
 
 
 def _tree(fold, expr: Tree, labels: frozenset):
@@ -507,8 +530,8 @@ _RULES = {
     E: lambda fold, e, labels: ((partial(fold.makes.set, labels), (), 1),),
     EPlus: lambda fold, e, labels: ((partial(fold.makes.set, labels), (), 1),) if labels else (),
     Sum: lambda fold, e, labels: (
-        (partial(fold.makes.sum, "L"), [fold(e.left, labels)], 1),
-        (partial(fold.makes.sum, "R"), [fold(e.right, labels)], 1),
+        (fold.makes.sum("L"), [fold(e.left, labels)], 1),
+        (fold.makes.sum("R"), [fold(e.right, labels)], 1),
     ),
     Prod: lambda fold, e, labels: _prod(fold, e.left, e.right, labels),
     Power: _power,

@@ -49,7 +49,7 @@ from __future__ import annotations
 
 import json
 import re
-from functools import lru_cache
+from functools import lru_cache, partial
 from types import SimpleNamespace
 
 from .chi import ChiMap
@@ -310,9 +310,16 @@ _SPACED = {
 def _writers(p: dict) -> SimpleNamespace:
     """The writers of the style of the pieces p, the makes of generate.py's
     text fold: each writes, from the texts of the parts, the text of the
-    value the list fold makes of them.  The factors of a power come as
-    chains, (first text, chain of the others), so a power's text is joined
-    once; a slot sequence is a flat tuple of slot texts, as in the list fold.
+    value the list fold makes of them.  A make is a template or a function.
+    A writer of fixed arity whose factors come in its text in factor order
+    is a template (_template), joined in C: prod, tree, each side of sum,
+    the blocks and children of one shape, and the park lines, whose factors
+    are the heads' and tails' slot sequences, each joined by joined.  compose
+    (its blocks come first in the text, last among the factors), and power
+    and slots, which walk chains of any length, stay functions.  A power's
+    factors come as chains, (first text, chain of the others), the
+    product's own pairs (link is None), so its text is joined once; a slot
+    sequence is a flat tuple of slot texts, so a kept tail shares them.
     text is serialize's table: per structure type, a value's pieces and the
     parts whose texts go between them."""
     (sep,), (l0, l1), (unit,), (s0, s1), (a0, a1) = p[","], p["labels"], p["unit"], p["set"], p["atom"]
@@ -344,21 +351,11 @@ def _writers(p: dict) -> SimpleNamespace:
             texts.append(left)
         return tuple(texts)
 
-    def park(chi):
-        """The writer of park(., chi)'s texts from the slot texts of the first
-        heads and of the tails."""
+    def park(chi) -> tuple:
+        """The templates of park(., chi)'s texts from the first heads' slots
+        joined, and from them and the tails' slots joined."""
         start = head(chi)
-        return lambda heads, tails=(): f"{start}{sep.join(heads + tails)}{k2}"
-
-    def blocks(sets):
-        """The writer of the blocks from the inner texts on sets, sorted by minimum."""
-        ends = [f"{labels(b)}{b1}" for b in sets]
-        return lambda *inner: sep.join([f"{b0}{text}{end}" for text, end in zip(inner, ends)])
-
-    def children(heads):
-        """The writer of the children from the subtree texts of the sorted heads."""
-        starts = [f"{h0}{h}{h1}" for h in heads]
-        return lambda *subtrees: sep.join([f"{start}{text}{h2}" for start, text in zip(starts, subtrees)])
+        return _template(f"{start}\0{k2}"), _template(f"{start}\0{sep}\0{k2}")
 
     def compose_text(v):
         yield c0
@@ -380,15 +377,17 @@ def _writers(p: dict) -> SimpleNamespace:
         yield v.root
         yield t2
 
+    sides = {side: _template(f'{u0}\0{u1}"{side}"{u2}') for side in "LR"}
     w = SimpleNamespace(
         unit=lambda: unit, atom=lambda label: f"{a0}{label}{a1}",
-        set=lambda values: f"{s0}{labels(values)}{s1}",
-        sum=lambda side, inner: f'{u0}{inner}{u1}"{side}"{u2}',
-        prod=lambda left, right: f"{p0}{left}{p1}{right}{p2}",
+        set=lambda values: f"{s0}{labels(values)}{s1}", sum=sides.__getitem__,
+        prod=_template(f"{p0}\0{p1}\0{p2}"),
         compose=lambda outer, blocks: f"{c0}{blocks}{c1}{outer}{c2}",
-        tree=lambda children, root: f"{t0}{children}{t1}{root}{t2}",
-        link=_pair, sequence=tuple.__add__, power=power, slots=slots, park=park, blocks=blocks,
-        children=children,
+        tree=_template(f"{t0}\0{t1}\0{t2}"),
+        link=None, sequence=tuple.__add__, power=power, slots=slots, park=park,
+        joined=partial(map, sep.join),
+        blocks=lambda sets: _template(sep.join([f"{b0}\0{labels(b)}{b1}" for b in sets])),
+        children=lambda heads: _template(sep.join([f"{h0}{h}{h1}\0{h2}" for h in heads])),
     )
     w.text = {
         UnitVal: lambda v: (unit,),
@@ -403,11 +402,15 @@ def _writers(p: dict) -> SimpleNamespace:
     return w
 
 
-def _pair(first, rest) -> tuple:
-    return first, rest
+def _template(text: str) -> tuple:
+    """A writer as a template, from its text with a NUL in the place of each
+    factor (no piece holds one): the constant pieces, each a one-element
+    factor, with None between them, where generate._listing puts the
+    factors, in order, to join each choice of them into the text."""
+    return tuple(_between(None, [(piece,) for piece in text.split("\0")]))
 
 
-def _between(sep: str, items) -> list:
+def _between(sep, items) -> list:
     """The items with sep between every two of them."""
     out = [sep] * (2 * len(items) - 1)
     out[::2] = items

@@ -1,13 +1,15 @@
 """Listings as the CLI writes them: every byte through print, in blocks of
 whole lines, and parking-like listings built from memoized slot sequences."""
 
+import hashlib
 import json
+from pathlib import Path
 
 import pytest
 
 from parklike import Generator, SpeciesEnv, cli, parse_species
 from parklike.cli import main
-from parklike.structures import canonical_labels
+from parklike.structures import WRITERS, canonical_labels, serialize
 
 from jsonable import to_jsonable
 
@@ -142,3 +144,57 @@ def test_sequences_read_off_an_approximation_are_not_kept(capsys):
     rc, out, err = run(capsys, "--define", "A:=X+park(A, affine(0,1))", "count", "--expr", "A", "--n", "1")
     assert rc == 1 and out == ""
     assert err == "error: recursion for 'A' did not stabilize on 1 labels after 3 rounds\n"
+
+
+# -- the bytes of the bench's listings, and every writer in both styles --------
+
+PINS = Path(__file__).resolve().parent.parent / "bench" / "pins.json"
+
+# The bench's five `enumerate` requests, with the sha256 of their `--format
+# json` output; their `jsonl` digests are the bench's own pins.
+BENCH_LISTINGS = [
+    ("park(E)", 6, "eb2c45de47cca522bb2f8089b585eae0c09c077e8e75fceca4480a110c2a490d"),
+    ("tree(Sub)", 4, "bf352fcfcce9fdcd019ed3a00124626b56a4671b721e853c99cbdb95a6002b35"),
+    ("tree(Comp)", 4, "e97eb32310f94e9fa1cbee8e83d2d7e0fe8aacff0b85ad73b278d588bbe54745"),
+    ("park(E, affine(2,0))", 4, "752e1dc67f814f72f0e68a4b11b8eb295390dc98a14239f0c292118fde38d433"),
+    ("(E+)^3", 6, "306b055a2f33e10015ba39016d17d5de12f6838aae3220e262b533c46126a3d8"),
+]
+
+
+@pytest.mark.parametrize("expr, n, json_digest", BENCH_LISTINGS, ids=[e for e, _n, _d in BENCH_LISTINGS])
+def test_the_bench_listings_keep_their_bytes(capsys, expr, n, json_digest):
+    jsonl = json.loads(PINS.read_text())[f"enumerate --expr {expr} --n {n} --format jsonl"]
+    for fmt, digest in (("jsonl", jsonl["sha256"]), ("json", json_digest)):
+        rc, out, err = run(capsys, "enumerate", "--expr", expr, "--n", str(n), "--format", fmt)
+        assert rc == 0 and err == ""
+        assert out.count("\n") == (jsonl["lines"] if fmt == "jsonl" else 1)
+        assert hashlib.sha256(out.encode()).hexdigest() == digest, fmt
+
+
+# A listing that reaches each writer of the text fold.
+WRITTEN = {
+    "unit": "L", "atom": "L", "sum": "L", "prod": "park(E)*X",
+    "set": "tree(E)", "tree": "tree(E)", "children": "tree(E)",  # leaves: roots with no children
+    "compose": "Par", "blocks": "Par", "power": "E^3", "link": "E^3",
+    "slots": "park(E)*X", "sequence": "park(E)*X", "park": "park(E)*X", "joined": "park(E)*X",
+}
+# Nested parks with empty slot sequences: tails on no labels whose shifted
+# chi(1) is 0, and a base park whose chi(1) is 0.
+EMPTY_TAILS = ["X*park(E, table(1,1,2,2,3))", "park(park(E, affine(1,-1)))"]
+
+
+def test_every_writer_is_listed():
+    for style in WRITERS.values():
+        assert set(WRITTEN) == set(vars(style)) - {"text"}
+
+
+@pytest.mark.parametrize("text", sorted(set(WRITTEN.values())) + EMPTY_TAILS)
+def test_every_writer_writes_serialize_of_the_listing_in_both_styles(text):
+    env = SpeciesEnv.standard()
+    expr = parse_species(text, env)
+    for n in range(5):
+        labels = canonical_labels(n)
+        listed = [serialize(s) for s in Generator(env).raw(expr, labels)]
+        assert Generator(env).texts(expr, labels) == listed, n
+        spaced = [json.dumps(json.loads(line), sort_keys=True) for line in listed]
+        assert Generator(env).texts(expr, labels, spaced=True) == spaced, n
