@@ -7,10 +7,13 @@ echoes an input whole.
 """
 
 
-def shown(value, limit: int = 200) -> str:
-    """value's repr, cut after limit characters."""
+_SHOWN = 200  # the characters of an echoed input an error text shows
+
+
+def shown(value) -> str:
+    """value's repr, cut after _SHOWN characters."""
     text = repr(value)
-    return text if len(text) <= limit else f"{text[:limit]}... ({len(text) - limit} more characters)"
+    return text if len(text) <= _SHOWN else f"{text[:_SHOWN]}... ({len(text) - _SHOWN} more characters)"
 
 
 class SpeciesError(Exception):

@@ -5,11 +5,11 @@ and tree-like operators included) yields the *terms* of an expression on a
 label set.  A term (make, factors, weight) stands for make(*choice) for every
 choice in the Cartesian product of its factors, in construction order, weight
 times over; a factor is the same fold's result for a sub-expression on a
-subset of the labels, or for a term of its own (the tuples of a tree's
-children, or of a composition's blocks), and a leaf is one term with no
-factors.  Three folds read the terms.  The list fold (raw, generate) makes
-the structures; the text fold (texts) makes their canonical texts, compact
-or in json.dumps's default spacing, each written from its parts' texts, so a
+subset of the labels, the factors in the order their value's text takes
+them (a tree's subtrees, then its root), and a leaf is a term with none.
+Three folds read the terms.  The list fold (raw, generate) makes the
+structures; the text fold (texts) makes their canonical texts, compact or in
+json.dumps's default spacing, each written from its parts' texts, so a
 listing builds and serializes no structure; the count fold (count) sums
 weight times the product of the factor counts, so it builds no structure and
 keeps no list.  The fold supplies the makes (_STRUCTURES, or the writers of
@@ -293,10 +293,6 @@ def _same(s):
     return s
 
 
-def _pairs(keys, *values) -> tuple:
-    return tuple(zip(keys, values))
-
-
 def _slot_tuple(chain) -> tuple:
     """The factors of a chain the list fold made (ProdVals ending in UNIT)."""
     out = []
@@ -310,28 +306,30 @@ def _parking(chi, heads: tuple, tails: tuple = ()) -> ParkingLike:
     return ParkingLike(chi, heads + tails)
 
 
-def _tree_val(children, root):
-    return TreeLike(root, children)
+def _shaped(cls, keys, *factors):
+    """A composition or a tree of one shape: cls(last factor, (key, factor) pairs)."""
+    return cls(factors[-1], tuple(zip(keys, factors)))
 
 
-# What a fold makes of a choice of a term's factors: structures in the list
-# fold, texts in the text fold (structures.WRITERS); the count fold ignores them.
+# What a fold makes of a choice of a term's factors, which come in the order
+# the value's text takes them: structures in the list fold, texts in the text
+# fold (structures.WRITERS); the count fold ignores them.
 #   unit(), atom(label), set(labels)     the structures of 1, X and E
-#   prod(left, right), compose(outer, blocks), tree(children, root)
-#   link(first factor, chain of the others)   a chain of a power's round
+#   prod(left, right), link(first factor, chain of the others)   a product,
+#       and a chain of a power's round
 #   power(chain), slots(chain)           the power's structure, its factors as slots
-#   sequence(heads' slots, tails' sequence)   a slot sequence with a non-empty tail
-#   sum(side), blocks(blocks), children(sorted heads)   the make of a sum's
-#       side from its inner structure, of the blocks from their inner
-#       structures, and of the children from the heads' subtrees
+#   sum(side), compose(blocks), tree(sorted heads)   the make of a sum's side
+#       from its inner structure, of a composition from its blocks' inner
+#       structures and its outer one, and of a tree from its heads' subtrees
+#       and its root
 #   park(chi)   the makes of a parking-like structure from (heads' slots) and
 #       from (heads' slots, tails' sequence), each factor's sequences joined
 #   joined(sequences)   a factor's slot sequences as the park makes take them
 _STRUCTURES = SimpleNamespace(
     unit=partial(_same, UNIT), atom=AtomVal, set=SetVal, sum=partial(partial, SumVal),
-    prod=ProdVal, link=ProdVal, power=_same, slots=_slot_tuple, sequence=tuple.__add__,
-    park=lambda chi: (partial(_parking, chi),) * 2, joined=_same, compose=ComposeVal,
-    blocks=partial(partial, _pairs), children=partial(partial, _pairs), tree=_tree_val,
+    prod=ProdVal, link=ProdVal, power=_same, slots=_slot_tuple,
+    park=lambda chi: (partial(_parking, chi),) * 2, joined=_same,
+    compose=partial(partial, _shaped, ComposeVal), tree=partial(partial, _shaped, TreeLike),
 )
 
 
@@ -413,13 +411,14 @@ def _prod(fold, left, right, labels: frozenset):
 
 def _round(fold, base, j: int, labels: frozenset):
     """b^j on labels as chains: round 0 is the unit on no labels, round j
-    links b on a subset to round j - 1 on the rest."""
+    links b on a subset to round j - 1 on the rest, so round 1 links b on
+    all labels only, though b is folded on every subset, in the same order."""
     if j == 0:
         yield from _RULES[One](fold, None, labels)
         return
     for part, rest, weight in fold.subsets(labels):
         firsts = fold(base, part)
-        if firsts:
+        if firsts and (j > 1 or not rest):
             yield fold.makes.link, [firsts, fold.memoized(_round, base, j - 1, rest)], weight
 
 
@@ -442,14 +441,14 @@ def _power(fold, expr: Power, labels: frozenset):
 
 
 def _compose(fold, expr: Compose, labels: frozenset):
-    """The outer structure varies slowest, then the inner ones, block by block."""
+    """Compositions in text order: per partition, the inner structures vary
+    slowest, block by block, and the outer structure fastest."""
     _check_admissible(fold, expr)
     for blocks, weight in fold.partitions(labels):
         inner = [fold(expr.inner, b) for b in blocks]
         if all(inner):
             outer = fold(expr.outer, frozenset(min(b) for b in blocks))
-            made = fold.combine([(fold.makes.blocks(blocks), inner, 1)])
-            yield fold.makes.compose, [outer, made], weight
+            yield fold.makes.compose(blocks), [*inner, outer], weight
 
 
 def _ref(fold, expr: Ref, labels: frozenset):
@@ -487,7 +486,7 @@ def _sequences(fold, base, chi, labels: frozenset, kept=True):
         tails = (fold.memoized(_sequences, base, shifted, rest) if kept
                  else fold.combine(_sequences(fold, base, shifted, rest)))
         if tails and (rest or shifted(1)):
-            yield fold.makes.sequence, [heads, tails], weight
+            yield tuple.__add__, [heads, tails], weight
         elif tails:  # the one tail, on no labels with no first slot, is empty: no separator
             yield _same, [heads], weight
 
@@ -512,12 +511,11 @@ def _tree(fold, expr: Tree, labels: frozenset):
         roots = fold(expr.base, heads)
         if not roots:
             continue
-        pairs = fold.makes.children(sorted(heads))
+        make = fold.makes.tree(sorted(heads))
         for shares, ways in fold.shares(len(heads), sorted(rest)):
             subtrees = [fold(expr, share) for share in shares]
             if all(subtrees):
-                children = fold.combine([(pairs, subtrees, 1)])
-                yield fold.makes.tree, [children, roots], weight * ways
+                yield make, [*subtrees, roots], weight * ways
 
 
 # Generation rule of every node type: rule(fold, expr, labels) -> terms.

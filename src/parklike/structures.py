@@ -311,17 +311,16 @@ def _writers(p: dict) -> SimpleNamespace:
     """The writers of the style of the pieces p, the makes of generate.py's
     text fold: each writes, from the texts of the parts, the text of the
     value the list fold makes of them.  A make is a template or a function.
-    A writer of fixed arity whose factors come in its text in factor order
-    is a template (_template), joined in C: prod, tree, each side of sum,
-    the blocks and children of one shape, and the park lines, whose factors
-    are the heads' and tails' slot sequences, each joined by joined.  compose
-    (its blocks come first in the text, last among the factors), and power
-    and slots, which walk chains of any length, stay functions.  A power's
-    factors come as chains, (first text, chain of the others), the
-    product's own pairs (link is None), so its text is joined once; a slot
-    sequence is a flat tuple of slot texts, so a kept tail shares them.
-    text is serialize's table: per structure type, a value's pieces and the
-    parts whose texts go between them."""
+    A term takes its factors in the order its text takes them, so every
+    writer of fixed arity is a template (_template), joined in C: prod, each
+    side of sum, the composition of one partition and the tree of one head
+    set, and the park lines, whose factors are the heads' and tails' slot
+    sequences, each joined by joined.  power and slots, which walk chains of
+    any length, stay functions.  A power's factors come as chains, (first
+    text, chain of the others), the product's own pairs (link is None), so
+    its text is joined once; a slot sequence is a flat tuple of slot texts,
+    so a kept tail shares them.  text is serialize's table: per structure
+    type, a value's pieces and the parts whose texts go between them."""
     (sep,), (l0, l1), (unit,), (s0, s1), (a0, a1) = p[","], p["labels"], p["unit"], p["set"], p["atom"]
     (u0, u1, u2), (p0, p1, p2), (c0, c1, c2), (b0, b1) = p["sum"], p["prod"], p["comp"], p["block"]
     (k0, k1, k2), (t0, t1, t2), (h0, h1, h2) = p["park"], p["tree"], p["child"]
@@ -382,12 +381,10 @@ def _writers(p: dict) -> SimpleNamespace:
         unit=lambda: unit, atom=lambda label: f"{a0}{label}{a1}",
         set=lambda values: f"{s0}{labels(values)}{s1}", sum=sides.__getitem__,
         prod=_template(f"{p0}\0{p1}\0{p2}"),
-        compose=lambda outer, blocks: f"{c0}{blocks}{c1}{outer}{c2}",
-        tree=_template(f"{t0}\0{t1}\0{t2}"),
-        link=None, sequence=tuple.__add__, power=power, slots=slots, park=park,
-        joined=partial(map, sep.join),
-        blocks=lambda sets: _template(sep.join([f"{b0}\0{labels(b)}{b1}" for b in sets])),
-        children=lambda heads: _template(sep.join([f"{h0}{h}{h1}\0{h2}" for h in heads])),
+        compose=lambda sets: _template(
+            c0 + sep.join([f"{b0}\0{labels(b)}{b1}" for b in sets]) + f"{c1}\0{c2}"),
+        tree=lambda heads: _template(t0 + sep.join([f"{h0}{h}{h1}\0{h2}" for h in heads]) + f"{t1}\0{t2}"),
+        link=None, power=power, slots=slots, park=park, joined=partial(map, sep.join),
     )
     w.text = {
         UnitVal: lambda v: (unit,),

@@ -50,6 +50,7 @@ from parklike.generate import (
     _label_shares,
     _label_splits,
     _label_subsets,
+    _round,
     _sequences,
     _size_partitions,
     _size_shares,
@@ -698,6 +699,30 @@ def test_each_park_tail_is_folded_once(env, monkeypatch, text):
     assert folded and max(folded.values()) == 1, folded.most_common(1)
     monkeypatch.undo()
     assert listed == Generator(env).texts(expr, canonical_labels(4))
+
+
+@pytest.mark.parametrize("text", ["park(E)", "(E+)^3"])
+def test_round_one_links_the_whole_set_only(env, monkeypatch, text):
+    # Round 0 of b^k is the unit on no labels, so a round-1 term on a part
+    # short of the whole set would have an empty factor: none is made, and
+    # round 0 is looked up on no labels only.
+    rounds = []
+
+    def recorded(fold, base, j, labels):
+        terms = list(_round(fold, base, j, labels))
+        rounds.append((j, terms))
+        return terms
+
+    monkeypatch.setattr("parklike.generate._round", recorded)
+    expr = parse_species(text, env)
+    gen = Generator(env)
+    listed = gen.texts(expr, canonical_labels(5))
+    firsts = [factors for j, terms in rounds if j == 1 for _make, factors, _weight in terms]
+    assert firsts and all(all(factors) for factors in firsts)
+    zeros = [key[-1] for key in gen._texts[False].cache if key[0] is recorded and key[2] == 0]
+    assert zeros == [frozenset()]
+    monkeypatch.undo()
+    assert listed == Generator(env).texts(expr, canonical_labels(5))
 
 
 def test_a_repeated_shift_builds_no_map(env, monkeypatch):

@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 from parklike import Generator, SpeciesEnv, cli, parse_species
+from parklike.chi import ChiMap
 from parklike.cli import main
 from parklike.structures import WRITERS, canonical_labels, serialize
 
@@ -174,10 +175,13 @@ def test_the_bench_listings_keep_their_bytes(capsys, expr, n, json_digest):
 # A listing that reaches each writer of the text fold.
 WRITTEN = {
     "unit": "L", "atom": "L", "sum": "L", "prod": "park(E)*X",
-    "set": "tree(E)", "tree": "tree(E)", "children": "tree(E)",  # leaves: roots with no children
-    "compose": "Par", "blocks": "Par", "power": "E^3", "link": "E^3",
-    "slots": "park(E)*X", "sequence": "park(E)*X", "park": "park(E)*X", "joined": "park(E)*X",
+    "set": "tree(E)", "tree": "tree(E)",  # leaves: roots with no children
+    "compose": "Par", "power": "E^3", "link": "E^3",
+    "slots": "park(E)*X", "park": "park(E)*X", "joined": "park(E)*X",
 }
+# Terms whose last factor, the outer structure or the root, has several
+# choices per partition or head set, so it varies fastest.
+LAST_FASTEST = ["L@(E+)", "tree(Sub)"]
 # Nested parks with empty slot sequences: tails on no labels whose shifted
 # chi(1) is 0, and a base park whose chi(1) is 0.
 EMPTY_TAILS = ["X*park(E, table(1,1,2,2,3))", "park(park(E, affine(1,-1)))"]
@@ -188,7 +192,28 @@ def test_every_writer_is_listed():
         assert set(WRITTEN) == set(vars(style)) - {"text"}
 
 
-@pytest.mark.parametrize("text", sorted(set(WRITTEN.values())) + EMPTY_TAILS)
+# The writers that are templates, or return them, each from its arguments.
+TEMPLATES = {
+    "prod": lambda w: [w.prod],
+    "sum": lambda w: [w.sum("L"), w.sum("R")],
+    "compose": lambda w: [w.compose((frozenset({1, 3}), frozenset({2})))],
+    "tree": lambda w: [w.tree([]), w.tree([2, 5])],
+    "park": lambda w: list(w.park(ChiMap.affine(2, 0))),
+}
+
+
+def test_every_writer_of_fixed_arity_is_a_template():
+    # A term takes its factors in its text's order, so only the writers of
+    # a leaf and those that walk chains of any length write text themselves.
+    for style in WRITERS.values():
+        for name, templates in TEMPLATES.items():
+            assert all(type(t) is tuple for t in templates(style)), name
+        assert style.link is None
+        assert set(vars(style)) - {"text", "link"} - set(TEMPLATES) == {
+            "unit", "atom", "set", "power", "slots", "joined"}
+
+
+@pytest.mark.parametrize("text", sorted(set(WRITTEN.values())) + EMPTY_TAILS + LAST_FASTEST)
 def test_every_writer_writes_serialize_of_the_listing_in_both_styles(text):
     env = SpeciesEnv.standard()
     expr = parse_species(text, env)
