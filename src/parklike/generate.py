@@ -22,6 +22,8 @@ The fold supplies the walk a rule makes over its labels (subsets, set
 partitions, assignments of labels to tree heads) as (part, multiplicity)
 pairs, and subsets as (part, rest, multiplicity) triples, rest the labels
 not in part; a walk is made on each call and dropped when its rule is done.
+Set partitions and head assignments are one placement walk (_placements),
+over labels in the list and text folds and over part sizes in the count fold.
 The list and text folds walk every part once, and memoize their results per
 (expression, label set), building every label set from their results on the
 subsets: in the list fold equal substructures are one shared object, and a
@@ -37,7 +39,8 @@ memoizes its tails' sequences unless the park is the request (see _park).  A
 count depends on the sizes of the parts only (species are functors on
 bijections), so the count fold memoizes per (expression, label count) and
 walks one part per pattern of part sizes, weighted by the number of parts
-that share it, in the order the list fold's walk first meets that pattern.
+that share it, in the order the list fold's walk first meets that pattern:
+the same walk, over sizes, skipping a state met before.
 So each sub-expression and size is folded where the list fold first meets
 it, and a factor is empty exactly when its count is 0, so the first chi
 read, error and fixed-point solve of every sub-expression and size come in
@@ -62,6 +65,7 @@ import gc
 from functools import cached_property, partial
 from itertools import accumulate, combinations, islice, product, repeat, starmap
 from math import comb, factorial, prod
+from operator import add, or_
 from types import SimpleNamespace
 
 from .errors import InadmissibleCompositionError
@@ -88,30 +92,44 @@ def iter_set_partitions(labels):
 
     Blocks come out ordered by minimum element, in the order of the classical
     refinement recursion: each sorted label joins every open block in turn,
-    then opens a new one.  A stack of (labels placed, partition of the sorted
-    prefix) pairs drives it; a popped prefix pushes its next label's choices
-    in reverse, so joining the first block pops first.  A lazy loop, so no
-    self-referencing closure is left for the cyclic collector.
-    """
-    items = sorted(labels)
-    stack = [(0, ())]
+    then opens a new one (see _placements)."""
+    return _placements([frozenset((x,)) for x in sorted(labels)], (), or_, True)
+
+
+def _placements(items, parts: tuple, join, grow: bool, seen=None):
+    """The parts reached by placing the items one at a time, depth first:
+    each joins part 0, 1, ... in turn through join(part, item), then, if
+    grow, opens a part of its own.  The one walk of set partitions (grow,
+    from no parts) and head assignments (from w empty parts), over labels,
+    or over sizes with items all 1 and join add.  Given seen, a state (items
+    placed, parts) met again is skipped: all below it came out the first
+    time.  A lazy stack loop, so it leaves the cyclic collector nothing, and
+    states share their prefix's parts."""
+    n = len(items)
+    stack = [(0, parts)]
     while stack:
-        i, blocks = stack.pop()
-        if i == len(items):
-            yield blocks
+        state = stack.pop()
+        if seen is not None:
+            if state in seen:
+                continue
+            seen.add(state)
+        i, parts = state
+        if i == n:
+            yield parts
             continue
         x = items[i]
-        stack.append((i + 1, (*blocks, frozenset((x,)))))
-        for j in reversed(range(len(blocks))):
-            stack.append((i + 1, (*blocks[:j], blocks[j] | {x}, *blocks[j + 1:])))
+        if grow:
+            stack.append((i + 1, (*parts, x)))
+        for j in reversed(range(len(parts))):
+            stack.append((i + 1, (*parts[:j], join(parts[j], x), *parts[j + 1:])))
 
 
 # -- the walks a rule makes over its labels, as (part, multiplicity) pairs -----
 #
 # The list fold walks every subset, partition and head assignment, each once.
-# The count fold walks one per pattern of part sizes, in the order the list
-# fold first meets that pattern, weighted by how many share it; its parts are
-# consecutive runs of the sorted labels.
+# The count fold walks one per pattern of part sizes, by the same walk over
+# sizes, so in the order the list fold first meets it, weighted by how many
+# share it; its parts are consecutive runs of the sorted labels.
 
 
 def _label_subsets(labels):
@@ -132,11 +150,7 @@ def _label_partitions(labels):
 def _label_shares(w: int, rest: list):
     """Every assignment of the sorted labels rest to w heads, as the heads'
     shares, the last label's head varying fastest."""
-    for assignment in product(range(w), repeat=len(rest)):
-        shares = [[] for _ in range(w)]
-        for label, h in zip(rest, assignment):
-            shares[h].append(label)
-        yield tuple(map(frozenset, shares)), 1
+    return zip(_placements([frozenset((x,)) for x in rest], (frozenset(),) * w, or_, False), repeat(1))
 
 
 def _size_subsets(labels):
@@ -152,10 +166,11 @@ def _size_splits(labels):
 
 def _size_partitions(labels):
     """One partition per sequence of block sizes s_j (blocks ordered by their
-    minimum), in prod C(r_j - 1, s_j - 1) partitions, r_j the labels not in
-    earlier blocks: block j holds the least of them and s_j - 1 others."""
+    minimum), as iter_set_partitions' walk over sizes first meets it, in
+    prod C(r_j - 1, s_j - 1) partitions, r_j the labels not in earlier
+    blocks: block j holds the least of them and s_j - 1 others."""
     items = sorted(labels)
-    for sizes in _size_patterns(len(items), (), grow=True):
+    for sizes in _placements((1,) * len(items), (), add, True, set()):
         weight, left = 1, len(items)
         for s in sizes:
             weight *= comb(left - 1, s - 1)
@@ -164,33 +179,10 @@ def _size_partitions(labels):
 
 
 def _size_shares(w: int, rest: list):
-    """One assignment of rest to w heads per tuple of share sizes t_h, in
-    r!/prod t_h! assignments."""
-    for sizes in _size_patterns(len(rest), (0,) * w, grow=False):
+    """One assignment of rest to w heads per tuple of share sizes t_h, as
+    _label_shares' walk over sizes first meets it, in r!/prod t_h! assignments."""
+    for sizes in _placements((1,) * len(rest), (0,) * w, add, False, set()):
         yield _runs(rest, sizes), factorial(len(rest)) // prod(map(factorial, sizes))
-
-
-def _size_patterns(n: int, sizes: tuple, grow: bool):
-    """The part sizes reached by placing n labels one at a time, each joining
-    part 0, 1, ... in turn and then, if grow, a part of its own: the walk of
-    iter_set_partitions (grow) or of a head assignment, each tuple once, in
-    the order that walk first reaches it.  A state (labels placed, sizes) met
-    again is skipped: everything below it came out the first time."""
-    seen = set()
-    stack = [(0, sizes)]
-    while stack:
-        state = stack.pop()
-        if state in seen:
-            continue
-        seen.add(state)
-        i, sizes = state
-        if i == n:
-            yield sizes
-            continue
-        if grow:
-            stack.append((i + 1, (*sizes, 1)))
-        for j in reversed(range(len(sizes))):
-            stack.append((i + 1, (*sizes[:j], sizes[j] + 1, *sizes[j + 1:])))
 
 
 def _runs(items: list, sizes: tuple) -> tuple:
@@ -318,7 +310,7 @@ def _shaped(cls, keys, *factors):
 #   prod(left, right), link(first factor, chain of the others)   a product,
 #       and a chain of a power's round
 #   power(chain), slots(chain)           the power's structure, its factors as slots
-#   sum(side), compose(blocks), tree(sorted heads)   the make of a sum's side
+#   sum(side), compose(blocks), tree(heads, a sorted tuple)   the make of a sum's side
 #       from its inner structure, of a composition from its blocks' inner
 #       structures and its outer one, and of a tree from its heads' subtrees
 #       and its root
@@ -511,7 +503,7 @@ def _tree(fold, expr: Tree, labels: frozenset):
         roots = fold(expr.base, heads)
         if not roots:
             continue
-        make = fold.makes.tree(sorted(heads))
+        make = fold.makes.tree(tuple(sorted(heads)))
         for shares, ways in fold.shares(len(heads), sorted(rest)):
             subtrees = [fold(expr, share) for share in shares]
             if all(subtrees):

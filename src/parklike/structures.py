@@ -383,7 +383,8 @@ def _writers(p: dict) -> SimpleNamespace:
         prod=_template(f"{p0}\0{p1}\0{p2}"),
         compose=lambda sets: _template(
             c0 + sep.join([f"{b0}\0{labels(b)}{b1}" for b in sets]) + f"{c1}\0{c2}"),
-        tree=lambda heads: _template(t0 + sep.join([f"{h0}{h}{h1}\0{h2}" for h in heads]) + f"{t1}\0{t2}"),
+        tree=lru_cache(maxsize=1024)(  # once per head set (a sorted tuple), as head per chi
+            lambda heads: _template(t0 + sep.join([f"{h0}{h}{h1}\0{h2}" for h in heads]) + f"{t1}\0{t2}")),
         link=None, power=power, slots=slots, park=park, joined=partial(map, sep.join),
     )
     w.text = {

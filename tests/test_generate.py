@@ -5,6 +5,7 @@ import re
 import tracemalloc
 from collections import Counter
 from contextlib import contextmanager, redirect_stdout
+from itertools import product
 from math import comb
 
 import pytest
@@ -594,6 +595,58 @@ def test_count_walks_take_one_part_per_size_pattern(n):
     assert len(list(_size_partitions(labels))) == 2 ** (n - 1)
     for w in range(1, 5):
         assert len(list(_size_shares(w, sorted(labels)))) == comb(n + w - 1, w - 1)
+
+
+# The walks that the one placement walk replaced, kept as oracles: head
+# assignments by itertools.product, and the size patterns by a loop of their own.
+
+
+def product_shares(w: int, rest: list):
+    """Every assignment of the sorted labels rest to w heads, as the heads'
+    shares, the last label's head varying fastest."""
+    for assignment in product(range(w), repeat=len(rest)):
+        shares = [[] for _ in range(w)]
+        for label, h in zip(rest, assignment):
+            shares[h].append(label)
+        yield tuple(map(frozenset, shares)), 1
+
+
+def size_patterns(n: int, sizes: tuple, grow: bool):
+    """The part sizes reached by placing n labels one at a time, each joining
+    part 0, 1, ... in turn and then, if grow, a part of its own, each tuple
+    once, in the order that walk first reaches it."""
+    seen = set()
+    stack = [(0, sizes)]
+    while stack:
+        state = stack.pop()
+        if state in seen:
+            continue
+        seen.add(state)
+        i, sizes = state
+        if i == n:
+            yield sizes
+            continue
+        if grow:
+            stack.append((i + 1, (*sizes, 1)))
+        for j in reversed(range(len(sizes))):
+            stack.append((i + 1, (*sizes[:j], sizes[j] + 1, *sizes[j + 1:])))
+
+
+@pytest.mark.parametrize("n", range(7))
+def test_label_shares_are_the_product_walk(n):
+    labels = sorted({3 * i + 2 for i in range(n)})  # not 1..n: positions are not labels
+    for w in range(5):
+        assert list(_label_shares(w, labels)) == list(product_shares(w, labels)), w
+
+
+@pytest.mark.parametrize("n", range(10))
+def test_size_walks_give_the_reference_size_patterns(n):
+    labels = {3 * i + 2 for i in range(n)}
+    sizes = [tuple(map(len, blocks)) for blocks, _weight in _size_partitions(labels)]
+    assert sizes == list(size_patterns(n, (), grow=True))
+    for w in range(5):
+        sizes = [tuple(map(len, shares)) for shares, _weight in _size_shares(w, sorted(labels))]
+        assert sizes == list(size_patterns(n, (0,) * w, grow=False)), w
 
 
 def first_meetings(monkeypatch, run):

@@ -197,7 +197,7 @@ TEMPLATES = {
     "prod": lambda w: [w.prod],
     "sum": lambda w: [w.sum("L"), w.sum("R")],
     "compose": lambda w: [w.compose((frozenset({1, 3}), frozenset({2})))],
-    "tree": lambda w: [w.tree([]), w.tree([2, 5])],
+    "tree": lambda w: [w.tree(()), w.tree((2, 5))],
     "park": lambda w: list(w.park(ChiMap.affine(2, 0))),
 }
 
@@ -211,6 +211,17 @@ def test_every_writer_of_fixed_arity_is_a_template():
         assert style.link is None
         assert set(vars(style)) - {"text", "link"} - set(TEMPLATES) == {
             "unit", "atom", "set", "power", "slots", "joined"}
+
+
+def test_a_tree_template_is_built_once_per_head_set():
+    # Each of the 64 subsets of 6 labels is a head set of some label set,
+    # the empty one included; a head set's template serves every label set
+    # that holds it.
+    tree = WRITERS[False].tree
+    tree.cache_clear()
+    env = SpeciesEnv.standard()
+    Generator(env).texts(parse_species("tree(E)", env), canonical_labels(6))
+    assert tree.cache_info().misses == 64
 
 
 @pytest.mark.parametrize("text", sorted(set(WRITTEN.values())) + EMPTY_TAILS + LAST_FASTEST)

@@ -233,6 +233,28 @@ def test_tree_walks_do_not_recurse(name, fn, method):
     assert not _calls_itself(fn, method), f"{name} calls itself"
 
 
+def _generate_functions() -> dict:
+    tree = ast.parse((SRC / "generate.py").read_text())
+    return {fn.name: fn for fn in ast.walk(tree) if isinstance(fn, ast.FunctionDef)}
+
+
+@pytest.mark.parametrize("name", ["iter_set_partitions", "_label_shares", "_size_partitions", "_size_shares"])
+def test_partition_and_share_walks_are_the_one_placement_walk(name):
+    # Labels or sizes, with or without a part of its own: one walk, so the
+    # count fold meets each size pattern where the list fold first meets it.
+    calls = [node.func.id for node in ast.walk(_generate_functions()[name])
+             if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)]
+    assert calls.count("_placements") == 1
+
+
+def test_only_the_placement_walk_loops_over_a_stack():
+    def loops_over_a_stack(fn):
+        return any(isinstance(node, ast.While) and ast.unparse(node.test) == "stack"
+                   for node in ast.walk(fn))
+
+    assert [name for name, fn in _generate_functions().items() if loops_over_a_stack(fn)] == ["_placements"]
+
+
 def test_membership_builds_generators_only_in_its_entry_points():
     # A check carries one generator through every rule; a rule that built its
     # own would build one per node of the value.
