@@ -24,7 +24,7 @@ pairs, and subsets as (part, rest, multiplicity) triples, rest the labels
 not in part; a walk is made on each call and dropped when its rule is done.
 Set partitions and head assignments are one placement walk (_placements),
 over labels in the list and text folds and over part sizes in the count fold.
-The list and text folds walk every part once, and memoize their results per
+The list and text folds walk every part once, and cache their results per
 (expression, label set), building every label set from their results on the
 subsets: in the list fold equal substructures are one shared object, and a
 list costs one new top-level node per structure.  A b^k is made from chains
@@ -35,9 +35,9 @@ chain.  A slot sequence is a flat tuple of slots, or of slot texts, which
 kept tails share; a parking-like text's template takes each term's
 sequences joined, so a tail is written as text where it is used.  The Park
 rule makes each parking-like value straight from its heads and tails, and
-memoizes its tails' sequences unless the park is the request (see _park).  A
+caches its tails' sequences unless the park is the request (see _park).  A
 count depends on the sizes of the parts only (species are functors on
-bijections), so the count fold memoizes per (expression, label count) and
+bijections), so the count fold caches per (expression, label count) and
 walks one part per pattern of part sizes, weighted by the number of parts
 that share it, in the order the list fold's walk first meets that pattern:
 the same walk, over sizes, skipping a state met before.
@@ -45,8 +45,8 @@ So each sub-expression and size is folded where the list fold first meets
 it, and a factor is empty exactly when its count is 0, so the first chi
 read, error and fixed-point solve of every sub-expression and size come in
 the same order in all three folds, and with them the same error.  Each shift
-of a chi map is made once per Generator, and one shifted map per (value,
-origin) serves all folds, so their lookups hit by identity.
+of a chi map is made once per fold, and one shifted map per (value, origin)
+serves the fold, so its lookups hit by identity.
 
 A Ref is solved by fixed point: on n labels, iterate its body from the empty
 result (no structure, count 0) until it stabilizes, erroring after n + 2
@@ -132,14 +132,10 @@ def _placements(items, parts: tuple, join, grow: bool, seen=None):
 # share it; its parts are consecutive runs of the sorted labels.
 
 
-def _label_subsets(labels):
-    return zip(iter_subsets(labels), repeat(1))
-
-
 def _label_splits(labels):
-    """_label_subsets as (part, rest, 1), rest the labels not in part: the
-    i-th subset from the end, so no difference is built."""
-    parts = [part for part, _one in _label_subsets(labels)]
+    """Every subset (iter_subsets) as (part, rest, 1), rest the labels not in
+    part: the i-th subset from the end, so no difference is built."""
+    parts = list(iter_subsets(labels))
     return zip(parts, reversed(parts), repeat(1))
 
 
@@ -153,15 +149,11 @@ def _label_shares(w: int, rest: list):
     return zip(_placements([frozenset((x,)) for x in rest], (frozenset(),) * w, or_, False), repeat(1))
 
 
-def _size_subsets(labels):
-    """The first k sorted labels for each size k, in C(n, k) subsets."""
-    items = sorted(labels)
-    return ((frozenset(items[:k]), comb(len(items), k)) for k in range(len(items) + 1))
-
-
 def _size_splits(labels):
-    """_size_subsets as (part, rest, weight), rest the labels not in part."""
-    return ((part, labels - part, weight) for part, weight in _size_subsets(labels))
+    """The first k sorted labels for each size k and the rest, in C(n, k)
+    subsets, as (part, rest, weight)."""
+    items = sorted(labels)
+    return ((frozenset(items[:k]), frozenset(items[k:]), comb(len(items), k)) for k in range(len(items) + 1))
 
 
 def _size_partitions(labels):
@@ -194,25 +186,21 @@ class Generator:
     """Structure generator and counter over a fixed environment.
 
     The environment must not be mutated once generation has started; cache
-    entries are keyed by expression only.  ``memoize=False`` disables every
-    result cache (slower, used to exercise the raw recursion in tests); the
-    shifted chi maps are still kept.  The count and text folds are made on
-    first use: membership's Generators make neither.
+    entries are keyed by expression only.  The count and text folds are made
+    on first use: membership's Generators make neither.
     """
 
-    def __init__(self, env: SpeciesEnv | None = None, *, memoize: bool = True):
+    def __init__(self, env: SpeciesEnv | None = None):
         self.env = env if env is not None else SpeciesEnv.standard()
-        self._maps = {}  # shifted chi maps, shared by the folds: see _Fold.shift
-        self._lists = _Fold(self.env, _listing, _STRUCTURES, memoize, self._maps)
+        self._lists = _Fold(self.env, _listing, _STRUCTURES)
 
     @cached_property
     def _counts(self):
-        return _Fold(self.env, _counting, _STRUCTURES, self._lists.memo.enabled, self._maps)
+        return _Fold(self.env, _counting, _STRUCTURES)
 
     @cached_property
     def _texts(self):  # the text fold of each style, by whether it is spaced
-        return {spaced: _Fold(self.env, _listing, makes, self._lists.memo.enabled, self._maps)
-                for spaced, makes in WRITERS.items()}
+        return {spaced: _Fold(self.env, _listing, makes) for spaced, makes in WRITERS.items()}
 
     # -- public API ----------------------------------------------------------
 
@@ -326,11 +314,11 @@ _STRUCTURES = SimpleNamespace(
 
 
 class _Fold:
-    """The memoized results of one fold (_listing or _counting) of the rules'
+    """The cached results of one fold (_listing or _counting) of the rules'
     terms, under one set of makes.  It holds no reference to its Generator:
     no cycle keeps the memo."""
 
-    def __init__(self, env, combine, makes: SimpleNamespace, memoize: bool, maps: dict):
+    def __init__(self, env, combine, makes: SimpleNamespace):
         self.env = env
         self.combine = combine
         self.makes = makes
@@ -344,9 +332,9 @@ class _Fold:
         else:
             walks = _label_splits, _label_partitions, _label_shares
         self.subsets, self.partitions, self.shares = walks
-        self.memo = Memo(memoize)
+        self.memo = Memo()
         self.cache = self.memo.cache
-        self._maps = maps
+        self._maps = {}  # shifted chi maps: see shift
         self.root = None  # the (expression, labels) of the request being folded
 
     def __call__(self, expr, labels: frozenset):
@@ -357,9 +345,9 @@ class _Fold:
         rule = _RULES.get(type(expr))
         if rule is None:
             raise TypeError(f"not a species expression: {expr!r}")
-        return self.memoized(rule, expr, labels, key=key)
+        return self.folded(rule, expr, labels, key=key)
 
-    def memoized(self, rule, *args, key=None):
+    def folded(self, rule, *args, key=None):
         """The fold of the terms of rule(self, *args), cached under key, by
         default (rule, *args) with the labels, its last argument, keyed as in
         __call__; that never equals an expression's key.  Kept for the round
@@ -374,7 +362,7 @@ class _Fold:
         return self.memo.store(key, self.combine(rule(self, *args)), mark)
 
     def shift(self, chi, n: int):
-        """The one map equal to chi.shift(n) of this Generator, made once per
+        """The one map equal to chi.shift(n) of this fold, made once per
         (chi's value, chi's origin, n): no two equal maps key the memo, and
         an exhausted table is named by its own origin."""
         key = (chi, chi.origin, n)
@@ -411,7 +399,7 @@ def _round(fold, base, j: int, labels: frozenset):
     for part, rest, weight in fold.subsets(labels):
         firsts = fold(base, part)
         if firsts and (j > 1 or not rest):
-            yield fold.makes.link, [firsts, fold.memoized(_round, base, j - 1, rest)], weight
+            yield fold.makes.link, [firsts, fold.folded(_round, base, j - 1, rest)], weight
 
 
 def _rounds(fold, base, k: int, labels: frozenset):
@@ -423,8 +411,8 @@ def _rounds(fold, base, k: int, labels: frozenset):
     parts = [part for part, _rest, _weight in fold.subsets(labels)] if k > 1 else ()
     for j in range(1, k):
         for part in parts:
-            fold.memoized(_round, base, j, part)
-    return fold.memoized(_round, base, k, labels)
+            fold.folded(_round, base, j, part)
+    return fold.folded(_round, base, k, labels)
 
 
 def _power(fold, expr: Power, labels: frozenset):
@@ -461,21 +449,21 @@ def _sequences(fold, base, chi, labels: frozenset, kept=True):
     """The slot sequences of park(base, chi) on labels, by slot peeling:
     the first chi(1) slots are a power structure on a non-empty subset of
     n labels (or on nothing, when labels is empty), and the rest a slot
-    sequence on the other labels for rho_n(m) = chi(n+m) - chi(1), memoized
+    sequence on the other labels for rho_n(m) = chi(n+m) - chi(1), cached
     if kept and otherwise folded for this call only."""
     k = chi(1)
     if not labels:
-        yield _same, [fold.memoized(_heads, base, k, labels)], 1
+        yield _same, [fold.folded(_heads, base, k, labels)], 1
         return
     n = 0
     for first, rest, weight in islice(fold.subsets(labels), 1, None):  # non-empty, by size
-        heads = fold.memoized(_heads, base, k, first)
+        heads = fold.folded(_heads, base, k, first)
         if not heads:
             continue
         if len(first) > n:  # shifted once some head exists, as series slot peeling does
             n = len(first)
             shifted = fold.shift(chi, n)
-        tails = (fold.memoized(_sequences, base, shifted, rest) if kept
+        tails = (fold.folded(_sequences, base, shifted, rest) if kept
                  else fold.combine(_sequences(fold, base, shifted, rest)))
         if tails and (rest or shifted(1)):
             yield tuple.__add__, [heads, tails], weight

@@ -24,13 +24,11 @@ from .errors import DivergentRecursionError
 class Memo:
     """A result cache, the current round's store and the solves in progress.
 
-    ``cache`` is a plain dict so hot callers can look it up inline.  With
-    ``enabled=False`` nothing is ever stored.
+    ``cache`` is a plain dict so hot callers can look it up inline.
     """
 
-    def __init__(self, enabled: bool = True):
+    def __init__(self):
         self.cache: dict = {}
-        self.enabled = enabled
         self.read: list = []  # keys of the approximations read, all in progress
         self.round: dict = {}  # key -> (provisional result, solves in progress it read)
         self.solving: dict = {}  # key -> approximation, innermost last
@@ -39,13 +37,11 @@ class Memo:
         """Cache result if the log gained no entry since it held mark, else
         keep it for the round with the solves it read, one entry each."""
         if len(self.read) == mark:
-            if self.enabled:
-                self.cache[key] = result
+            self.cache[key] = result
             return result
         reads = set(self.read[mark:])
         self.read[mark:] = reads
-        if self.enabled:
-            self.round[key] = result, reads
+        self.round[key] = result, reads
         return result
 
     def reused(self, key):

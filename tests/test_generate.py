@@ -50,13 +50,11 @@ from parklike.generate import (
     _label_partitions,
     _label_shares,
     _label_splits,
-    _label_subsets,
     _round,
     _sequences,
     _size_partitions,
     _size_shares,
     _size_splits,
-    _size_subsets,
     iter_set_partitions,
     iter_subsets,
 )
@@ -229,13 +227,17 @@ def test_counts_depend_only_on_size(gen):
     assert len(gen.raw(Ref("Par"), frozenset({-1, 0, 99}))) == 5
 
 
-def test_relabeling_consistency_without_memoizer(env):
+def test_a_warm_memo_lists_as_a_fresh_one(env):
+    # The memo is keyed by label set: results cached on other sets, some
+    # overlapping {2, 5, 9} and some inside it, leave its listing unchanged.
     expr = parse_species("E@E+ + L", env)
-    plain = Generator(env, memoize=False)
-    cached = Generator(env)
-    direct = {serialize(s) for s in plain.raw(expr, frozenset({2, 5, 9}))}
-    via_cache = {serialize(s) for s in cached.raw(expr, frozenset({2, 5, 9}))}
-    assert direct == via_cache
+    warm = Generator(env)
+    for labels in ({1, 2, 3}, {2, 5}, {5, 9}):
+        warm.raw(expr, labels)
+        warm.texts(expr, labels)
+    fresh, labels = Generator(env), frozenset({2, 5, 9})
+    assert [serialize(s) for s in warm.raw(expr, labels)] == [serialize(s) for s in fresh.raw(expr, labels)]
+    assert warm.texts(expr, labels) == fresh.texts(expr, labels)
 
 
 def test_relabel_transports_generated_structures(gen):
@@ -554,6 +556,11 @@ def test_counts_at_sizes_past_the_listings(env, text, n, expected):
 # -- the count fold's walks: one part per size pattern --------------------------
 
 
+def _pairs(splits):
+    """The (part, weight) pairs of a subset walk's splits."""
+    return [(part, weight) for part, _rest, weight in splits]
+
+
 def _walk_pairs(labels):
     """(list walk, count walk, the size pattern of a part) for each walk."""
     items = sorted(labels)
@@ -561,7 +568,7 @@ def _walk_pairs(labels):
     def sizes(parts):
         return tuple(map(len, parts))
 
-    yield _label_subsets(labels), _size_subsets(labels), len
+    yield _pairs(_label_splits(labels)), _pairs(_size_splits(labels)), len
     yield _label_partitions(labels), _size_partitions(labels), sizes
     for w in range(4):
         yield _label_shares(w, items), _size_shares(w, items), sizes
@@ -591,7 +598,7 @@ def test_count_walks_take_one_part_per_size_pattern(n):
     # size sequences (compositions of n) against Bell(n) partitions, and
     # C(n+w-1, w-1) share sizes against w^n assignments.
     labels = canonical_labels(n)
-    assert len(list(_size_subsets(labels))) == n + 1
+    assert len(list(_size_splits(labels))) == n + 1
     assert len(list(_size_partitions(labels))) == 2 ** (n - 1)
     for w in range(1, 5):
         assert len(list(_size_shares(w, sorted(labels)))) == comb(n + w - 1, w - 1)
@@ -653,19 +660,19 @@ def first_meetings(monkeypatch, run):
     """Every (expression or rule call, label count) the folds are asked for,
     in the order first asked, then the error run raised, if any."""
     met = {}
-    call, memoized = _Fold.__call__, _Fold.memoized
+    call, folded = _Fold.__call__, _Fold.folded
 
     def traced_call(fold, expr, labels):
         met.setdefault((expr, len(labels)))
         return call(fold, expr, labels)
 
-    def traced_memoized(fold, rule, *args, key=None):
+    def traced_folded(fold, rule, *args, key=None):
         met.setdefault((rule, *args[:-1], len(args[-1])))
-        return memoized(fold, rule, *args, key=key)
+        return folded(fold, rule, *args, key=key)
 
     with monkeypatch.context() as patched:
         patched.setattr(_Fold, "__call__", traced_call)
-        patched.setattr(_Fold, "memoized", traced_memoized)
+        patched.setattr(_Fold, "folded", traced_folded)
         try:
             run()
         except SpeciesError as error:
@@ -708,12 +715,17 @@ def test_counting_meets_each_size_where_listing_first_meets_it(
 def test_a_split_pairs_each_part_with_the_labels_not_in_it():
     labels = frozenset({2, 3, 5, 7, 11})
     listed = list(_label_splits(labels))
-    assert [(part, weight) for part, _rest, weight in listed] == list(_label_subsets(labels))
+    assert _pairs(listed) == [(part, 1) for part in iter_subsets(labels)]
     assert all(rest == labels - part for part, rest, _weight in listed)
     # Each rest is an object of the same walk: one object per subset.
     assert len({id(s) for part, rest, _weight in listed for s in (part, rest)}) == 2**5
+    # One part per size, the least labels, weighted by the subsets of its size.
     counted = list(_size_splits(labels))
-    assert [(part, weight) for part, _rest, weight in counted] == list(_size_subsets(labels))
+    firsts, sizes = {}, Counter()
+    for part in iter_subsets(labels):
+        firsts.setdefault(len(part), part)
+        sizes[len(part)] += 1
+    assert _pairs(counted) == [(part, sizes[k]) for k, part in firsts.items()]
     assert all(rest == labels - part for part, rest, _weight in counted)
 
 
@@ -779,12 +791,14 @@ def test_round_one_links_the_whole_set_only(env, monkeypatch, text):
 
 
 def test_a_repeated_shift_builds_no_map(env, monkeypatch):
-    # Looked up by the map's value and origin and the shift: an equal map,
-    # or another fold of the same Generator, gets the same object.
+    # Looked up by the map's value and origin and the shift: an equal map
+    # gets the same object within a fold; each fold holds its own table.
     gen = Generator(env)
     table = ChiMap.from_table((1, 2, 4, 5, 7))
     shifted = gen._lists.shift(table, 2)
     assert shifted == table.shift(2) and shifted.origin == (table, 2)
+    others = [fold.shift(table, 2) for fold in (gen._counts, gen._texts[False])]
+    assert all(other == shifted and other is not shifted for other in others)
     built = []
     init = ChiMap.__init__
 
@@ -795,9 +809,10 @@ def test_a_repeated_shift_builds_no_map(env, monkeypatch):
     monkeypatch.setattr(ChiMap, "__init__", counted)
     equal = ChiMap("table", table=(1, 2, 4, 5, 7))
     built.clear()
-    for fold in (gen._lists, gen._counts, gen._texts[False]):
-        assert fold.shift(table, 2) is shifted and fold.shift(equal, 2) is shifted
+    for fold, first in zip((gen._lists, gen._counts, gen._texts[False]), (shifted, *others)):
+        assert fold.shift(table, 2) is first and fold.shift(equal, 2) is first
     assert built == []
+    assert gen._lists._maps is not gen._counts._maps
 
 
 def test_equal_shifted_tables_name_their_own_table(env):
@@ -813,8 +828,13 @@ def test_equal_shifted_tables_name_their_own_table(env):
         from_short(2)
     with pytest.raises(ChiTableExhaustedError, match=r"^chi table\(1,2,3,4,5\) has 5 entries, needed chi\(6\)$"):
         from_peeled(2)
-    for fold in (gen._counts, gen._texts[True]):
-        assert fold.shift(peeled, 3) is from_peeled and fold.shift(short, 3) is from_short
+    assert gen._lists.shift(peeled, 3) is from_peeled and gen._lists.shift(short, 3) is from_short
+    # Another fold holds its own table, whose maps name their own tables too.
+    other = gen._counts.shift(gen._counts.shift(long, 1), 3)
+    assert other == from_peeled and other is not from_peeled
+    assert gen._counts.shift(short, 3) is not from_short
+    with pytest.raises(ChiTableExhaustedError, match=r"^chi table\(1,2,3,4,5\) has 5 entries, needed chi\(6\)$"):
+        other(2)
 
 
 @pytest.mark.parametrize(
