@@ -4,15 +4,16 @@ Forward direction: a parking-like sequence (sp_1, ..., sp_{n+1}) orders its
 labels by slot first, ambient order second (the q-order).  sp_1 becomes the
 root structure; the structure sp_{i+1} becomes the node of the i-th label in
 q-order.  Backward direction: breadth-first order, heads sorted at each node,
-is the q-order, so the roots of TreeLike.nodes() are the slots in order.  Both
-directions validate their input, over a base species when one is given, and
-are exact inverses, for the identity chi only.
+is the q-order, so the roots of TreeLike.nodes() are the slots in order.  Each
+direction validates its input once, through validate_parking or validate_tree,
+over a base species when one is given, so a fault is named by the same text
+with or without a base.  The two are exact inverses, for the identity chi only.
 """
 
 from __future__ import annotations
 
 from .chi import ChiMap
-from .errors import ChiNotIdentityError, InvalidStructureError
+from .errors import ChiNotIdentityError
 from .expr import SpeciesExpr
 from .membership import validate_parking, validate_tree
 from .structures import ParkingLike, TreeLike
@@ -53,17 +54,8 @@ def park_to_tree(p: ParkingLike, base: SpeciesExpr | None = None, env=None) -> T
 def tree_to_park(t: TreeLike, base: SpeciesExpr | None = None, env=None) -> ParkingLike:
     """Breadth-first inverse: the roots of t.nodes() in order are the slots.
 
-    t is validated as validate_tree(t, base, env) does.  Without a base, a
-    head listed twice is first named as such, in breadth-first order; with
-    one, validate_tree names every fault, as biject reports it.
+    t is validated first, as validate_tree(t, base, env) does, so a fault is
+    named by validate_tree's text, with or without a base.
     """
-    nodes = t.nodes()
-    if base is None:
-        seen = set()
-        for node in nodes:
-            for head, _sub in node.children:
-                if head in seen:
-                    raise InvalidStructureError(f"label {head} appears twice")
-                seen.add(head)
     validate_tree(t, base, env)
-    return ParkingLike(ChiMap.identity(), tuple([node.root for node in nodes]))
+    return ParkingLike(ChiMap.identity(), tuple([node.root for node in t.nodes()]))

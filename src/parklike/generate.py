@@ -206,40 +206,41 @@ class Generator:
 
     def generate(self, expr, labels) -> list:
         """All structures of expr on labels, sorted by canonical serialization."""
-        return sorted(self.raw(expr, labels), key=serialize)
+        return _paused(self._lists, expr, frozenset(labels), partial(sorted, key=serialize))
 
     def raw(self, expr, labels) -> list:
         """Same set as generate(), in construction order: the list fold of
-        expr's terms.  Skips the serialization sort."""
-        return _paused(self._lists, expr, frozenset(labels))
+        expr's terms, in a list the memo does not keep.  Skips the sort."""
+        return _paused(self._lists, expr, frozenset(labels), list)
 
     def texts(self, expr, labels, spaced: bool = False) -> list:
         """The canonical texts of raw(expr, labels), in the same order, or
         with json.dumps's default spacing if spaced: the text fold of the
         same terms, which writes each text from its parts' texts and builds
-        no structure."""
-        return _paused(self._texts[spaced], expr, frozenset(labels))
+        no structure.  The list is the caller's, as raw's is."""
+        return _paused(self._texts[spaced], expr, frozenset(labels), list)
 
     def count(self, expr, n: int) -> int:
         """The number of expr's structures on n labels: the count fold of the
         same terms, which builds no structure, folds each sub-expression once
         per label count, and walks one label set per pattern of part sizes,
         weighted by how many share it, where the list fold first meets it."""
-        return _paused(self._counts, expr, canonical_labels(n))
+        return _paused(self._counts, expr, canonical_labels(n), int)
 
     def check_admissible(self, expr: Compose) -> None:
         """Raise unless expr's inner species has no structure on the empty set."""
         _check_admissible(self._lists, expr)
 
 
-def _paused(fold, expr, labels: frozenset):
-    """fold(expr, labels), the request fold.root, with the cyclic collector
-    paused; see the module doc."""
+def _paused(fold, expr, labels: frozenset, own):
+    """own(fold(expr, labels)), the request fold.root, with the cyclic
+    collector paused (see the module doc): a listing the memo keeps is
+    copied here, where no collection can start and re-walk the memo."""
     enabled = gc.isenabled()
     gc.disable()
     fold.root = expr, labels
     try:
-        return fold(expr, labels)
+        return own(fold(expr, labels))
     finally:
         if enabled:
             gc.enable()

@@ -461,11 +461,12 @@ def from_jsonable(data) -> "Structure":
             return ProdVal(from_jsonable(data["l"]), from_jsonable(data["r"]))
         if kind == "comp":
             blocks = tuple((_labels(b["labels"]), from_jsonable(b["in"])) for b in data["blocks"])
+            blocks = _array(data["blocks"], "blocks", blocks)
             return ComposeVal(from_jsonable(data["outer"]), blocks)
         if kind is None:
             if "chi" in data and "seq" in data:
                 chi = _chi(data["chi"])
-                return ParkingLike(chi, tuple(from_jsonable(s) for s in data["seq"]))
+                return ParkingLike(chi, _array(data["seq"], "seq", tuple(map(from_jsonable, data["seq"]))))
             if "root" in data and "children" in data:
                 return _tree_from_jsonable(data)
     except (KeyError, TypeError) as exc:
@@ -485,7 +486,7 @@ def _chi(text) -> ChiMap:
 def _tree_from_jsonable(data) -> TreeLike:
     nodes = [data]  # the JSON of every node, each after its parent, as nodes()
     for node in nodes:
-        nodes.extend([child["subtree"] for child in node["children"]])
+        nodes.extend(_array(node["children"], "children", [child["subtree"] for child in node["children"]]))
     built = {}  # id(node JSON) -> its TreeLike, children before parents
     for node in reversed(nodes):
         built[id(node)] = TreeLike(
@@ -502,10 +503,17 @@ def _label(value) -> int:
 
 
 def _labels(values) -> frozenset:
-    labels = frozenset(map(_label, values))
+    labels = _array(values, "labels", frozenset(map(_label, values)))
     if len(labels) != len(values):
         raise InvalidStructureError(f"labels must be distinct, got {shown(values)}")
     return labels
+
+
+def _array(values, key, items):
+    """items, once read from values, if values (the JSON at key) is an array."""
+    if not isinstance(values, list):
+        raise InvalidStructureError(f"{key} must be an array, got {shown(values)}")
+    return items
 
 
 def deserialize(text: str) -> "Structure":

@@ -475,6 +475,16 @@ def test_biject_rejects_a_repeated_label(capsys, monkeypatch, direction, doc):
     assert captured.err == "error: labels must be distinct, got [1, 1]\n"
 
 
+def test_biject_rejects_an_object_where_an_array_belongs(capsys, monkeypatch):
+    # Read as empty arrays, the document would convert to one empty slot.
+    doc = {"root": {"k": "set", "labels": {}}, "children": {}}
+    monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps(doc)))
+    rc = main(["biject", "--expr", "E", "--direction", "t2p"])
+    captured = capsys.readouterr()
+    assert (rc, captured.out) == (1, "")
+    assert captured.err == "error: children must be an array, got {}\n"
+
+
 def test_biject_error_line_echoes_a_large_document_in_part(capsys, monkeypatch):
     # 3,001 slots under an unknown "k": the error line holds the first 200
     # characters of the document, not all of it.

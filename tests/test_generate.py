@@ -240,6 +240,22 @@ def test_a_warm_memo_lists_as_a_fresh_one(env):
     assert warm.texts(expr, labels) == fresh.texts(expr, labels)
 
 
+def test_a_listing_is_the_callers_to_change(env):
+    # Cleared, reversed or grown, a listing leaves the memo's own alone: the
+    # repeat request and a larger one that reuses it list as a fresh Generator.
+    warm, fresh = Generator(env), Generator(env)
+    pair = Prod(E(), E())
+    for spaced in (False, True):
+        warm.raw(E(), {1}).clear()
+        warm.raw(pair, {1, 2}).reverse()
+        warm.texts(E(), {2}, spaced).append("extra")
+        warm.texts(pair, {1, 2}, spaced).clear()
+        for expr, labels in [(E(), {1}), (E(), {2}), (pair, {1, 2}), (pair, {1, 2, 3})]:
+            assert warm.raw(expr, labels) == fresh.raw(expr, labels)
+            assert warm.texts(expr, labels, spaced) == fresh.texts(expr, labels, spaced)
+    assert len(warm.raw(pair, {1, 2, 3})) == 8
+
+
 def test_relabel_transports_generated_structures(gen):
     base = gen.generate(Ref("Comp"), {1, 2, 3})
     moved = [s.relabel({1: 4, 2: 5, 3: 6}) for s in base]

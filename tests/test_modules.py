@@ -299,3 +299,39 @@ def test_a_clean_interpreter_runs_the_cli_without_import_only_modules():
     imported = {line.rsplit("|", 1)[1].strip() for line in proc.stderr.splitlines() if line.startswith("import time:")}
     assert "parklike.frozen" in imported and "argparse" in imported
     assert not imported & set(_IMPORT_ONLY)
+
+
+_PROPERTY_FAILS = '''
+import warnings
+
+from hypothesis import given, strategies as st
+
+
+@given(st.integers())
+def test_a_failing_property(x):
+    assert x < 0
+
+
+def test_a_passing_test():
+    pass
+
+
+def test_a_deprecation_warning_of_our_own():
+    warnings.warn("ours", DeprecationWarning)
+'''
+
+
+def test_a_failing_property_fails_alone_under_the_warning_filters(tmp_path):
+    # Reporting a failing property imports libcst, which warns on import;
+    # under "error" that stopped the pytest run with an INTERNALERROR.  A
+    # warning raised by a test itself must still fail it.
+    (tmp_path / "test_probe.py").write_text(_PROPERTY_FAILS)
+    config = SRC.parents[1] / "pyproject.toml"
+    argv = [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", "-c", str(config),
+            "--rootdir", str(tmp_path), "test_probe.py"]
+    proc = subprocess.run(argv, cwd=tmp_path, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 1, proc.stdout[-2000:]
+    assert "INTERNALERROR" not in proc.stdout + proc.stderr
+    assert "2 failed, 1 passed" in proc.stdout
+    assert "FAILED test_probe.py::test_a_deprecation_warning_of_our_own" in proc.stdout
+    assert "DeprecationWarning: ours" in proc.stdout

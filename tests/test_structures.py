@@ -190,6 +190,26 @@ def test_from_jsonable_rejects_malformed(data):
         from_jsonable(data)
 
 
+# A document with an empty array at each key that holds one.
+ARRAY_KEYS = {
+    "labels": {"k": "set", "labels": []},
+    "seq": {"chi": "id", "seq": []},
+    "blocks": {"k": "comp", "outer": {"k": "unit"}, "blocks": []},
+    "children": {"root": {"k": "set", "labels": []}, "children": []},
+}
+
+
+@pytest.mark.parametrize("key", sorted(ARRAY_KEYS))
+@pytest.mark.parametrize("empty", ["", {}], ids=["string", "object"])
+def test_from_jsonable_rejects_an_empty_string_or_object_for_an_array(key, empty):
+    # Iterated, either would read as an empty array without a word.
+    from_jsonable(ARRAY_KEYS[key])
+    data = {**ARRAY_KEYS[key], key: empty}
+    with pytest.raises(InvalidStructureError) as error:
+        from_jsonable(data)
+    assert str(error.value) == f"{key} must be an array, got {empty!r}"
+
+
 @pytest.mark.parametrize(
     "text",
     [

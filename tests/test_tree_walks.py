@@ -4,10 +4,12 @@ tree_to_park, tree_to_core, tree_from_core and the tree JSON reader each
 read one node list (TreeLike.nodes(), or the same breadth-first list of the
 input) instead of a queue of their own or one interpreter frame per level.
 The oracles below are those older walks, kept here: on valid trees the
-outputs must be equal, and on an input with one fault the error text too.
+outputs must be equal, and on an input with one fault the error text too,
+but for tree_to_park, which names a fault as validate_tree does.
 """
 
 import json
+import re
 import sys
 from collections import deque
 
@@ -26,6 +28,7 @@ from parklike import (
     tree_from_core,
     tree_to_core,
     tree_to_park,
+    validate_tree,
 )
 from parklike.errors import InvalidStructureError
 from parklike.expr import Tree
@@ -187,7 +190,7 @@ def test_walks_match_the_old_walks_on_drawn_trees(t):
 
 
 def test_tree_to_park_rejects_a_head_the_root_lists_twice():
-    with pytest.raises(InvalidStructureError, match="label 1 appears twice"):
+    with pytest.raises(InvalidStructureError, match=re.escape("children keys [1, 1] != root labels [1]")):
         tree_to_park(TreeLike(SetVal({1}), ((1, LEAF), (1, LEAF))))
 
 
@@ -209,8 +212,8 @@ def with_head(t, node, old, new):
 
 @given(trees(), st.data())
 @settings(max_examples=150, deadline=None)
-def test_tree_to_park_reports_a_repeated_head_as_the_queue_did(t, data):
-    # One label repeated, below the top level: the queue walk caught that one.
+def test_tree_to_park_reports_a_repeated_head_as_validate_tree_does(t, data):
+    # One label repeated, below the top level: the queue walk rejected it too.
     below = [node for node in preorder(t)[1:] if node.children]
     if not below:
         return
@@ -220,8 +223,10 @@ def test_tree_to_park_reports_a_repeated_head_as_the_queue_did(t, data):
     # Not a sibling's head: the constructor would sort two equal heads.
     new = data.draw(st.sampled_from(sorted(t.underlying() - set(heads))))
     bad = with_head(t, node, old, new)
-    assert verdict(tree_to_park, bad) == verdict(queue_tree_to_park, bad)
-    assert verdict(tree_to_park, bad) == f"InvalidStructureError: label {new} appears twice"
+    assert verdict(queue_tree_to_park, bad) == f"InvalidStructureError: label {new} appears twice"
+    with pytest.raises(InvalidStructureError) as expected:
+        validate_tree(bad)
+    assert verdict(tree_to_park, bad) == f"InvalidStructureError: {expected.value}"
 
 
 @given(st.integers(0, 30).flatmap(lambda k: trees(extra_root_label_at=k)))

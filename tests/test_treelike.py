@@ -5,6 +5,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from parklike import (
     Generator,
+    ParkingLike,
     SpeciesEnv,
     accepts,
     SetVal,
@@ -12,8 +13,10 @@ from parklike import (
     deserialize,
     parse_species,
     serialize,
+    park_to_tree,
     tree_from_core,
     tree_to_core,
+    tree_to_park,
     validate_tree,
 )
 from parklike.errors import InvalidStructureError
@@ -212,6 +215,19 @@ _TWICE = TreeLike(SetVal({3}), ((3, TreeLike(SetVal(frozenset()), ())),))
 def test_validate_tree_reports_the_first_fault_the_recursion_meets(t, with_base):
     args = (E(), SpeciesEnv.standard()) if with_base else ()
     assert verdict(validate_tree, t, *args) == verdict(recursive_validate_tree, t, *args)
+
+
+@given(trees, st.booleans())
+@example(TreeLike(SetVal({1}), ((1, TreeLike(SetVal(frozenset()), ())),) * 2), False)
+@settings(max_examples=300, deadline=None)
+def test_tree_to_park_rejects_exactly_what_validate_tree_rejects_and_names_it_alike(t, with_base):
+    # With or without a base, the converter's one check is validate_tree.
+    args = (E(), SpeciesEnv.standard()) if with_base else ()
+    expected, got = verdict(validate_tree, t, *args), verdict(tree_to_park, t, *args)
+    if expected is True:
+        assert isinstance(got, ParkingLike) and park_to_tree(got, *args) == t
+    else:
+        assert got == expected
 
 
 def test_validate_tree_walks_a_path_deeper_than_the_recursion_limit():
