@@ -38,7 +38,6 @@ from .expr import (
     Tree,
     X,
     Zero,
-    ary,
     expr_to_text,
 )
 from .generate import Generator
@@ -114,7 +113,6 @@ __all__ = [
     "UnitVal",
     "X",
     "Zero",
-    "ary",
     "blocks_to_pf",
     "deserialize",
     "egf_of_species",

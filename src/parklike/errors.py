@@ -39,6 +39,9 @@ class DivergentRecursionError(SpeciesError):
 class InadmissibleCompositionError(SpeciesError):
     """Partitional composition with an inner species that has structures on the empty set."""
 
+    def __init__(self, message="composition requires the inner species to have no structure on the empty set"):
+        super().__init__(message)
+
 
 class ChiTableExhaustedError(SpeciesError):
     """A table-backed chi map was evaluated beyond its last entry."""

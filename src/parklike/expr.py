@@ -162,13 +162,6 @@ class SpeciesEnv:
         return SpeciesEnv(self._bindings)
 
 
-def ary(k: int) -> Ref:
-    """The k-ary tree species as a reference into the standard environment."""
-    if k < 1:
-        raise SpeciesError(f"Ary(k) needs k >= 1, got {k}")
-    return Ref(f"Ary({k})")
-
-
 # Printer precedence levels: the index of each binary operator in BINARY,
 # then power, then atoms.
 _LVL_POWER = len(BINARY)

@@ -61,23 +61,17 @@ class Frozen:
 
 
 class Keyed(Frozen):
-    """A Frozen that keeps the tuple of its fields and its hash: equality is
-    one tuple comparison and hashing one slot read.  For the values looked up
-    and compared on every step (expression nodes, chi maps); structures, built
-    by the million, keep nothing extra."""
+    """A Frozen that keeps its hash: hashing is one slot read.  For the
+    values hashed on every memo lookup (expression nodes, chi maps), whose
+    keys hit by identity, so the inherited equality is rarely reached;
+    structures, built by the million, keep nothing extra."""
 
-    __slots__ = ("_key", "_hash")
+    __slots__ = ("_hash",)
     _fields = ()
 
     def __init__(self, *values):
         Frozen.__init__(self, *values)
-        _set(self, "_key", values)
         _set(self, "_hash", hash(values))
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._key == other._key
 
     def __hash__(self):
         return self._hash

@@ -379,8 +379,7 @@ class _Fold:
 
 def _check_admissible(fold, expr: Compose) -> None:
     if fold(expr.inner, frozenset()):
-        raise InadmissibleCompositionError(
-            "composition requires the inner species to have no structure on the empty set")
+        raise InadmissibleCompositionError
 
 
 def _prod(fold, left, right, labels: frozenset):

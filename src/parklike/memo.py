@@ -12,8 +12,8 @@ and keeps any other in `round`, the store of the current round, with the
 solves it read; reused() returns a kept result and logs those reads again.
 Each round of a solve opens a fresh store, so a kept result serves until an
 approximation it read changes.  Each caller picks its own key, empty value,
-round bound and error text; `solving` maps the solves in progress, innermost
-last, to their approximations.
+round bound and error text, and stores what a solve returns; `solving` maps
+the solves in progress, innermost last, to their approximations.
 """
 
 from __future__ import annotations
@@ -53,7 +53,7 @@ class Memo:
         return kept[0]
 
     def solve(self, key, empty, rounds: int, step, error: str):
-        """The fixed point of step() for key, starting from empty.
+        """The fixed point of step() for key from empty, which the caller stores.
 
         A nested request for a key being solved returns its current
         approximation.  Raises DivergentRecursionError with the given text if
@@ -79,4 +79,4 @@ class Memo:
             self.round = outer
         if len(self.read) != mark:  # key's own reads end with its solve
             self.read[mark:] = [k for k in self.read[mark:] if k != key]
-        return self.store(key, result, mark)
+        return result

@@ -360,10 +360,10 @@ class _Evaluator:
         return [a + b for a, b in zip(y, step)]
 
     def _power(self, expr: Power) -> tuple:
-        base, slope = self.eval(expr.base)
         k = expr.exponent
-        if not k:
-            return _pow(base, 0), None
+        if not k:  # the unit, whatever the base: b is not evaluated
+            return [1] + [0] * self.order, None
+        base, slope = self.eval(expr.base)
         if slope is None or slope is _UNKNOWN:
             return _pow(base, k), slope
         lower = _pow(base, k - 1)  # d b^k = k b^(k-1) db
@@ -373,9 +373,7 @@ class _Evaluator:
         """sum_k f_k (g^k)_n / k!: k-sets of inner structures, outer on the k blocks."""
         inner, d_inner = self.eval(expr.inner)
         if inner[0]:
-            raise InadmissibleCompositionError(
-                "series composition requires a zero constant term inside"
-            )
+            raise InadmissibleCompositionError
         if type(expr.outer) in _SETS:
             # F = E(G) solves F' = G'F: f_(n+1) = sum_k C(n,k) g_(k+1) f_(n-k).
             terms = [(k, g) for k, g in enumerate(inner[1:]) if g]

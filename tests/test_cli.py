@@ -564,6 +564,32 @@ def test_series_zero(capsys):
     assert json.loads(out)["counts"] == ["0", "0", "0", "0"]
 
 
+@pytest.mark.parametrize("expr", ["park(E,table(1))^0", "(E@E)^0"])
+def test_series_of_a_zeroth_power_is_the_unit_whatever_the_base(capsys, expr):
+    # The base fails on its own (a short table, an inadmissible composition),
+    # but b^0 reads no b: series answers as count does, coefficient by
+    # coefficient.
+    rc, out = run(capsys, ["series", "--expr", expr, "--order", "3"])
+    assert rc == 0 and json.loads(out)["counts"] == ["1", "0", "0", "0"]
+    for n, expected in enumerate(["1", "0", "0", "0"]):
+        rc, out = run(capsys, ["count", "--expr", expr, "--n", str(n)])
+        assert rc == 0 and out.strip() == expected
+
+
+def test_an_inadmissible_composition_is_one_error_line_on_every_route(capsys):
+    errors = set()
+    for argv in (
+        ["series", "--expr", "E@E", "--order", "2"],
+        ["count", "--expr", "E@E", "--n", "2"],
+        ["enumerate", "--expr", "E@E", "--n", "2"],
+    ):
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        errors.add(captured.err)
+    assert errors == {"error: composition requires the inner species to have no structure on the empty set\n"}
+
+
 # -- biject ---------------------------------------------------------------------------
 
 

@@ -93,3 +93,33 @@ def test_count_of_a_structureless_mutual_system_answers(capsys):
     argv = [f"--define={name}:={NO_STRUCTURE}" for name in "AB"]
     assert main([*argv, "count", "--expr", "A", "--n", "6"]) == 0
     assert capsys.readouterr().out == "0\n"
+
+
+@pytest.fixture
+def stores(monkeypatch):
+    """Per key, the number of times Memo.store was called with it."""
+    counts = Counter()
+    store = Memo.store
+
+    def counting(self, key, result, mark):
+        counts[key] += 1
+        return store(self, key, result, mark)
+
+    monkeypatch.setattr(Memo, "store", counting)
+    return counts
+
+
+def test_generation_stores_each_key_once(stores):
+    # A solved Ref is stored by the lookup that asked for it, not also by
+    # its solve: once per size in the count fold, per subset in the list fold.
+    assert Generator(SpeciesEnv.standard()).count(Ref("L"), 7) == factorial(7)
+    assert len(stores) == 40 and set(stores.values()) == {1}
+    stores.clear()
+    assert len(Generator(SpeciesEnv.standard()).raw(Ref("L"), range(1, 6))) == factorial(5)
+    assert len(stores) == 160 and set(stores.values()) == {1}
+
+
+@pytest.mark.parametrize("name", ["Sub", "Par"])
+def test_series_stores_a_solved_ref_once(stores, name):
+    egf_of_species(Ref(name), SpeciesEnv.standard(), 8)
+    assert stores[Ref(name)] == 1

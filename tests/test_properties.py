@@ -30,6 +30,7 @@ from parklike.expr import (
     E, EPlus, One, Compose, Park, Power, Prod, Ref, Restrict, SpeciesExpr, Sum, Tree, X, Zero,
 )
 from parklike.memo import Memo
+from parklike.series import park_by_peeling
 from parklike.structures import _read_deep, canonical_labels
 
 from jsonable import to_jsonable
@@ -387,6 +388,16 @@ def test_generation_and_series_agree_on_random_definitions(definitions):
                     assert count == counts[n], n
     except OverBudget:
         reject()
+
+
+@given(exprs, st.sampled_from(PARK_CHIS), st.integers(min_value=0, max_value=10))
+@settings(max_examples=100, deadline=None)
+def test_park_with_an_affine_chi_is_park_by_peeling(base, chi, order):
+    # Series evaluates park with an affine chi by Lagrange-Buermann; slot
+    # peeling must give the same counts from the base's series alone.
+    chi = parse_chi_text(chi)
+    expected = park_by_peeling(egf_of_species(base, ENV, order), chi, order)
+    assert egf_of_species(Park(base, chi), ENV, order).counts == expected.counts
 
 
 def test_the_routes_may_name_different_exhausted_tables():
