@@ -24,7 +24,7 @@ field of parking-like JSON.
 
 from __future__ import annotations
 
-from .errors import ChiTableExhaustedError, SpeciesError
+from .errors import ChiTableExhaustedError, SpeciesError, cut, shown
 from .frozen import Keyed
 
 
@@ -39,16 +39,16 @@ class ChiMap(Keyed):
     def __init__(self, kind: str, a: int = 0, b: int = 0, table: tuple = (), origin=None):
         if kind == "affine":
             if a < 0:
-                raise SpeciesError(f"affine chi needs a >= 0, got a={a}")
+                raise SpeciesError(f"affine chi needs a >= 0, got a={shown(a)}")
             if a + b < 0:
-                raise SpeciesError(f"affine chi needs chi(1) = a + b >= 0, got {a + b}")
+                raise SpeciesError(f"affine chi needs chi(1) = a + b >= 0, got {shown(a + b)}")
         elif kind == "table":
             if not table:
                 raise SpeciesError("chi table needs at least the value chi(1)")
             if any(v < 0 for v in table):
-                raise SpeciesError(f"chi values must be non-negative: {table}")
+                raise SpeciesError(f"chi values must be non-negative: {shown(table)}")
             if any(table[i] > table[i + 1] for i in range(len(table) - 1)):
-                raise SpeciesError(f"chi must be non-decreasing: {table}")
+                raise SpeciesError(f"chi must be non-decreasing: {shown(table)}")
         else:
             raise SpeciesError(f"unknown chi kind {kind!r}")
         Keyed.__init__(self, kind, a, b, table)
@@ -68,7 +68,7 @@ class ChiMap(Keyed):
 
     def __call__(self, m: int) -> int:
         if m < 1:
-            raise SpeciesError(f"chi is defined on positive integers, got {m}")
+            raise SpeciesError(f"chi is defined on positive integers, got {shown(m)}")
         if self.kind == "affine":
             return self.a * m + self.b
         if m > len(self.table):
@@ -79,14 +79,14 @@ class ChiMap(Keyed):
         """The error for a missing chi(m), stated on the unshifted table."""
         root, offset = self.origin or (self, 0)
         return ChiTableExhaustedError(
-            f"chi {root.key()} has {len(root.table)} entries, "
+            f"chi {cut(root.key())} has {len(root.table)} entries, "
             f"needed chi({offset + m})"
         )
 
     def shift(self, n: int) -> "ChiMap":
         """The map rho_n : m -> chi(n + m) - chi(1)."""
         if n < 1:
-            raise SpeciesError(f"shift amount must be positive, got {n}")
+            raise SpeciesError(f"shift amount must be positive, got {shown(n)}")
         if self.kind == "affine":
             b = self.a * (n - 1)
             return self if b == self.b else ChiMap.affine(self.a, b)

@@ -32,6 +32,7 @@ from .errors import (
     ParseError,
     SpeciesError,
     UnboundNameError,
+    cut,
     shown,
 )
 from .expr import SpeciesEnv, expr_to_text
@@ -39,7 +40,7 @@ from .generate import Generator
 from .membership import validate_parking, validate_tree  # unused: bench/tracing.py patches them
 from .series import egf_of_species
 from .structures import ParkingLike, TreeLike, canonical_labels, from_jsonable, read_json, serialize
-from .verify import run_suite
+from .verify import SUITES, run_suite
 
 
 def _add_shared_flags(parser) -> None:
@@ -85,51 +86,6 @@ class _Formatter(argparse.HelpFormatter):
         super().__init__(prog, width=columns - 2)
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="parklike",
-        description="Exact enumeration of parking-like and tree-like structures.",
-        formatter_class=_Formatter,
-    )
-    _add_shared_flags(parser)
-    parser.set_defaults(define=[], format="text", budget=8)
-    sub = parser.add_subparsers(
-        dest="command", required=True,
-        parser_class=partial(argparse.ArgumentParser, formatter_class=_Formatter),
-    )
-
-    p_enum = sub.add_parser("enumerate", help="list all structures on {1..n}")
-    p_enum.add_argument("--expr", required=True)
-    p_enum.add_argument("--n", type=int, required=True)
-    p_enum.add_argument("--count-only", action="store_true")
-
-    p_count = sub.add_parser("count", help="count structures on {1..n}")
-    p_count.add_argument("--expr", required=True)
-    p_count.add_argument("--n", type=int, required=True)
-
-    p_bij = sub.add_parser("biject", help="apply the parking/tree bijection")
-    p_bij.add_argument("--expr", required=True, help="base species expression")
-    p_bij.add_argument("--direction", required=True, choices=["p2t", "t2p"])
-    p_bij.add_argument("--input", default="-", help="file with JSON input, - for stdin")
-
-    p_ser = sub.add_parser("series", help="exact counts via generating series")
-    p_ser.add_argument("--expr", required=True)
-    p_ser.add_argument("--order", type=int, required=True)
-
-    p_ver = sub.add_parser("verify", help="run the verification suites")
-    p_ver.add_argument("--suite", default="all", choices=["paper", "properties", "all"])
-    p_ver.add_argument("--max-n", type=int, default=None)
-    p_ver.add_argument("--golden-dir", default=None)
-
-    p_dump = sub.add_parser("define-dump", help="print the active species definitions")
-    for cmd in (p_enum, p_count, p_bij, p_ser, p_ver, p_dump):
-        _add_shared_flags(cmd)
-    return parser
-
-
-_PARSER = _build_parser()
-
-
 def _build_env(defines) -> SpeciesEnv:
     env = SpeciesEnv.standard()
     pairs = []
@@ -147,7 +103,7 @@ def _build_env(defines) -> SpeciesEnv:
 def _check_budget(n: int, budget: int) -> None:
     if n > budget:
         raise BudgetExceededError(
-            f"n = {n} exceeds the generation budget {budget} (raise with --budget)"
+            f"n = {shown(n)} exceeds the generation budget {shown(budget)} (raise with --budget)"
         )
 
 
@@ -210,7 +166,7 @@ def _read_documents(source: str) -> list:
                 text = f.read()
         return read_json(text)
     except (OSError, ValueError) as exc:  # ValueError: bad JSON, or bytes that are not text
-        raise SpeciesError(f"cannot read JSON input: {exc}") from exc
+        raise SpeciesError(f"cannot read JSON input: {cut(str(exc))}") from exc
 
 
 def cmd_biject(args, env) -> int:
@@ -265,21 +221,64 @@ def cmd_define_dump(args, env) -> int:
     return 0
 
 
+# name: (handler, help line, own flags as (flag, add_argument keywords))
 _COMMANDS = {
-    "enumerate": cmd_enumerate,
-    "count": cmd_count,
-    "biject": cmd_biject,
-    "series": cmd_series,
-    "verify": cmd_verify,
-    "define-dump": cmd_define_dump,
+    "enumerate": (cmd_enumerate, "list all structures on {1..n}", (
+        ("--expr", {"required": True}),
+        ("--n", {"type": int, "required": True}),
+        ("--count-only", {"action": "store_true"}),
+    )),
+    "count": (cmd_count, "count structures on {1..n}", (
+        ("--expr", {"required": True}),
+        ("--n", {"type": int, "required": True}),
+    )),
+    "biject": (cmd_biject, "apply the parking/tree bijection", (
+        ("--expr", {"required": True, "help": "base species expression"}),
+        ("--direction", {"required": True, "choices": ["p2t", "t2p"]}),
+        ("--input", {"default": "-", "help": "file with JSON input, - for stdin"}),
+    )),
+    "series": (cmd_series, "exact counts via generating series", (
+        ("--expr", {"required": True}),
+        ("--order", {"type": int, "required": True}),
+    )),
+    "verify": (cmd_verify, "run the verification suites", (
+        ("--suite", {"default": "all", "choices": list(SUITES)}),
+        ("--max-n", {"type": int}),
+        ("--golden-dir", {}),
+    )),
+    "define-dump": (cmd_define_dump, "print the active species definitions", ()),
 }
+
+
+def _build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="parklike",
+        description="Exact enumeration of parking-like and tree-like structures.",
+        formatter_class=_Formatter,
+    )
+    _add_shared_flags(parser)
+    parser.set_defaults(define=[], format="text", budget=8)
+    sub = parser.add_subparsers(
+        dest="command", required=True,
+        parser_class=partial(argparse.ArgumentParser, formatter_class=_Formatter),
+    )
+    for name, (handler, help_line, flags) in _COMMANDS.items():
+        cmd = sub.add_parser(name, help=help_line)
+        for flag, keywords in flags:
+            cmd.add_argument(flag, **keywords)
+        _add_shared_flags(cmd)
+        cmd.set_defaults(handler=handler)
+    return parser
+
+
+_PARSER = _build_parser()
 
 
 def main(argv=None) -> int:
     args = _PARSER.parse_args(argv)
     try:
         env = _build_env(args.define)
-        return _COMMANDS[args.command](args, env)
+        return args.handler(args, env)
     except (ParseError, UnboundNameError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

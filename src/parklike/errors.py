@@ -2,18 +2,22 @@
 
 Every error raised by the library derives from SpeciesError.  The CLI maps
 ParseError/UnboundNameError to exit code 2 and everything else to exit 1.
-An error text shows an input it echoes through shown(), so no error line
-echoes an input whole.
+An error text shows an input it echoes through shown() or cut(), so no error
+line echoes an input whole.
 """
 
 
 _SHOWN = 200  # the characters of an echoed input an error text shows
 
 
+def cut(text: str) -> str:
+    """text, cut after _SHOWN characters."""
+    return text if len(text) <= _SHOWN else f"{text[:_SHOWN]}... ({len(text) - _SHOWN} more characters)"
+
+
 def shown(value) -> str:
     """value's repr, cut after _SHOWN characters."""
-    text = repr(value)
-    return text if len(text) <= _SHOWN else f"{text[:_SHOWN]}... ({len(text) - _SHOWN} more characters)"
+    return cut(repr(value))
 
 
 class SpeciesError(Exception):

@@ -69,30 +69,24 @@ class ParkingFunction(Frozen):
 
 
 def validate_parking_function(pf: ParkingFunction) -> bool:
-    n = len(pf.mapping)
-    if len(pf.domain) != n:
-        raise InvalidStructureError("duplicate labels in parking function")
-    slots = sorted(slot for _, slot in pf.mapping)
-    for k, slot in enumerate(slots, start=1):
-        if slot < 1:
-            raise InvalidStructureError(f"slot {slot} is not positive")
-        if slot > k:
-            raise InvalidStructureError(
-                f"only {k - 1} labels in the first {slot - 1} slots"
-            )
+    pf_to_blocks(pf)
     return True
 
 
 def pf_to_blocks(pf: ParkingFunction) -> ParkingLike:
     """The preimage-sequence view: slot i holds the set of labels mapped to i."""
-    validate_parking_function(pf)
     n = len(pf.mapping)
+    if len(pf.domain) != n:
+        raise InvalidStructureError("duplicate labels in parking function")
     blocks = [set() for _ in range(n + 1)]
     for label, slot in pf.mapping:
+        if not 1 <= slot <= n + 1:
+            raise InvalidStructureError(f"slot {slot} is outside 1..{n + 1}")
         blocks[slot - 1].add(label)
-    return ParkingLike(
-        ChiMap.identity(), tuple(SetVal(frozenset(b)) for b in blocks)
-    )
+    identity = ChiMap.identity()
+    if not is_parking_blocks(map(len, blocks), identity, n):
+        raise InvalidStructureError("slot counts violate the parking condition")
+    return ParkingLike(identity, tuple(SetVal(frozenset(b)) for b in blocks))
 
 
 def blocks_to_pf(p: ParkingLike) -> ParkingFunction:
@@ -105,7 +99,6 @@ def blocks_to_pf(p: ParkingLike) -> ParkingFunction:
             raise InvalidStructureError("blocks_to_pf needs set-species entries")
         pairs.extend((label, i) for label in s.labels)
     pf = ParkingFunction(tuple(pairs))
-    validate_parking_function(pf)
-    if len(p.sequence) != len(pairs) + 1:
+    if pf_to_blocks(pf) != p:
         raise InvalidStructureError("sequence length is not label count + 1")
     return pf

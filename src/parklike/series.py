@@ -35,7 +35,7 @@ import sys
 from math import isqrt
 
 from .chi import ChiMap
-from .errors import InadmissibleCompositionError, NonIntegralSeriesError, SpeciesError
+from .errors import InadmissibleCompositionError, NonIntegralSeriesError, SpeciesError, shown
 from .expr import (
     E,
     EPlus,
@@ -61,7 +61,7 @@ class EgfSeries(Frozen):
 
     def __init__(self, order: int, counts):
         if order < 0:
-            raise SpeciesError(f"series order must be >= 0, got {order}")
+            raise SpeciesError(f"series order must be >= 0, got {shown(order)}")
         if not isinstance(counts, tuple):
             counts = tuple(counts)
         if len(counts) != order + 1:
@@ -234,7 +234,7 @@ def _peel(counts: list, chi: ChiMap) -> list:
 def _prefix(base: EgfSeries, order: int) -> list:
     """The counts a_0..a_order of a base series, for a route to that order."""
     if order < 0:
-        raise SpeciesError(f"series order must be >= 0, got {order}")
+        raise SpeciesError(f"series order must be >= 0, got {shown(order)}")
     if base.order < order:
         raise SpeciesError(f"base series order {base.order} too short for requested order {order}")
     return list(base.counts[: order + 1])
@@ -385,7 +385,8 @@ class _Evaluator:
         out = [0] * (self.order + 1)
         power = [1] + [0] * self.order  # inner^k
         k_factorial = 1
-        for k, f in enumerate(outer):
+        last = max((k for k, f in enumerate(outer) if f), default=-1)  # no power past f_last
+        for k, f in enumerate(outer[: last + 1]):
             if k:
                 power = _mul(power, inner)
                 k_factorial *= k
@@ -427,9 +428,9 @@ _RULES = {
 def egf_of_species(expr, env: SpeciesEnv | None = None, order: int = 8) -> EgfSeries:
     """Structure counts a_0..a_order of a species, by series evaluation."""
     if order < 0:
-        raise SpeciesError(f"series order must be >= 0, got {order}")
+        raise SpeciesError(f"series order must be >= 0, got {shown(order)}")
     if order >= sys.maxsize:
-        raise SpeciesError(f"series order {order} is too large to index a count vector")
+        raise SpeciesError(f"series order {shown(order)} is too large to index a count vector")
     if env is None:
         env = SpeciesEnv.standard()
     return EgfSeries(order, _Evaluator(env, order).eval(expr)[0])

@@ -101,7 +101,7 @@ class SumVal(Frozen):
 
     def __init__(self, side, inner):
         if side not in ("L", "R"):
-            raise InvalidStructureError(f"sum side must be 'L' or 'R', got {side!r}")
+            raise InvalidStructureError(f"sum side must be 'L' or 'R', got {shown(side)}")
         _sum_side(self, side)
         _sum_inner(self, inner)
 
@@ -460,13 +460,13 @@ def from_jsonable(data) -> "Structure":
         if kind == "prod":
             return ProdVal(from_jsonable(data["l"]), from_jsonable(data["r"]))
         if kind == "comp":
-            blocks = tuple((_labels(b["labels"]), from_jsonable(b["in"])) for b in data["blocks"])
-            blocks = _array(data["blocks"], "blocks", blocks)
+            blocks = _array(data["blocks"], "blocks")
+            blocks = tuple((_labels(b["labels"]), from_jsonable(b["in"])) for b in blocks)
             return ComposeVal(from_jsonable(data["outer"]), blocks)
         if kind is None:
             if "chi" in data and "seq" in data:
                 chi = _chi(data["chi"])
-                return ParkingLike(chi, _array(data["seq"], "seq", tuple(map(from_jsonable, data["seq"]))))
+                return ParkingLike(chi, tuple(map(from_jsonable, _array(data["seq"], "seq"))))
             if "root" in data and "children" in data:
                 return _tree_from_jsonable(data)
     except (KeyError, TypeError) as exc:
@@ -486,7 +486,7 @@ def _chi(text) -> ChiMap:
 def _tree_from_jsonable(data) -> TreeLike:
     nodes = [data]  # the JSON of every node, each after its parent, as nodes()
     for node in nodes:
-        nodes.extend(_array(node["children"], "children", [child["subtree"] for child in node["children"]]))
+        nodes.extend([child["subtree"] for child in _array(node["children"], "children")])
     built = {}  # id(node JSON) -> its TreeLike, children before parents
     for node in reversed(nodes):
         built[id(node)] = TreeLike(
@@ -503,17 +503,17 @@ def _label(value) -> int:
 
 
 def _labels(values) -> frozenset:
-    labels = _array(values, "labels", frozenset(map(_label, values)))
+    labels = frozenset(map(_label, _array(values, "labels")))
     if len(labels) != len(values):
         raise InvalidStructureError(f"labels must be distinct, got {shown(values)}")
     return labels
 
 
-def _array(values, key, items):
-    """items, once read from values, if values (the JSON at key) is an array."""
+def _array(values, key):
+    """values, the JSON at key, once it is checked to be an array."""
     if not isinstance(values, list):
         raise InvalidStructureError(f"{key} must be an array, got {shown(values)}")
-    return items
+    return values
 
 
 def deserialize(text: str) -> "Structure":
@@ -586,6 +586,6 @@ def _read_deep(text: str, i: int):
 def canonical_labels(n: int) -> frozenset:
     """The canonical label set [n] = {1, ..., n}."""
     if n < 0:
-        raise SpeciesError(f"label count must be >= 0, got {n}")
+        raise SpeciesError(f"label count must be >= 0, got {shown(n)}")
     return frozenset(range(1, n + 1))
 

@@ -1,9 +1,9 @@
 """Named verification checks over the whole library.
 
-Each check returns (ok, detail) and is independently runnable; run_suite
-groups them into a reference suite (known count sequences, golden listings,
-worked examples, bijection and series cross-checks; selected on the command
-line as "paper") and a properties suite (structural invariants).  max_n
+Each check returns (ok, detail) and is independently runnable; SUITES, which
+run_suite and the CLI read, groups them into a reference suite (known count
+sequences, golden listings, worked examples, bijection and series
+cross-checks; "paper") and a properties suite (structural invariants).  max_n
 lowers the scale of the generation-heavy checks — with max_n=None every
 check runs at its full declared scale.
 
@@ -20,7 +20,7 @@ from math import comb, factorial
 
 from .bijection import park_to_tree, tree_to_park
 from .chi import ChiMap
-from .errors import SpeciesError
+from .errors import SpeciesError, shown
 from .expr import Compose, E, Park, Power, Prod, Ref, Restrict, SpeciesEnv, Tree, X
 from .generate import Generator
 from .membership import validate_parking
@@ -440,19 +440,20 @@ PROPERTY_CHECKS = (
 )
 
 
+SUITES = {
+    "paper": REFERENCE_CHECKS,
+    "properties": PROPERTY_CHECKS,
+    "all": REFERENCE_CHECKS + PROPERTY_CHECKS,
+}
+
+
 def run_suite(suite: str = "all", max_n=None, golden_dir=None, env=None) -> dict:
-    if suite == "paper":
-        selected = REFERENCE_CHECKS
-    elif suite == "properties":
-        selected = PROPERTY_CHECKS
-    elif suite == "all":
-        selected = REFERENCE_CHECKS + PROPERTY_CHECKS
-    else:
-        raise SpeciesError(f"unknown suite {suite!r}")
+    if suite not in SUITES:
+        raise SpeciesError(f"unknown suite {shown(suite)}")
     if max_n is not None and max_n < 0:
-        raise SpeciesError(f"max_n must be >= 0, got {max_n}")
+        raise SpeciesError(f"max_n must be >= 0, got {shown(max_n)}")
     checks = []
-    for name, fn in selected:
+    for name, fn in SUITES[suite]:
         try:
             ok, detail = fn(max_n=max_n, golden_dir=golden_dir, env=env)
         except Exception as exc:  # a crashed check is a failed check

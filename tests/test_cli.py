@@ -1,3 +1,4 @@
+import argparse
 import hashlib
 import io
 import json
@@ -14,7 +15,7 @@ from pathlib import Path
 import pytest
 
 from parklike import (
-    ChiMap, Generator, Park, SpeciesEnv, expr_to_text, generate, membership, parse_species,
+    ChiMap, Generator, Park, SpeciesEnv, cli, expr_to_text, generate, membership, parse_species,
 )
 from parklike.cli import main
 from parklike.structures import canonical_labels, from_jsonable, serialize
@@ -244,6 +245,38 @@ def test_define_cannot_shadow_primitives(capsys):
     assert rc == 1
 
 
+# Each command's own flags: (option, required, default, choices, type).
+COMMAND_FLAGS = {
+    "enumerate": [("--expr", True, None, None, None), ("--n", True, None, None, int),
+                  ("--count-only", False, False, None, None)],
+    "count": [("--expr", True, None, None, None), ("--n", True, None, None, int)],
+    "biject": [("--expr", True, None, None, None), ("--direction", True, None, ["p2t", "t2p"], None),
+               ("--input", False, "-", None, None)],
+    "series": [("--expr", True, None, None, None), ("--order", True, None, None, int)],
+    "verify": [("--suite", False, "all", ["paper", "properties", "all"], None),
+               ("--max-n", False, None, None, int), ("--golden-dir", False, None, None, None)],
+    "define-dump": [],
+}
+SHARED_FLAGS = [
+    ("--define", False, argparse.SUPPRESS, None, None),
+    ("--format", False, argparse.SUPPRESS, ["json", "jsonl", "text"], None),
+    ("--budget", False, argparse.SUPPRESS, None, int),
+]
+
+
+def test_each_command_takes_its_flags_then_the_shared_ones():
+    (commands,) = [a.choices for a in cli._PARSER._actions if isinstance(a, argparse._SubParsersAction)]
+    assert list(commands) == list(COMMAND_FLAGS)
+    for name, parser in commands.items():
+        flags = [
+            (a.option_strings[-1], a.required, a.default, a.choices, a.type)
+            for a in parser._actions if not isinstance(a, argparse._HelpAction)
+        ]
+        assert flags == COMMAND_FLAGS[name] + SHARED_FLAGS, name
+    main_flags = [(a.option_strings[-1], a.default) for a in cli._PARSER._actions if a.option_strings]
+    assert main_flags == [("--help", argparse.SUPPRESS), ("--define", []), ("--format", "text"), ("--budget", 8)]
+
+
 def test_define_requires_walrus(capsys):
     rc, _ = run(capsys, ["count", "--expr", "E", "--n", "1", "--define", "A=X"])
     assert rc == 2
@@ -272,6 +305,48 @@ def test_an_echoed_token_is_cut_in_the_error_line(capsys, argv, rc, start):
     (line,) = captured.err.splitlines()
     assert captured.out == "" and line.startswith(start)
     assert len(line.encode()) < 300 and " more characters)" in line
+
+
+NINES = "9" * 4000
+
+
+@pytest.mark.parametrize(
+    "argv, stdin, start",
+    [
+        (["series", "--expr", f"park(E,table(2,1,{','.join(['5'] * 20_000)}))", "--order", "3"], None,
+         "error: chi must be non-decreasing: (2, 1, 5, 5"),
+        (["series", "--expr", f"park(E,table({','.join(['1'] * 150)}))", "--order", "150"], None,
+         "error: chi table(1,1,1"),
+        (["series", "--expr", f"park(E,affine(-{NINES},0))", "--order", "2"], None,
+         "error: affine chi needs a >= 0, got a=-999"),
+        (["series", "--expr", f"park(E,affine(5,-{NINES}))", "--order", "2"], None,
+         "error: affine chi needs chi(1) = a + b >= 0, got -999"),
+        (["biject", "--expr", "L", "--direction", "p2t"],
+         json.dumps({"k": "sum", "side": "S" * 5000, "in": {"k": "unit"}}),
+         "error: sum side must be 'L' or 'R', got 'SSS"),
+        (["series", "--expr", "X", "--order", f"-{NINES}"], None, "error: series order must be >= 0, got -999"),
+        (["series", "--expr", "X", "--order", NINES], None, "error: series order 999"),
+        (["count", "--expr", "X", "--n", f"-{NINES}"], None, "error: label count must be >= 0, got -999"),
+        (["count", "--expr", "X", "--n", NINES], None, "error: n = 999"),
+        (["verify", "--max-n", f"-{NINES}"], None, "error: max_n must be >= 0, got -999"),
+        (["biject", "--expr", "L", "--direction", "p2t", "--input", "/nonexistent/" + "d" * 5000], None,
+         "error: cannot read JSON input: "),
+    ],
+    ids=[
+        "chi-order", "chi-exhausted", "chi-affine-a", "chi-affine-a+b", "sum-side",
+        "series-order-negative", "series-order-large", "n-negative", "n-over-budget",
+        "max-n-negative", "input-path",
+    ],
+)
+def test_a_long_input_is_cut_in_the_error_line(capsys, monkeypatch, argv, stdin, start):
+    # Numbers, chi maps, sum sides and file names are echoed through the same
+    # cut as tokens: the first 200 characters, then how many more there were.
+    monkeypatch.setattr(sys, "stdin", io.StringIO(stdin or ""))
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    (line,) = captured.err.splitlines()
+    assert captured.out == "" and line.startswith(start)
+    assert len(line.encode()) < 300 and line.count(" more characters)") == 1
 
 
 @pytest.mark.parametrize(
@@ -483,6 +558,25 @@ def test_biject_rejects_an_object_where_an_array_belongs(capsys, monkeypatch):
     captured = capsys.readouterr()
     assert (rc, captured.out) == (1, "")
     assert captured.err == "error: children must be an array, got {}\n"
+
+
+@pytest.mark.parametrize(
+    "doc, err",
+    [
+        ({"k": "set", "labels": "ab"}, "labels must be an array, got 'ab'"),
+        ({"chi": "id", "seq": {"k": "unit"}}, "seq must be an array, got {'k': 'unit'}"),
+        ({"root": {"k": "set", "labels": []}, "children": "ab"}, "children must be an array, got 'ab'"),
+        ({"k": "comp", "outer": {"k": "unit"}, "blocks": "ab"}, "blocks must be an array, got 'ab'"),
+    ],
+    ids=["labels", "seq", "children", "blocks"],
+)
+def test_biject_names_a_string_or_object_where_an_array_belongs(capsys, monkeypatch, doc, err):
+    # Checked before its items are read, the value is named as what it is,
+    # not as a fault of the characters or keys it holds.
+    monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps(doc)))
+    rc = main(["biject", "--expr", "E", "--direction", "p2t"])
+    captured = capsys.readouterr()
+    assert (rc, captured.out, captured.err) == (1, "", f"error: {err}\n")
 
 
 def test_biject_error_line_echoes_a_large_document_in_part(capsys, monkeypatch):

@@ -1,5 +1,6 @@
 """Module-level invariants: one rule table per evaluator, no deferred imports."""
 
+import argparse
 import ast
 import os
 import subprocess
@@ -12,12 +13,14 @@ import pytest
 from parklike import (
     Generator,
     accepts,
+    cli,
     egf_of_species,
     expr,
     generate,
     membership,
     series,
     structures,
+    verify,
 )
 from parklike.expr import SpeciesExpr
 from parklike.structures import UNIT
@@ -335,3 +338,49 @@ def test_a_failing_property_fails_alone_under_the_warning_filters(tmp_path):
     assert "2 failed, 1 passed" in proc.stdout
     assert "FAILED test_probe.py::test_a_deprecation_warning_of_our_own" in proc.stdout
     assert "DeprecationWarning: ours" in proc.stdout
+
+
+def _calls(fn) -> set:
+    """The names a function definition calls directly."""
+    return {
+        node.func.id
+        for node in ast.walk(fn)
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+    }
+
+
+def test_the_parking_condition_is_checked_by_is_parking_blocks_alone():
+    # The classical parking functions meet the condition through
+    # pf_to_blocks, which builds the blocks and sizes them under the
+    # identity chi; no second statement of the condition is kept.
+    tree = ast.parse((SRC / "parking.py").read_text())
+    fns = {fn.name: fn for fn in tree.body if isinstance(fn, ast.FunctionDef)}
+    assert "is_parking_blocks" in _calls(fns["pf_to_blocks"])
+    for name in ("validate_parking_function", "blocks_to_pf"):
+        calls = _calls(fns[name])
+        assert "pf_to_blocks" in calls and "is_parking_blocks" not in calls, name
+    called = [n for n in ast.walk(tree) if isinstance(n, ast.Call) and getattr(n.func, "id", None) == "is_parking_blocks"]
+    assert len(called) == 1
+
+
+def test_each_command_and_suite_is_spelled_once():
+    # One table gives each command its handler, help line and flags, and one
+    # table gives each verify suite its checks; the CLI reads both.
+    tree = ast.parse((SRC / "cli.py").read_text())
+    add_parser = [
+        n for n in ast.walk(tree)
+        if isinstance(n, ast.Call) and isinstance(n.func, ast.Attribute) and n.func.attr == "add_parser"
+    ]
+    assert len(add_parser) == 1
+    (commands,) = [a.choices for a in cli._PARSER._actions if isinstance(a, argparse._SubParsersAction)]
+    constants = [n.value for n in ast.walk(tree) if isinstance(n, ast.Constant) and isinstance(n.value, str)]
+    assert {name: constants.count(name) for name in commands} == dict.fromkeys(commands, 1)
+    (suite,) = [a for a in commands["verify"]._actions if a.dest == "suite"]
+    assert suite.choices == list(verify.SUITES)
+    tree = ast.parse((SRC / "verify.py").read_text())
+    (run_suite,) = [fn for fn in tree.body if isinstance(fn, ast.FunctionDef) and fn.name == "run_suite"]
+    for node in ast.walk(run_suite):
+        if isinstance(node, ast.Compare):
+            assert not any(isinstance(c, ast.Constant) and isinstance(c.value, str) for c in node.comparators), (
+                f"verify.py:{node.lineno} compares a suite name in run_suite"
+            )

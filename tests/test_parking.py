@@ -196,6 +196,25 @@ def test_all_parking_functions_on_three_labels():
         assert blocks_to_pf(pf_to_blocks(pf)) == pf
 
 
+def test_validate_parking_function_is_the_classical_condition():
+    # Every slot vector over 0..n+1: slot 0 is never valid, and a label in
+    # slot n+1 leaves the first n slots short.
+    for n in range(6):
+        accepted = 0
+        for slots in product(range(n + 2), repeat=n):
+            pf = ParkingFunction(tuple(enumerate(slots, start=1)))
+            classical = 0 not in slots and all(sum(s <= k for s in slots) >= k for k in range(1, n + 1))
+            try:
+                valid = validate_parking_function(pf)
+            except InvalidStructureError:
+                valid = False
+            assert valid == classical, slots
+            if valid:
+                accepted += 1
+                assert blocks_to_pf(pf_to_blocks(pf)) == pf
+        assert accepted == (n + 1) ** (n - 1)
+
+
 def test_blocks_to_pf_needs_identity_chi():
     p = ParkingLike(ChiMap.affine(1, 1), (SetVal({1}), SetVal(frozenset()), SetVal(frozenset())))
     with pytest.raises(InvalidStructureError):

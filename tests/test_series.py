@@ -290,6 +290,19 @@ def test_lagrange_takes_about_two_root_n_products(env, monkeypatch, order):
     assert len(calls) <= 2 * (isqrt(order) + 1) + 1  # 2 ceil(sqrt(order + 1)) + 1
 
 
+def test_composition_builds_no_power_past_the_outers_last_coefficient(env, monkeypatch):
+    # X^2@(E+) reads only inner^2: (e^x - 1)^2 counts 2^n - 2 for n >= 1.
+    calls = []
+    mul = series._mul
+    monkeypatch.setattr(series, "_mul", lambda a, b: calls.append(1) or mul(a, b))
+    assert egf("X^2@(E+)", env, 200).counts == tuple(2**n - 2 if n else 0 for n in range(201))
+    assert len(calls) <= 3
+    # restrict(L,3)@(E+) is (e^x - 1)^3, 3! S(n, 3) structures on n labels.
+    assert egf("restrict(L,3)@(E+)", env, 200).counts == tuple(
+        3**n - 3 * 2**n + 3 if n else 0 for n in range(201)
+    )
+
+
 # -- the exp rule, Newton rounds and slot peeling against other routes -------------
 
 leaves = st.sampled_from([Zero(), One(), X(), E(), EPlus(), Ref("L"), Ref("Par"), Ref("Sub")])

@@ -38,6 +38,7 @@ from parklike.structures import (
     ComposeVal,
     ProdVal,
     SumVal,
+    _array,
     _label,
     _tree_from_jsonable,
     canonical_labels,
@@ -101,7 +102,7 @@ def recursive_tree_from_jsonable(data):
     root = from_jsonable(data["root"])
     children = tuple(
         (_label(child["label"]), recursive_tree_from_jsonable(child["subtree"]))
-        for child in data["children"]
+        for child in _array(data["children"], "children")
     )
     return TreeLike(root, children)
 
